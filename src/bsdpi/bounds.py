@@ -10,21 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channels import ConditionalExpectation, KrausChannel, build_contraction
-from .divergences import (
-    FDivFamily,
-    bs_entropy,
-    maximal_f,
-    regularized_divergence,
-    xlogx,
-)
-from .errors import BadBeta, MissingMeasureParams, SingularState, SupportMismatch
-from .linalg import RANK_TOL, SQRT, herm_eig, hs_inner, matrix_fn, pinv, schatten_norm
+from .divergences import FDivFamily, bs_entropy, maximal_f, regularized_divergence, xlogx
+from .errors import BadBeta, MissingMeasureParams, SingularState
+# herm_eig stays bound here: bench/tests check that the tracer wraps this binding
+from .linalg import herm_eig, hs_inner, schatten_norm  # noqa: F401
 from .recovery import condexp_equality_residuals, stinespring_residual
-from .states import as_matrix, gamma, numerical_rank, support_projector
+from .states import StatePair
 
 
 @dataclass(frozen=True)
@@ -86,55 +82,135 @@ def _l_from_alpha(alpha: float) -> float:
     return k_alpha(alpha) * 0.5 ** (4 * (alpha + 1))
 
 
-def _min_positive_eigenvalue(m: np.ndarray) -> float:
-    w = herm_eig(m).values
-    lam_max = max(float(w[-1]), 0.0)
-    positive = w[w > RANK_TOL * lam_max]
-    if positive.size == 0:
-        raise SingularState("state has no positive spectrum")
-    return float(positive[0])
+class InstanceAnalysis:
+    """The shared spectral analysis of one (sigma, rho, target) instance.
+
+    ``target`` is a KrausChannel or a ConditionalExpectation.  The input pair
+    and the output pair decompose sigma, rho, G and the maximal-f core at most
+    once each, and every quantity below is evaluated at most once, on first
+    use.  The DPI gap, both bound forms, the bound of every maximal-f family
+    and the equality residuals all read the same analysis, so a family costs
+    one scalar function on the cached core spectra.  An analysis belongs to
+    one instance and is dropped with it.
+
+    The evaluators of this module and of ``recovery`` accept an analysis in
+    place of their (sigma, rho, target) arguments, passing None for the rest.
+    """
+
+    def __init__(self, sigma, rho, target):
+        if not isinstance(target, (ConditionalExpectation, KrausChannel)):
+            raise TypeError("target must be a ConditionalExpectation or a KrausChannel")
+        self.target = target
+        self.inp = StatePair(sigma, rho)
+
+    @classmethod
+    def of(cls, sigma, rho, target) -> "InstanceAnalysis":
+        """``sigma`` itself when it is an analysis, else a new analysis."""
+        if isinstance(sigma, cls):
+            if rho is not None or target is not None:
+                raise TypeError("rho and the target must be None with an InstanceAnalysis")
+            return sigma
+        return cls(sigma, rho, target)
+
+    @property
+    def is_condexp(self) -> bool:
+        return isinstance(self.target, ConditionalExpectation)
+
+    @cached_property
+    def out(self) -> StatePair:
+        """The pair of outputs (sigma_T, rho_T)."""
+        return StatePair(self.target.apply(self.inp.sigma), self.target.apply(self.inp.rho))
+
+    @cached_property
+    def gap_bs(self) -> float:
+        """BS(sigma||rho) - BS(sigma_T||rho_T) on the spectral route."""
+        return bs_entropy(self.inp) - bs_entropy(self.out)
+
+    def gap_maximal(self, fam: FDivFamily) -> float:
+        return maximal_f(self.inp, None, fam) - maximal_f(self.out, None, fam)
+
+    @property
+    def gamma_sup(self) -> float:
+        """||G||_inf of the input pair."""
+        return self.inp.ratio.lam_max
+
+    @cached_property
+    def sigma_inv_sup(self) -> float:
+        """||sigma^-1||_inf for a conditional expectation, ||sigma_T^-1||_inf
+        for a channel (Moore-Penrose on singular states)."""
+        spec = self.inp.s if self.is_condexp else self.out.s
+        return 1.0 / spec.min_positive
+
+    @cached_property
+    def pulled_back(self) -> np.ndarray:
+        """T*(sigma_T^-1 rho_T); sigma times it is the BS recovery of rho_T."""
+        return self.target.adjoint_apply(self.out.s.pinv @ self.out.rho)
+
+    @cached_property
+    def _condexp_residuals(self) -> tuple[float, float]:
+        return condexp_equality_residuals(self)
+
+    @cached_property
+    def residual_k(self) -> float:
+        """Residual of the square-root equality condition (K form): the
+        strange residual for a conditional expectation, the Stinespring
+        residual for a channel."""
+        if self.is_condexp:
+            return self._condexp_residuals[1]
+        return stinespring_residual(self)
+
+    @cached_property
+    def residual_l(self) -> float:
+        """Residual of the recovery equality condition (L form).
+
+        Conditional expectation: ||rho - sigma sigma_N^-1 rho_N||_2.
+        Channel: ||sigma T*(sigma_T^-1 rho_T) - rho||_2.
+        """
+        if self.is_condexp:
+            return self._condexp_residuals[0]
+        return schatten_norm(self.inp.sigma @ self.pulled_back - self.inp.rho, 2)
 
 
-def _supports_equal(s: np.ndarray, r: np.ndarray) -> bool:
-    return schatten_norm(support_projector(s) - support_projector(r), np.inf) <= 1e-8
+def _bs_report(a: InstanceAnalysis, gap: float, constants: dict) -> BoundReport:
+    """rhs_k = (pi/4)^4 ||G||_inf^-2 residual_k^4 and
+    rhs_l = (pi/8)^4 ||G||_inf^-4 ||sigma^-1||_inf^-2 residual_l^4."""
+    residual_k = a.residual_k
+    residual_l = a.residual_l
+    gamma_sup = a.gamma_sup
+    sigma_inv_sup = a.sigma_inv_sup
+    pref_k = (math.pi / 4.0) ** 4
+    pref_l = (math.pi / 8.0) ** 4
+    rhs_k = pref_k * gamma_sup ** (-2.0) * residual_k**4
+    rhs_l = pref_l * gamma_sup ** (-4.0) * sigma_inv_sup ** (-2.0) * residual_l**4
+    constants.update(
+        {
+            "gamma_sup": gamma_sup,
+            "sigma_inv_sup": sigma_inv_sup,
+            "prefactor_k": pref_k,
+            "prefactor_l": pref_l,
+            "residual_k": residual_k,
+            "residual_l": residual_l,
+        }
+    )
+    return BoundReport(
+        gap=gap, rhs_k=rhs_k, rhs_l=rhs_l, precondition_ok=True, constants=constants
+    )
 
 
-def bs_bound_condexp(sigma, rho, expectation: ConditionalExpectation) -> BoundReport:
+def bs_bound_condexp(
+    sigma, rho=None, expectation: ConditionalExpectation | None = None
+) -> BoundReport:
     """Strengthened BS-entropy DPI bound under a conditional expectation.
 
     rhs_k = (pi/4)^4 ||G||_inf^-2 r_strange^4 and
     rhs_l = (pi/8)^4 ||G||_inf^-4 ||sigma^-1||_inf^-2 r_recovery^4.
     Both hold unconditionally, so precondition_ok is always True.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    sigma_n = expectation.apply(s)
-    rho_n = expectation.apply(r)
-    gap = bs_entropy(s, r) - bs_entropy(sigma_n, rho_n)
-    r_recovery, r_strange = condexp_equality_residuals(s, r, expectation)
-    gamma_sup = gamma(s, r).sup_norm
-    sigma_inv_sup = 1.0 / _min_positive_eigenvalue(s)
-    pref_k = (math.pi / 4.0) ** 4
-    pref_l = (math.pi / 8.0) ** 4
-    rhs_k = pref_k * gamma_sup ** (-2.0) * r_strange**4
-    rhs_l = pref_l * gamma_sup ** (-4.0) * sigma_inv_sup ** (-2.0) * r_recovery**4
-    return BoundReport(
-        gap=gap,
-        rhs_k=rhs_k,
-        rhs_l=rhs_l,
-        precondition_ok=True,
-        constants={
-            "gamma_sup": gamma_sup,
-            "sigma_inv_sup": sigma_inv_sup,
-            "prefactor_k": pref_k,
-            "prefactor_l": pref_l,
-            "residual_k": r_strange,
-            "residual_l": r_recovery,
-        },
-    )
+    a = InstanceAnalysis.of(sigma, rho, expectation)
+    return _bs_report(a, a.gap_bs, {})
 
 
-def bs_bound_channel(sigma, rho, channel: KrausChannel) -> BoundReport:
+def bs_bound_channel(sigma, rho=None, channel: KrausChannel | None = None) -> BoundReport:
     """Strengthened BS-entropy DPI bound for a general channel.
 
     The K form uses the Stinespring-isometry residual; the L form uses the
@@ -142,45 +218,18 @@ def bs_bound_channel(sigma, rho, channel: KrausChannel) -> BoundReport:
     equal supports are handled with Moore-Penrose inverses on the residual
     side and the epsilon-regularized route for the gap.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    if not _supports_equal(s, r):
-        raise SupportMismatch("sigma and rho must have equal supports")
-    sigma_t = channel.apply(s)
-    rho_t = channel.apply(r)
-
+    a = InstanceAnalysis.of(sigma, rho, channel)
+    a.inp.require_equal_supports()
     constants: dict = {}
-    if numerical_rank(s) < s.shape[0]:
-        top = regularized_divergence(s, r, xlogx(), kind="maximal")
-        bottom = regularized_divergence(sigma_t, rho_t, xlogx(), kind="maximal")
+    if a.inp.s.full_rank:
+        gap = a.gap_bs
+    else:
+        top = regularized_divergence(a.inp.sigma, a.inp.rho, xlogx(), kind="maximal")
+        bottom = regularized_divergence(a.out.sigma, a.out.rho, xlogx(), kind="maximal")
         gap = top.value - bottom.value
         constants["increment_top"] = top.increment
         constants["increment_bottom"] = bottom.increment
-    else:
-        gap = bs_entropy(s, r) - bs_entropy(sigma_t, rho_t)
-
-    residual_v = stinespring_residual(s, r, channel)
-    pulled_back = channel.adjoint_apply(pinv(sigma_t) @ rho_t)
-    residual_rec = schatten_norm(s @ pulled_back - r, 2)
-    gamma_sup = gamma(s, r).sup_norm
-    sigma_t_inv_sup = 1.0 / _min_positive_eigenvalue(sigma_t)
-    pref_k = (math.pi / 4.0) ** 4
-    pref_l = (math.pi / 8.0) ** 4
-    rhs_k = pref_k * gamma_sup ** (-2.0) * residual_v**4
-    rhs_l = pref_l * gamma_sup ** (-4.0) * sigma_t_inv_sup ** (-2.0) * residual_rec**4
-    constants.update(
-        {
-            "gamma_sup": gamma_sup,
-            "sigma_inv_sup": sigma_t_inv_sup,
-            "prefactor_k": pref_k,
-            "prefactor_l": pref_l,
-            "residual_k": residual_v,
-            "residual_l": residual_rec,
-        }
-    )
-    return BoundReport(
-        gap=gap, rhs_k=rhs_k, rhs_l=rhs_l, precondition_ok=True, constants=constants
-    )
+    return _bs_report(a, gap, constants)
 
 
 def maxf_bound(sigma, rho, target, fam: FDivFamily) -> BoundReport:
@@ -189,32 +238,18 @@ def maxf_bound(sigma, rho, target, fam: FDivFamily) -> BoundReport:
     ``target`` is either a ConditionalExpectation or a KrausChannel.  The
     precondition flag reflects the states-not-too-far condition; when it is
     False the right-hand sides are still reported but carry no guarantee.
+    Every family evaluated on one analysis shares its residuals and spectra.
     """
     if fam.measure_c is None or fam.measure_alpha is None:
         raise MissingMeasureParams(f"family {fam.tag!r} has no (C, alpha)")
+    a = InstanceAnalysis.of(sigma, rho, target)
     alpha = fam.measure_alpha
     c = fam.measure_c
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-
-    if isinstance(target, ConditionalExpectation):
-        sigma_out = target.apply(s)
-        rho_out = target.apply(r)
-        residual_l, residual_k = condexp_equality_residuals(s, r, target)
-        sigma_inv_sup = 1.0 / _min_positive_eigenvalue(s)
-    elif isinstance(target, KrausChannel):
-        sigma_out = target.apply(s)
-        rho_out = target.apply(r)
-        residual_k = stinespring_residual(s, r, target)
-        residual_l = schatten_norm(
-            s @ target.adjoint_apply(pinv(sigma_out) @ rho_out) - r, 2
-        )
-        sigma_inv_sup = 1.0 / _min_positive_eigenvalue(sigma_out)
-    else:
-        raise TypeError("target must be a ConditionalExpectation or a KrausChannel")
-
-    gap = maximal_f(s, r, fam) - maximal_f(sigma_out, rho_out, fam)
-    gamma_sup = gamma(s, r).sup_norm
+    residual_k = a.residual_k
+    residual_l = a.residual_l
+    sigma_inv_sup = a.sigma_inv_sup
+    gap = a.gap_maximal(fam)
+    gamma_sup = a.gamma_sup
 
     check = (
         (2 * alpha + 1) * math.sqrt(c) / 4.0 * math.sqrt(max(gap, 0.0)) / (1.0 + gamma_sup)
@@ -260,18 +295,14 @@ def lemma_integrand_check(sigma, rho, expectation: ConditionalExpectation, t: fl
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    if numerical_rank(s) < s.shape[0] or numerical_rank(r) < r.shape[0]:
+    a = InstanceAnalysis(sigma, rho, expectation)
+    if not (a.inp.s.full_rank and a.inp.r.full_rank):
         raise SingularState("the integrand check needs full-rank states")
-    sigma_n = expectation.apply(s)
-    rho_n = expectation.apply(r)
-    g = gamma(s, r).mat
-    g_n = gamma(sigma_n, rho_n).mat
-    contraction = build_contraction(s, expectation.as_kraus())
-    sn_half = matrix_fn(sigma_n, SQRT)
-    dim = s.shape[0]
-    eye = np.eye(dim)
+    g = a.inp.ratio.mat
+    g_n = a.out.ratio.mat
+    contraction = build_contraction(a.inp.s, expectation.as_kraus())
+    sn_half = a.out.s.sqrt
+    eye = np.eye(a.inp.s.dim)
 
     u_sn = contraction.apply(sn_half)
     resolvent_u = np.linalg.solve(g + t * eye, u_sn)

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bs_bound_channel, bs_bound_condexp, lemma_integrand_check, maxf_bound
+from .bounds import (
+    InstanceAnalysis,
+    bs_bound_channel,
+    bs_bound_condexp,
+    lemma_integrand_check,
+    maxf_bound,
+)
 from .channels import (
     ConditionalExpectation,
     KrausChannel,
@@ -41,6 +47,8 @@ from .states import DensityMatrix, gamma, random_density
 
 # (d_keep, s) factorizations used for partial-trace conditional expectations
 PARTIAL_TRACE_SHAPES = ((2, 2), (3, 2), (2, 3))
+
+CONDEXP_KINDS = ("pinching", "partial_trace")
 
 CSV_HEADER = "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
 
@@ -180,39 +188,188 @@ def _pick_dim(dims, index: int) -> int:
     return dims[index % len(dims)]
 
 
+@dataclass
+class Trial:
+    """One drawn instance of a bound campaign."""
+
+    seed: int  # the trial's sub-seed, reported in rows and violations
+    d: int
+    sigma: DensityMatrix
+    rho: DensityMatrix
+    target: KrausChannel | ConditionalExpectation
+    deficient: bool = False  # an equal-support rank-deficient pair
+
+
+def draw_trial(seed: int, i: int, dims, kind: str, deficient: bool = False) -> Trial:
+    """Trial i of a campaign over ``kind`` targets.
+
+    Every campaign draws trial i from the same sub-seed, so the DPI, bound
+    and maximal-f campaigns of one seed see the same instances.
+    """
+    sub = derive_seed(seed, i)
+    if kind == "partial_trace":
+        target = sample_condexp(0, kind, i)
+        d = target.dim
+    elif kind == "pinching":
+        d = _pick_dim(dims, i)
+        target = sample_condexp(d, kind, sub)
+    elif kind == "random_cptp":
+        d = _pick_dim(dims, i)
+        target = sample_channel(d, sub)
+    else:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    if deficient:
+        sigma, rho = sample_equal_support_pair(d, max(1, d - 1), sub)
+    else:
+        sigma, rho = sample_pair(d, sub)
+    return Trial(sub, d, sigma, rho, target, deficient)
+
+
+def evaluate(
+    seed: int, trials: int, dims, kind: str, checks, n_rank_deficient: int = 0
+) -> None:
+    """Draw the trials in seed order, the last n_rank_deficient of them rank
+    deficient, analyse each once and hand that analysis to every check.
+
+    An analysis lives for one trial; the checks keep only rows and summaries.
+    """
+    for i in range(trials + n_rank_deficient):
+        trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
+        analysis = InstanceAnalysis(trial.sigma, trial.rho, trial.target)
+        for check in checks:
+            check.add(trial, analysis)
+
+
+class Check:
+    """One campaign's per-trial evaluation, with its summary and CSV rows."""
+
+    def __init__(self):
+        self.summary = CampaignSummary()
+        self.rows: list[Row] = []
+
+    def add(self, trial: Trial, a: InstanceAnalysis) -> None:
+        raise NotImplementedError
+
+
+class DpiCheck(Check):
+    """BS-entropy data processing: gap >= -tol_abs."""
+
+    def __init__(self, tol_abs: float = DEFAULT_TOLERANCES["dpi_abs"]):
+        super().__init__()
+        self.tol_abs = tol_abs
+
+    def add(self, trial, a):
+        gap = a.gap_bs
+        self.summary.total += 1
+        self.summary.record_slack(gap)
+        if gap < -self.tol_abs:
+            self.summary.violations.append(
+                (trial.seed, f"dpi gap {gap:.3e} below -{self.tol_abs:.0e}")
+            )
+        self.rows.append(Row(trial.seed, trial.d, "bs_dpi", gap, 0.0, 0.0, True, gap))
+
+
+class BoundCheck(Check):
+    """Strengthened BS bound, both forms: under a conditional expectation, or
+    through the Stinespring path for a CPTP map.
+
+    Rank-deficient trials take the epsilon-regularized gap; their
+    extrapolation increments must stay below increment_tol.  With
+    ``include_standard_row`` each conditional-expectation trial also emits an
+    informational row for the older relative-entropy bound (trace-norm Petz
+    residual); those rows are never counted as violations.
+    """
+
+    def __init__(
+        self,
+        family: str,
+        slack_rel: float = DEFAULT_TOLERANCES["slack_rel"],
+        increment_tol: float = DEFAULT_TOLERANCES["increment"],
+        include_standard_row: bool = False,
+    ):
+        super().__init__()
+        self.family = family
+        self.slack_rel = slack_rel
+        self.increment_tol = increment_tol
+        self.include_standard_row = include_standard_row
+
+    def add(self, trial, a):
+        report = bs_bound_condexp(a) if a.is_condexp else bs_bound_channel(a)
+        family = self.family + ("_singular" if trial.deficient else "")
+        norm = 1.0 + max(report.gap, 0.0)
+        slack_min = min(report.slack_k, report.slack_l)
+        summary = self.summary
+        summary.total += 1
+        self.rows.append(
+            Row(trial.seed, trial.d, family, report.gap, report.rhs_k, report.rhs_l,
+                report.precondition_ok, report.slack)
+        )
+        if report.precondition_ok:
+            summary.record_slack(slack_min / norm)
+            if slack_min < -self.slack_rel * norm:
+                summary.violations.append(
+                    (trial.seed,
+                     f"{family} slack {slack_min:.3e} below -{self.slack_rel:.0e}*(1+gap)")
+                )
+        if trial.deficient:
+            inc = max(
+                report.constants.get("increment_top", 0.0),
+                report.constants.get("increment_bottom", 0.0),
+            )
+            if inc > self.increment_tol:
+                summary.violations.append(
+                    (trial.seed,
+                     f"regularized increment {inc:.3e} above {self.increment_tol:.0e}")
+                )
+        if self.include_standard_row:
+            self.rows.append(
+                _standard_dpi_row(trial.sigma, trial.rho, trial.target, trial.seed, trial.d)
+            )
+
+
+class MaxfCheck(Check):
+    """Maximal f-divergence bounds for every family with measure constants.
+
+    Slack is asserted only on instances that satisfy the not-too-far
+    precondition; ``pass_rates`` records how often each family did.
+    """
+
+    def __init__(self, families, slack_abs: float = DEFAULT_TOLERANCES["slack_abs"]):
+        super().__init__()
+        self.fams = [family_from_tag(t) if isinstance(t, str) else t for t in families]
+        self.slack_abs = slack_abs
+        self.trials = 0
+        self.passed = {fam.tag: 0 for fam in self.fams}
+
+    def add(self, trial, a):
+        self.trials += 1
+        for fam in self.fams:
+            report = maxf_bound(a, None, None, fam)
+            self.summary.total += 1
+            self.rows.append(
+                Row(trial.seed, trial.d, fam.tag, report.gap, report.rhs_k, report.rhs_l,
+                    report.precondition_ok, report.slack)
+            )
+            if report.precondition_ok:
+                self.passed[fam.tag] += 1
+                slack_min = min(report.slack_k, report.slack_l)
+                self.summary.record_slack(slack_min)
+                if slack_min < -self.slack_abs:
+                    self.summary.violations.append(
+                        (trial.seed,
+                         f"{fam.tag} slack {slack_min:.3e} below -{self.slack_abs:.0e}")
+                    )
+
+    @property
+    def pass_rates(self) -> dict:
+        return {tag: count / max(1, self.trials) for tag, count in self.passed.items()}
+
+
 def run_dpi_campaign(seed: int, trials: int, dims, tol_abs: float = DEFAULT_TOLERANCES["dpi_abs"]):
     """BS-entropy data processing: gap >= -tol_abs for random CPTP triples."""
-    summary = CampaignSummary()
-    rows: list[Row] = []
-    for i in range(trials):
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, i)
-        sigma, rho = sample_pair(d, sub)
-        channel = sample_channel(d, sub)
-        gap = bs_entropy(sigma, rho) - bs_entropy(channel.apply(sigma), channel.apply(rho))
-        summary.total += 1
-        summary.record_slack(gap)
-        if gap < -tol_abs:
-            summary.violations.append((sub, f"dpi gap {gap:.3e} below -{tol_abs:.0e}"))
-        rows.append(Row(sub, d, "bs_dpi", gap, 0.0, 0.0, True, gap))
-    return summary, rows
-
-
-def _check_bound_row(summary, rows, report, sub, d, family, slack_rel):
-    """Append a row and flag normalized-slack violations for asserted reports."""
-    norm = 1.0 + max(report.gap, 0.0)
-    slack_min = min(report.slack_k, report.slack_l)
-    summary.total += 1
-    rows.append(
-        Row(sub, d, family, report.gap, report.rhs_k, report.rhs_l,
-            report.precondition_ok, report.slack)
-    )
-    if report.precondition_ok:
-        summary.record_slack(slack_min / norm)
-        if slack_min < -slack_rel * norm:
-            summary.violations.append(
-                (sub, f"{family} slack {slack_min:.3e} below -{slack_rel:.0e}*(1+gap)")
-            )
+    check = DpiCheck(tol_abs)
+    evaluate(seed, trials, dims, "random_cptp", [check])
+    return check.summary, check.rows
 
 
 def run_condexp_bound_campaign(
@@ -229,22 +386,11 @@ def run_condexp_bound_campaign(
     for the older relative-entropy bound (trace-norm Petz residual); those
     rows are reported but never counted as violations.
     """
-    summary = CampaignSummary()
-    rows: list[Row] = []
-    for i in range(trials):
-        sub = derive_seed(seed, i)
-        if kind == "partial_trace":
-            expectation = sample_condexp(0, kind, i)
-            d = expectation.dim
-        else:
-            d = _pick_dim(dims, i)
-            expectation = sample_condexp(d, kind, sub)
-        sigma, rho = sample_pair(d, sub)
-        report = bs_bound_condexp(sigma, rho, expectation)
-        _check_bound_row(summary, rows, report, sub, d, f"bs_{kind}", slack_rel)
-        if include_standard_row:
-            rows.append(_standard_dpi_row(sigma, rho, expectation, sub, d))
-    return summary, rows
+    if kind not in CONDEXP_KINDS:
+        raise ConfigError(f"unknown conditional-expectation kind {kind!r}")
+    check = BoundCheck(f"bs_{kind}", slack_rel, include_standard_row=include_standard_row)
+    evaluate(seed, trials, dims, kind, [check])
+    return check.summary, check.rows
 
 
 def _standard_dpi_row(sigma, rho, expectation, sub: int, d: int) -> Row:
@@ -278,31 +424,9 @@ def run_channel_bound_campaign(
     epsilon-regularized gap; their extrapolation increments must stay below
     increment_tol.
     """
-    summary = CampaignSummary()
-    rows: list[Row] = []
-    for i in range(trials + n_rank_deficient):
-        deficient = i >= trials
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, i)
-        if deficient:
-            rank = max(1, d - 1)
-            sigma, rho = sample_equal_support_pair(d, rank, sub)
-        else:
-            sigma, rho = sample_pair(d, sub)
-        channel = sample_channel(d, sub)
-        report = bs_bound_channel(sigma, rho, channel)
-        family = "bs_channel_singular" if deficient else "bs_channel"
-        _check_bound_row(summary, rows, report, sub, d, family, slack_rel)
-        if deficient:
-            inc = max(
-                report.constants.get("increment_top", 0.0),
-                report.constants.get("increment_bottom", 0.0),
-            )
-            if inc > increment_tol:
-                summary.violations.append(
-                    (sub, f"regularized increment {inc:.3e} above {increment_tol:.0e}")
-                )
-    return summary, rows
+    check = BoundCheck("bs_channel", slack_rel, increment_tol)
+    evaluate(seed, trials, dims, "random_cptp", [check], n_rank_deficient)
+    return check.summary, check.rows
 
 
 def run_maxf_campaign(
@@ -319,39 +443,9 @@ def run_maxf_campaign(
     fraction of instances satisfying the not-too-far precondition; slack is
     only asserted on those.
     """
-    fams = [family_from_tag(t) if isinstance(t, str) else t for t in families]
-    summary = CampaignSummary()
-    rows: list[Row] = []
-    passed = {fam.tag: 0 for fam in fams}
-    for i in range(trials):
-        sub = derive_seed(seed, i)
-        if kind == "partial_trace":
-            target = sample_condexp(0, kind, i)
-            d = target.dim
-        elif kind == "pinching":
-            d = _pick_dim(dims, i)
-            target = sample_condexp(d, kind, sub)
-        else:
-            d = _pick_dim(dims, i)
-            target = sample_channel(d, sub)
-        sigma, rho = sample_pair(d, sub)
-        for fam in fams:
-            report = maxf_bound(sigma, rho, target, fam)
-            summary.total += 1
-            rows.append(
-                Row(sub, d, fam.tag, report.gap, report.rhs_k, report.rhs_l,
-                    report.precondition_ok, report.slack)
-            )
-            if report.precondition_ok:
-                passed[fam.tag] += 1
-                slack_min = min(report.slack_k, report.slack_l)
-                summary.record_slack(slack_min)
-                if slack_min < -slack_abs:
-                    summary.violations.append(
-                        (sub, f"{fam.tag} slack {slack_min:.3e} below -{slack_abs:.0e}")
-                    )
-    pass_rates = {tag: count / max(1, trials) for tag, count in passed.items()}
-    return summary, rows, pass_rates
+    check = MaxfCheck(families, slack_abs)
+    evaluate(seed, trials, dims, kind, [check])
+    return check.summary, check.rows, check.pass_rates
 
 
 def run_equality_campaign(

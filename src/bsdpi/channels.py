@@ -10,8 +10,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimMismatch, InvalidChannel, ParseError, SingularState
-from .linalg import RSQRT_ON_SUPPORT, SQRT, herm_eig, matrix_fn
-from .states import as_matrix, entries_to_matrix, matrix_to_entries
+from .linalg import Spectrum, herm_eig
+from .states import as_matrix, as_spectrum, entries_to_matrix, matrix_to_entries
 
 TRACE_PRESERVATION_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
@@ -292,16 +292,11 @@ class ContractionMap:
 
 
 def build_contraction(sigma, channel: KrausChannel) -> ContractionMap:
-    s = as_matrix(sigma)
-    sigma_t = channel.apply(s)
-    w = herm_eig(sigma_t).values
-    if float(w[-1]) <= 0.0:
+    s = as_spectrum(sigma)
+    sigma_t = Spectrum(channel.apply(s.mat))
+    if float(sigma_t.eig.values[-1]) <= 0.0:
         raise SingularState("channel output state vanishes")
-    return ContractionMap(
-        channel=channel,
-        sigma_half=matrix_fn(s, SQRT),
-        sigma_t_rsqrt=matrix_fn(sigma_t, RSQRT_ON_SUPPORT),
-    )
+    return ContractionMap(channel=channel, sigma_half=s.sqrt, sigma_t_rsqrt=sigma_t.rsqrt)
 
 
 def superop_matrix(fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .divergences import (
 from .errors import ConfigError, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
-from .states import gamma, load_state
+from .states import load_state
 
 
 @dataclass
@@ -49,6 +49,19 @@ class CampaignConfig:
             raise ConfigError("dims must all be >= 2")
         if self.channel_kind not in ("pinching", "partial_trace", "random_cptp"):
             raise ConfigError(f"unknown channel_kind {self.channel_kind!r}")
+        for tag in self.families:
+            try:
+                family_from_tag(tag)
+            except ValueError as exc:
+                raise ConfigError(f"unknown family {tag!r}") from exc
+        unknown = set(self.tolerances) - set(campaigns.DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+        for key, value in self.tolerances.items():
+            try:
+                float(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"tolerance {key!r} is not a number: {value!r}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignConfig":
@@ -67,13 +80,21 @@ class CampaignConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(obj)
         if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
+            kwargs["dims"] = _parse_dims(kwargs["dims"])
         if "families" in kwargs:
             kwargs["families"] = tuple(kwargs["families"])
         return cls(**kwargs)
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        """The effective tolerance: the config's override or the default."""
+        return float(self.tolerances.get(key, campaigns.DEFAULT_TOLERANCES[key]))
+
+
+def _parse_dims(items) -> tuple:
+    try:
+        return tuple(int(d) for d in items)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dims must be integers, got {items!r}") from exc
 
 
 def cmd_divergence(args) -> int:
@@ -110,7 +131,7 @@ def cmd_bounds(args) -> int:
         config = CampaignConfig(
             seed=args.seed,
             trials=args.trials,
-            dims=tuple(int(d) for d in args.dims.split(",")),
+            dims=_parse_dims(args.dims.split(",")),
             channel_kind=args.channel,
             families=tuple(args.family.split(",")) if args.family else ("xlogx",),
             output_path=args.out,
@@ -120,58 +141,40 @@ def cmd_bounds(args) -> int:
     if getattr(args, "tol", None) is not None:
         config.tolerances["slack_rel"] = args.tol
 
-    slack_rel = config.tol("slack_rel", campaigns.DEFAULT_TOLERANCES["slack_rel"])
-    dpi_abs = config.tol("dpi_abs", campaigns.DEFAULT_TOLERANCES["dpi_abs"])
-    rows = []
-    merged = campaigns.CampaignSummary()
-
-    def merge(summary):
-        merged.total += summary.total
-        merged.violations.extend(summary.violations)
-        merged.min_slack = min(merged.min_slack, summary.min_slack)
-        merged.equality_hits += summary.equality_hits
-
-    if config.channel_kind == "random_cptp":
-        summary, r = campaigns.run_dpi_campaign(
-            config.seed, config.trials, config.dims, tol_abs=dpi_abs
-        )
-        merge(summary)
-        rows.extend(r)
-        summary, r = campaigns.run_channel_bound_campaign(
-            config.seed, config.trials, config.dims, slack_rel=slack_rel
-        )
-        merge(summary)
-        rows.extend(r)
+    kind = config.channel_kind
+    if kind == "random_cptp":
+        checks = [
+            campaigns.DpiCheck(config.tol("dpi_abs")),
+            campaigns.BoundCheck("bs_channel", config.tol("slack_rel")),
+        ]
     else:
-        summary, r = campaigns.run_condexp_bound_campaign(
-            config.seed, config.trials, config.dims,
-            kind=config.channel_kind, slack_rel=slack_rel,
-            include_standard_row=getattr(args, "include_standard_dpi", False),
-        )
-        merge(summary)
-        rows.extend(r)
+        checks = [
+            campaigns.BoundCheck(
+                f"bs_{kind}", config.tol("slack_rel"),
+                include_standard_row=getattr(args, "include_standard_dpi", False),
+            )
+        ]
     bound_families = [t for t in config.families if t not in ("square", "neg_log")]
+    maxf = None
     if bound_families:
-        kind = config.channel_kind if config.channel_kind != "random_cptp" else "random_cptp"
-        summary, r, pass_rates = campaigns.run_maxf_campaign(
-            config.seed, config.trials, config.dims,
-            families=bound_families, kind=kind,
-        )
-        merge(summary)
-        rows.extend(r)
-        for tag, rate in pass_rates.items():
+        maxf = campaigns.MaxfCheck(bound_families, config.tol("slack_abs"))
+        checks.append(maxf)
+    campaigns.evaluate(config.seed, config.trials, config.dims, kind, checks)
+    if maxf is not None:
+        for tag, rate in maxf.pass_rates.items():
             print(f"precondition pass-rate [{tag}]: {rate:.3f}")
 
+    rows = [row for check in checks for row in check.rows]
+    violations = [v for check in checks for v in check.summary.violations]
+    total = sum(check.summary.total for check in checks)
+    min_slack = min(check.summary.min_slack for check in checks)
     if config.output_path:
         campaigns.write_csv(config.output_path, rows)
         print(f"wrote {len(rows)} rows to {config.output_path}")
-    print(
-        f"total={merged.total} violations={len(merged.violations)} "
-        f"min_slack={merged.min_slack!r}"
-    )
-    for seed, message in merged.violations[:20]:
+    print(f"total={total} violations={len(violations)} min_slack={min_slack!r}")
+    for seed, message in violations[:20]:
         print(f"VIOLATION seed={seed}: {message}")
-    return 0 if merged.ok else 1
+    return 0 if not violations else 1
 
 
 def cmd_certify(args) -> int:
@@ -184,7 +187,7 @@ def cmd_certify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text)
-    threshold = 1e-8 * (1.0 + gamma(sigma, rho).sup_norm)
+    threshold = 1e-8 * (1.0 + report.gamma_sup)
     equal = (
         report.residual_eq2 <= threshold
         and report.residual_eq3 <= threshold

@@ -9,24 +9,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadBeta, Diverging, SingularState, SupportMismatch
-from .linalg import (
-    LOG_ON_SUPPORT,
-    RANK_TOL,
-    RSQRT_ON_SUPPORT,
-    SQRT,
-    ScalarFunction,
-    herm_eig,
-    hs_inner,
-    integrate_adaptive,
-    matrix_fn,
-    pinv,
-    schatten_norm,
+from .errors import BadBeta, Diverging
+from .linalg import ScalarFunction, hs_inner, integrate_adaptive, matrix_fn
+from .states import (
+    SUPPORT_EQ_TOL,
+    StatePair,
+    as_matrix,
+    as_pair,
+    as_spectrum,
+    regularize,
+    support_leak,
 )
-from .states import as_matrix, regularize, support_projector
 
 EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
-SUPPORT_EQ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -107,25 +102,16 @@ def family_from_tag(tag: str) -> FDivFamily:
     raise ValueError(f"unknown divergence family tag {tag!r}")
 
 
-def _full_rank_or_raise(m: np.ndarray, name: str) -> None:
-    w = herm_eig(m).values
-    lam_max = max(float(w[-1]), 0.0)
-    if np.count_nonzero(w > RANK_TOL * lam_max) < m.shape[0]:
-        raise SingularState(f"{name} is rank deficient; use the regularized route")
-
-
 def standard_f(sigma, rho, fam: FDivFamily) -> float:
     """Double eigenpair sum  sum_ij mu_j f(lambda_i / mu_j) |<u_i, v_j>|^2.
 
     Both arguments must be full rank; rank-deficient pairs go through
     ``regularized_divergence``.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    _full_rank_or_raise(s, "sigma")
-    _full_rank_or_raise(r, "rho")
-    es = herm_eig(s)
-    er = herm_eig(r)
+    pair = StatePair(sigma, rho)
+    pair.require_full_rank()
+    es = pair.s.eig
+    er = pair.r.eig
     overlap = np.abs(es.vectors.conj().T @ er.vectors) ** 2
     ratios = es.values[:, None] / er.values[None, :]
     return float(np.sum(overlap * fam.f(ratios) * er.values[None, :]))
@@ -137,59 +123,40 @@ def relative_entropy(sigma, rho) -> float:
     Returns +inf when sigma has weight outside the support of rho: that is the
     distinguished value of the divergence, not an error.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    p = support_projector(r)
-    comp = np.eye(r.shape[0]) - p
-    if schatten_norm(comp @ s @ comp, np.inf) > SUPPORT_EQ_TOL:
+    pair = StatePair(sigma, rho)
+    if support_leak(pair.r, pair.sigma) > SUPPORT_EQ_TOL:
         return math.inf
-    log_s = matrix_fn(s, LOG_ON_SUPPORT)
-    log_r = matrix_fn(r, LOG_ON_SUPPORT)
-    return float(np.trace(s @ (log_s - log_r)).real)
+    return float(np.trace(pair.sigma @ (pair.s.log - pair.r.log)).real)
 
 
 def maximal_f(sigma, rho, fam: FDivFamily) -> float:
-    """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}] for full-rank pairs."""
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    _full_rank_or_raise(s, "sigma")
-    _full_rank_or_raise(r, "rho")
-    r_rsqrt = matrix_fn(r, RSQRT_ON_SUPPORT)
-    core = r_rsqrt @ s @ r_rsqrt
-    core = 0.5 * (core + core.conj().T)
-    fc = matrix_fn(core, fam.f)
-    r_half = matrix_fn(r, SQRT)
-    return float(np.trace(r_half @ fc @ r_half).real)
+    """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}] for full-rank pairs.
+
+    ``sigma`` may be a StatePair with ``rho`` None; only ``fam.f`` is then
+    evaluated anew, on the pair's cached core spectrum.
+    """
+    pair = as_pair(sigma, rho)
+    pair.require_full_rank()
+    r_half = pair.r.sqrt
+    return float(np.trace(r_half @ matrix_fn(pair.core, fam.f) @ r_half).real)
 
 
-def _support_equality_or_raise(s: np.ndarray, r: np.ndarray) -> None:
-    ps = support_projector(s)
-    pr = support_projector(r)
-    if schatten_norm(ps - pr, np.inf) > SUPPORT_EQ_TOL:
-        raise SupportMismatch("sigma and rho must have equal supports")
-
-
-def bs_entropy(sigma, rho) -> float:
+def bs_entropy(sigma, rho=None) -> float:
     """-tr[sigma log(sigma^{-1/2} rho sigma^{-1/2})] on the common support.
 
     Accepts unnormalized PSD inputs (needed for the scaling identity); the
-    supports of the two arguments must coincide.
+    supports of the two arguments must coincide.  ``sigma`` may be a
+    StatePair with ``rho`` omitted, whose cached spectra are then reused.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    _support_equality_or_raise(s, r)
-    rs = matrix_fn(s, RSQRT_ON_SUPPORT)
-    g = rs @ r @ rs
-    g = 0.5 * (g + g.conj().T)
-    log_g = matrix_fn(g, LOG_ON_SUPPORT)
-    return -float(np.trace(s @ log_g).real)
+    pair = as_pair(sigma, rho)
+    pair.require_equal_supports()
+    return -float(np.trace(pair.sigma @ pair.ratio.log).real)
 
 
 def renyi2_trace(sigma, rho) -> float:
     """tr[sigma^2 rho^{-1}] with the Moore-Penrose inverse on singular rho."""
     s = as_matrix(sigma)
-    r = as_matrix(rho)
-    return float(np.trace(s @ s @ pinv(r)).real)
+    return float(np.trace(s @ s @ as_spectrum(rho).pinv).real)
 
 
 class RegularizedValue(NamedTuple):
@@ -239,17 +206,14 @@ def bs_entropy_quadrature(sigma, rho, t_max: float | None = None, tol: float = 1
     the result agrees with bs_entropy within ~tol.  Resolvents are evaluated
     by direct linear solves, independent of the spectral-logarithm path.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    _full_rank_or_raise(s, "sigma")
-    _full_rank_or_raise(r, "rho")
-    rs = matrix_fn(s, RSQRT_ON_SUPPORT)
-    g = rs @ r @ rs
-    g = 0.5 * (g + g.conj().T)
-    s_half = matrix_fn(s, SQRT)
-    dim = s.shape[0]
-    eye = np.eye(dim)
-    dev = schatten_norm(g - eye, np.inf)
+    pair = StatePair(sigma, rho)
+    pair.require_full_rank()
+    s = pair.sigma
+    g = pair.ratio.mat
+    s_half = pair.s.sqrt
+    eye = np.eye(s.shape[0])
+    w = pair.ratio.eig.values
+    dev = max(abs(float(w[0]) - 1.0), abs(float(w[-1]) - 1.0))
     if t_max is None:
         t_max = max(1.0, 10.0 * dev * dev / tol)
     trace_s = float(np.trace(s).real)

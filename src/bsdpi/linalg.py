@@ -8,12 +8,20 @@ pure: no input is mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatch, DomainViolation, NoConvergence, NotHermitian
+from .errors import (
+    DimMismatch,
+    DomainViolation,
+    NoConvergence,
+    NotHermitian,
+    SingularState,
+)
 
 # Numerical-rank threshold, relative to the largest eigenvalue.
 RANK_TOL = 1e-10
@@ -25,6 +33,10 @@ HERMITICITY_TOL = 1e-10
 # Self-test hook: a nonzero value perturbs every eigenvalue returned by
 # herm_eig so downstream invariants must fail.  Never set in library code.
 _EIG_CORRUPTION = 0.0
+
+# Number of herm_eig calls made in this process.  Read it as the difference
+# around the code being measured.
+herm_eig_calls = 0
 
 
 def set_eig_corruption(scale: float) -> None:
@@ -47,14 +59,20 @@ class EigenSystem:
 def herm_eig(a: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when ``a`` deviates from its adjoint by more than
+    Raises DomainViolation when ``a`` has a NaN or infinite entry,
+    NotHermitian when ``a`` deviates from its adjoint by more than
     ``HERMITICITY_TOL * max(1, ||a||_2)`` in Frobenius norm, and NoConvergence
     if the underlying solver fails.
     """
+    global herm_eig_calls
+    herm_eig_calls += 1
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
+    norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise DomainViolation("matrix has a NaN or infinite entry")
+    scale = max(1.0, norm)
     if float(np.linalg.norm(a - a.conj().T)) > HERMITICITY_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
@@ -103,17 +121,84 @@ STEP_ON_SUPPORT = ScalarFunction(
 )
 
 
-def matrix_fn(a: np.ndarray, f: ScalarFunction | Callable) -> np.ndarray:
+class Spectrum:
+    """A Hermitian matrix together with its one eigendecomposition.
+
+    Every spectral quantity of the matrix is read off the single herm_eig call
+    made here: functions of the matrix (matrix_fn and pinv accept a Spectrum),
+    its support projector, numerical rank and smallest positive eigenvalue.
+    Derived matrices are computed on first use and kept for the life of the
+    object.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.mat = np.asarray(a, dtype=complex)
+        self.eig = herm_eig(self.mat)
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+    @property
+    def lam_max(self) -> float:
+        """Largest eigenvalue clipped at 0; the sup norm of a PSD matrix."""
+        return max(float(self.eig.values[-1]), 0.0)
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        return matrix_fn(self, SQRT)
+
+    @cached_property
+    def rsqrt(self) -> np.ndarray:
+        """Inverse square root on the support, 0 off it."""
+        return matrix_fn(self, RSQRT_ON_SUPPORT)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse at the default RANK_TOL."""
+        return pinv(self)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """Logarithm on the support, 0 off it."""
+        return matrix_fn(self, LOG_ON_SUPPORT)
+
+    @cached_property
+    def support_projector(self) -> np.ndarray:
+        return matrix_fn(self, STEP_ON_SUPPORT)
+
+    @cached_property
+    def rank(self) -> int:
+        """Number of eigenvalues above RANK_TOL * lambda_max."""
+        return int(np.count_nonzero(self.eig.values > RANK_TOL * self.lam_max))
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.dim
+
+    @cached_property
+    def min_positive(self) -> float:
+        """Smallest eigenvalue above RANK_TOL * lambda_max."""
+        w = self.eig.values
+        positive = w[w > RANK_TOL * self.lam_max]
+        if positive.size == 0:
+            raise SingularState("state has no positive spectrum")
+        return float(positive[0])
+
+
+def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Returns ``U diag(f(lambda_i)) U*``; the output is hermitized.  Eigenvalues
-    outside the (clipped) domain of ``f`` raise DomainViolation.
+    outside the (clipped) domain of ``f`` raise DomainViolation.  ``a`` may be
+    a Spectrum, whose decomposition is then reused.
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
-    eig = herm_eig(a)
+    spec = a if isinstance(a, Spectrum) else Spectrum(a)
+    eig = spec.eig
     lam = eig.values.copy()
-    lam_max = max(float(lam[-1]), 0.0)
+    lam_max = spec.lam_max
     if f.lo >= 0.0:
         clip = CLIP_TOL * max(lam_max, 1.0)
         lam[(lam < 0.0) & (lam > -clip)] = 0.0
@@ -137,8 +222,8 @@ def matrix_fn(a: np.ndarray, f: ScalarFunction | Callable) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def pinv(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix.
+def pinv(a: np.ndarray | Spectrum, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Moore-Penrose inverse of a Hermitian PSD matrix (or of its Spectrum).
 
     Eigenvalues below ``rank_tol * lambda_max`` map to 0, the rest to their
     reciprocal.  The zero matrix maps to itself.
@@ -148,16 +233,21 @@ def pinv(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 
 def schatten_norm(a: np.ndarray, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}, via the spectrum of A*A."""
+    """Schatten p-norm for p in {1, 2, inf}.
+
+    p = 2 is the Frobenius norm; p = 1 and p = inf come from the singular
+    values.  Both avoid the spectrum of A*A, whose small eigenvalues carry an
+    absolute error of ~eps ||A||^2 and so put a ~sqrt(eps) ||A|| floor under
+    each small singular value.
+    """
     a = np.asarray(a, dtype=complex)
-    w = herm_eig(a.conj().T @ a).values
-    w = np.clip(w, 0.0, None)
-    if p == 1:
-        return float(np.sqrt(w).sum())
     if p == 2:
-        return float(np.sqrt(w.sum()))
-    if p == np.inf:
-        return float(np.sqrt(w[-1])) if w.size else 0.0
+        return float(np.linalg.norm(a))
+    if p == 1 or p == np.inf:
+        s = np.linalg.svd(a, compute_uv=False)
+        if p == 1:
+            return float(s.sum())
+        return float(s[0]) if s.size else 0.0
     raise ValueError("p must be 1, 2 or inf")
 
 

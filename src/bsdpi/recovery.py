@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ConditionalExpectation, KrausChannel, Pinching, _haar_isometry
-from .divergences import bs_entropy, renyi2_trace
+from .divergences import renyi2_trace
 from .errors import SingularState
-from .linalg import RSQRT_ON_SUPPORT, SQRT, herm_eig, matrix_fn, pinv, schatten_norm
-from .states import DensityMatrix, as_matrix, gamma, numerical_rank, state_to_json
+from .linalg import Spectrum, schatten_norm
+from .states import DensityMatrix, as_matrix, as_spectrum, state_to_json
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class RecoveryReport:
     residual_petz: float
     renyi2_gap: float
     input_hashes: dict | None = None
+    # ||G||_inf of (sigma, rho), which sets the certify threshold; not serialized
+    gamma_sup: float | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -45,70 +47,66 @@ def _hash_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _output_state_or_raise(channel: KrausChannel, m: np.ndarray) -> np.ndarray:
-    out = channel.apply(m)
-    w = herm_eig(out).values
-    if float(w[-1]) <= 0.0:
+def _nonvanishing(out: Spectrum) -> Spectrum:
+    if float(out.eig.values[-1]) <= 0.0:
         raise SingularState("channel output state vanishes")
     return out
 
 
+def _petz(channel: KrausChannel, s: Spectrum, sigma_t: Spectrum, x) -> np.ndarray:
+    st_rsqrt = sigma_t.rsqrt
+    return s.sqrt @ channel.adjoint_apply(st_rsqrt @ np.asarray(x) @ st_rsqrt) @ s.sqrt
+
+
 def petz_recovery(channel: KrausChannel, sigma, x: np.ndarray) -> np.ndarray:
     """sigma^{1/2} T*(sigma_T^{-1/2} X sigma_T^{-1/2}) sigma^{1/2}."""
-    s = as_matrix(sigma)
-    sigma_t = _output_state_or_raise(channel, s)
-    st_rsqrt = matrix_fn(sigma_t, RSQRT_ON_SUPPORT)
-    s_half = matrix_fn(s, SQRT)
-    return s_half @ channel.adjoint_apply(st_rsqrt @ np.asarray(x) @ st_rsqrt) @ s_half
+    s = as_spectrum(sigma)
+    return _petz(channel, s, _nonvanishing(Spectrum(channel.apply(s.mat))), x)
 
 
 def bs_recovery(channel: KrausChannel, sigma, x: np.ndarray) -> np.ndarray:
     """sigma T*(sigma_T^{-1} X): trace preserving but not completely positive."""
     s = as_matrix(sigma)
-    sigma_t = _output_state_or_raise(channel, s)
-    return s @ channel.adjoint_apply(pinv(sigma_t) @ np.asarray(x))
+    sigma_t = _nonvanishing(Spectrum(channel.apply(s)))
+    return s @ channel.adjoint_apply(sigma_t.pinv @ np.asarray(x))
 
 
-def stinespring_residual(sigma, rho, channel: KrausChannel) -> float:
+def _analysis(sigma, rho, target):
+    from .bounds import InstanceAnalysis  # bounds imports this module
+
+    return InstanceAnalysis.of(sigma, rho, target)
+
+
+def stinespring_residual(sigma, rho=None, channel: KrausChannel | None = None) -> float:
     """Residual of the isometry-form equality condition.
 
     || V s^(1/2) V* (s_T^(-1/2) G_T^(1/2) s_T^(1/2) ⊗ I) - V G^(1/2) s^(1/2) V* ||_2
     with G the ratio operator of (sigma, rho), G_T of the channel outputs, and
-    V the Stinespring isometry constructed from the Kraus family.
+    V the Stinespring isometry constructed from the Kraus family.  ``sigma``
+    may be an InstanceAnalysis of the triple, whose spectra are then reused.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    dilation = channel.stinespring()
+    a = _analysis(sigma, rho, channel)
+    inp, out = a.inp, a.out
+    dilation = a.target.stinespring()
     v = dilation.v
-    sigma_t = channel.apply(s)
-    rho_t = channel.apply(r)
-    g = gamma(s, r).mat
-    g_t = gamma(sigma_t, rho_t).mat
-    s_half = matrix_fn(s, SQRT)
-    g_half = matrix_fn(g, SQRT)
-    gt_half = matrix_fn(g_t, SQRT)
-    st_half = matrix_fn(sigma_t, SQRT)
-    st_rsqrt = matrix_fn(sigma_t, RSQRT_ON_SUPPORT)
-    theta = np.kron(st_rsqrt @ gt_half @ st_half, np.eye(dilation.s))
-    lhs = v @ s_half @ v.conj().T @ theta
-    rhs = v @ g_half @ s_half @ v.conj().T
+    theta = np.kron(out.s.rsqrt @ out.ratio.sqrt @ out.s.sqrt, np.eye(dilation.s))
+    lhs = v @ inp.s.sqrt @ v.conj().T @ theta
+    rhs = v @ inp.ratio.sqrt @ inp.s.sqrt @ v.conj().T
     return schatten_norm(lhs - rhs, 2)
 
 
 def equality_residuals(sigma, rho, channel: KrausChannel) -> RecoveryReport:
     """Every equality-condition residual plus the BS gap for one instance."""
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    sigma_t = _output_state_or_raise(channel, s)
-    rho_t = _output_state_or_raise(channel, r)
-
-    gap = bs_entropy(s, r) - bs_entropy(sigma_t, rho_t)
-    pulled_back = channel.adjoint_apply(pinv(sigma_t) @ rho_t)
-    residual_eq2 = schatten_norm(pulled_back - pinv(s) @ r, 2)
-    residual_bs = schatten_norm(r - s @ pulled_back, 2)
-    residual_eq3 = stinespring_residual(s, r, channel)
-    residual_petz = schatten_norm(s - petz_recovery(channel, r, channel.apply(s)), 1)
-    renyi_gap = renyi2_trace(s, r) - renyi2_trace(sigma_t, rho_t)
+    a = _analysis(sigma, rho, channel)
+    _nonvanishing(a.out.s)
+    _nonvanishing(a.out.r)
+    s, r = a.inp.sigma, a.inp.rho
+    gap = a.gap_bs
+    residual_eq2 = schatten_norm(a.pulled_back - a.inp.s.pinv @ r, 2)
+    residual_bs = a.residual_l
+    residual_eq3 = a.residual_k
+    residual_petz = schatten_norm(s - _petz(channel, a.inp.r, a.out.r, a.out.sigma), 1)
+    renyi_gap = renyi2_trace(s, a.inp.r) - renyi2_trace(a.out.sigma, a.out.r)
 
     hashes = {
         "sigma": _hash_text(state_to_json(s)),
@@ -123,32 +121,30 @@ def equality_residuals(sigma, rho, channel: KrausChannel) -> RecoveryReport:
         residual_petz=residual_petz,
         renyi2_gap=renyi_gap,
         input_hashes=hashes,
+        gamma_sup=a.gamma_sup,
     )
 
 
-def condexp_equality_residuals(sigma, rho, expectation: ConditionalExpectation):
+def condexp_equality_residuals(
+    sigma, rho=None, expectation: ConditionalExpectation | None = None
+):
     """Residuals of the two conditional-expectation equality conditions.
 
     Returns (r_recovery, r_strange): the recovery-form residual
     ||rho - sigma sigma_N^{-1} rho_N||_2 and the square-root-form residual
     ||s^(1/2) s_N^(-1/2) G_N^(1/2) s_N^(1/2) - G^(1/2) s^(1/2)||_2.
+    ``sigma`` may be an InstanceAnalysis of the triple.
     """
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    if numerical_rank(s) < s.shape[0] or numerical_rank(r) < r.shape[0]:
+    a = _analysis(sigma, rho, expectation)
+    inp = a.inp
+    if not (inp.s.full_rank and inp.r.full_rank):
         raise SingularState("conditional-expectation residuals need full rank")
-    sigma_n = expectation.apply(s)
-    rho_n = expectation.apply(r)
-    g = gamma(s, r).mat
-    g_n = gamma(sigma_n, rho_n).mat
-    r_recovery = schatten_norm(r - s @ pinv(sigma_n) @ rho_n, 2)
-    s_half = matrix_fn(s, SQRT)
-    sn_half = matrix_fn(sigma_n, SQRT)
-    sn_rsqrt = matrix_fn(sigma_n, RSQRT_ON_SUPPORT)
-    g_half = matrix_fn(g, SQRT)
-    gn_half = matrix_fn(g_n, SQRT)
+    out = a.out
+    r_recovery = schatten_norm(inp.rho - inp.sigma @ out.s.pinv @ out.rho, 2)
     r_strange = schatten_norm(
-        s_half @ sn_rsqrt @ gn_half @ sn_half - g_half @ s_half, 2
+        inp.s.sqrt @ out.s.rsqrt @ out.ratio.sqrt @ out.s.sqrt
+        - inp.ratio.sqrt @ inp.s.sqrt,
+        2,
     )
     return r_recovery, r_strange
 

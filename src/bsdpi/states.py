@@ -3,47 +3,45 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BadRank, DimMismatch, ParseError, SupportMismatch
-from .linalg import (
-    CLIP_TOL,
-    RANK_TOL,
-    RSQRT_ON_SUPPORT,
-    STEP_ON_SUPPORT,
-    herm_eig,
-    matrix_fn,
-    schatten_norm,
-)
+from .errors import BadRank, DimMismatch, ParseError, SingularState, SupportMismatch
+from .linalg import CLIP_TOL, Spectrum, schatten_norm
 
 # Weight of rho outside the support of sigma tolerated by gamma().
 SUPPORT_LEAK_TOL = 1e-8
+# Largest sup-norm distance of two support projectors that counts as equal.
+SUPPORT_EQ_TOL = 1e-8
 TRACE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix with its numerical rank."""
+    """Hermitian PSD unit-trace matrix with its numerical rank.
+
+    ``spectrum``, when present, is the decomposition the rank was read from;
+    spectral code reuses it instead of decomposing ``mat`` again.
+    """
 
     mat: np.ndarray
     dim: int
     rank: int
+    spectrum: Spectrum | None = field(default=None, repr=False)
 
     @classmethod
     def from_matrix(cls, mat, *, trace_tol: float = TRACE_TOL) -> "DensityMatrix":
-        mat = np.asarray(mat, dtype=complex)
-        eig = herm_eig(mat)  # raises NotHermitian / DimMismatch
+        spec = Spectrum(mat)  # raises NotHermitian / DimMismatch
+        mat = spec.mat
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace {tr!r} is not 1 within {trace_tol}")
-        w = eig.values
-        lam_max = max(float(w[-1]), 0.0)
-        if float(w[0]) < -CLIP_TOL * max(lam_max, 1.0):
+        w = spec.eig.values
+        if float(w[0]) < -CLIP_TOL * max(spec.lam_max, 1.0):
             raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]!r}")
-        rank = int(np.count_nonzero(w > RANK_TOL * lam_max))
-        return cls(mat=mat, dim=mat.shape[0], rank=rank)
+        return cls(mat=mat, dim=mat.shape[0], rank=spec.rank, spectrum=spec)
 
     @property
     def is_full_rank(self) -> bool:
@@ -52,17 +50,34 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GammaOperator:
-    """The PSD ratio operator sigma^{-1/2} rho sigma^{-1/2} and its sup norm."""
+    """The PSD ratio operator sigma^{-1/2} rho sigma^{-1/2} and its spectrum."""
 
-    mat: np.ndarray
-    sup_norm: float
+    spectrum: Spectrum
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self.spectrum.mat
+
+    @property
+    def sup_norm(self) -> float:
+        return self.spectrum.lam_max
 
 
 def as_matrix(x) -> np.ndarray:
-    """Accept a DensityMatrix or a plain (possibly unnormalized) PSD array."""
-    if isinstance(x, DensityMatrix):
+    """Accept a DensityMatrix, a Spectrum or a plain (possibly unnormalized)
+    PSD array."""
+    if isinstance(x, (DensityMatrix, Spectrum)):
         return x.mat
     return np.asarray(x, dtype=complex)
+
+
+def as_spectrum(x) -> Spectrum:
+    """The spectrum of anything as_matrix accepts, reusing one already made."""
+    if isinstance(x, Spectrum):
+        return x
+    if isinstance(x, DensityMatrix) and x.spectrum is not None:
+        return x.spectrum
+    return Spectrum(as_matrix(x))
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
@@ -78,10 +93,8 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m = m / float(np.trace(m).real)
-    m = 0.5 * (m + m.conj().T)
-    w = herm_eig(m).values
-    num_rank = int(np.count_nonzero(w > RANK_TOL * max(float(w[-1]), 0.0)))
-    return DensityMatrix(mat=m, dim=dim, rank=num_rank)
+    spec = Spectrum(0.5 * (m + m.conj().T))
+    return DensityMatrix(mat=spec.mat, dim=dim, rank=spec.rank, spectrum=spec)
 
 
 def regularize(rho, eps: float) -> DensityMatrix:
@@ -96,13 +109,25 @@ def regularize(rho, eps: float) -> DensityMatrix:
 
 def support_projector(rho) -> np.ndarray:
     """Orthogonal projector onto eigenspaces with lambda >= RANK_TOL * lambda_max."""
-    return matrix_fn(as_matrix(rho), STEP_ON_SUPPORT)
+    return as_spectrum(rho).support_projector
 
 
 def numerical_rank(m) -> int:
     """Number of eigenvalues above RANK_TOL * lambda_max."""
-    w = herm_eig(as_matrix(m)).values
-    return int(np.count_nonzero(w > RANK_TOL * max(float(w[-1]), 0.0)))
+    return as_spectrum(m).rank
+
+
+def support_leak(sigma, rho: np.ndarray) -> float:
+    """||(I - P) rho (I - P)||_inf with P the support projector of sigma.
+
+    A full-rank sigma has P = I up to rounding, so its leak is 0 without
+    forming P.
+    """
+    sigma = as_spectrum(sigma)
+    if sigma.full_rank:
+        return 0.0
+    comp = np.eye(sigma.dim) - support_projector(sigma)
+    return schatten_norm(comp @ rho @ comp, np.inf)
 
 
 def gamma(sigma, rho) -> GammaOperator:
@@ -111,22 +136,79 @@ def gamma(sigma, rho) -> GammaOperator:
     Requires the support of rho to lie inside the support of sigma: the leaked
     weight ||(I - P) rho (I - P)||_inf must not exceed SUPPORT_LEAK_TOL.
     """
-    s = as_matrix(sigma)
+    s = as_spectrum(sigma)
     r = as_matrix(rho)
-    if s.shape != r.shape:
-        raise DimMismatch(f"shape mismatch {s.shape} vs {r.shape}")
-    p = support_projector(s)
-    comp = np.eye(s.shape[0]) - p
-    leak = schatten_norm(comp @ r @ comp, np.inf)
+    if s.mat.shape != r.shape:
+        raise DimMismatch(f"shape mismatch {s.mat.shape} vs {r.shape}")
+    leak = support_leak(s, r)
     if leak > SUPPORT_LEAK_TOL:
         raise SupportMismatch(
             f"rho has weight {leak:.3e} outside the support of sigma"
         )
-    rs = matrix_fn(s, RSQRT_ON_SUPPORT)
+    rs = s.rsqrt
     g = rs @ r @ rs
-    g = 0.5 * (g + g.conj().T)
-    w = herm_eig(g).values
-    return GammaOperator(mat=g, sup_norm=float(max(w[-1], 0.0)))
+    return GammaOperator(Spectrum(0.5 * (g + g.conj().T)))
+
+
+class StatePair:
+    """A pair (sigma, rho) with the spectra its divergences share.
+
+    sigma, rho, the ratio operator G = gamma(sigma, rho) and the maximal-f
+    core rho^{-1/2} sigma rho^{-1/2} = gamma(rho, sigma) are each decomposed
+    at most once, on first use.  Arguments are anything as_spectrum accepts.
+    """
+
+    def __init__(self, sigma, rho):
+        self._sigma, self._rho = sigma, rho
+        self.sigma = as_matrix(sigma)
+        self.rho = as_matrix(rho)
+        if self.sigma.shape != self.rho.shape:
+            raise DimMismatch(f"shape mismatch {self.sigma.shape} vs {self.rho.shape}")
+
+    @cached_property
+    def s(self) -> Spectrum:
+        return as_spectrum(self._sigma)
+
+    @cached_property
+    def r(self) -> Spectrum:
+        return as_spectrum(self._rho)
+
+    @cached_property
+    def ratio(self) -> Spectrum:
+        """G = sigma^{-1/2} rho sigma^{-1/2}; raises SupportMismatch as gamma does."""
+        return gamma(self.s, self.rho).spectrum
+
+    @cached_property
+    def core(self) -> Spectrum:
+        """rho^{-1/2} sigma rho^{-1/2}, the argument of the maximal f-divergence."""
+        return gamma(self.r, self.sigma).spectrum
+
+    def require_equal_supports(self) -> None:
+        """Raise SupportMismatch unless sigma and rho have equal supports."""
+        diff = support_projector(self.s) - support_projector(self.r)
+        if schatten_norm(diff, np.inf) > SUPPORT_EQ_TOL:
+            raise SupportMismatch("sigma and rho must have equal supports")
+
+    def require_full_rank(self) -> None:
+        """Raise SingularState unless both states are full rank."""
+        for name, spec in (("sigma", self.s), ("rho", self.r)):
+            if not spec.full_rank:
+                raise SingularState(f"{name} is rank deficient; use the regularized route")
+
+
+def as_pair(sigma, rho=None) -> StatePair:
+    """StatePair(sigma, rho), or ``sigma`` itself when it is a StatePair.
+
+    Evaluators that take (sigma, rho) accept a StatePair in place of both, so
+    that several of them share one pair's spectra.
+    """
+    if isinstance(sigma, StatePair):
+        if rho is not None:
+            raise TypeError("rho must be omitted when sigma is a StatePair")
+        return sigma
+    if rho is None:
+        raise TypeError("rho is required")
+    return StatePair(sigma, rho)
 
 
 def matrix_to_entries(m: np.ndarray) -> list:

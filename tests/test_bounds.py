@@ -137,6 +137,12 @@ class TestChannelBound:
         with pytest.raises(SupportMismatch):
             bs_bound_channel(sigma, rho, identity_channel(2))
 
+    def test_support_mismatch_with_full_rank_sigma(self):
+        sigma = np.diag([0.5, 0.5]).astype(complex)
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(SupportMismatch):
+            bs_bound_channel(sigma, rho, identity_channel(2))
+
 
 class TestMaxfBound:
     def test_equal_states_xlogx(self):

@@ -158,6 +158,11 @@ class TestBsEntropy:
         with pytest.raises(SupportMismatch):
             bs_entropy(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
 
+    def test_support_mismatch_with_full_rank_sigma(self):
+        # the support comparison is skipped only when both states are full rank
+        with pytest.raises(SupportMismatch):
+            bs_entropy(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
+
     def test_scaling_identity(self):
         sigma, rho = sample_pair(3, 11)
         base = bs_entropy(sigma, rho)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bsdpi import random_cptp, random_density, save_state
+from bsdpi import linalg, random_cptp, random_density, save_state
 from bsdpi.campaigns import (
     CampaignSummary,
     Row,
@@ -62,6 +62,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_json("{oops")
 
+    def test_unknown_tolerance_key(self):
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_json(json.dumps({"tolerances": {"slack_rell": 1e-8}}))
+
 
 class TestSeedDerivation:
     def test_deterministic(self):
@@ -119,6 +123,14 @@ class TestDivergenceCommand:
         first = float(out.splitlines()[0].split("=")[1].strip())
         assert first == pytest.approx(expected, abs=1e-9)
 
+    def test_nan_state_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "entries": [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+        ))
+        assert main(["divergence", str(path), str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: DomainViolation")
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -170,6 +182,44 @@ class TestBoundsCommand:
         for line in rows:
             slack = float(line.rsplit(",", 1)[1])
             assert slack >= -1e-8
+
+    def test_bad_dims_exit_2(self, capsys):
+        assert main(["bounds", "--trials", "1", "--dims", "2,x"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_unknown_family_exit_2(self, capsys):
+        assert main(["bounds", "--trials", "1", "--dims", "2", "--family", "xlogy"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_unknown_tolerance_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "dims": [2], "tolerances": {"slak_abs": 1.0}}))
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_slack_abs_reaches_maxf_rows(self, tmp_path, capsys):
+        # a negative tolerance demands slack >= 1, which no maxf row has
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"trials": 2, "dims": [2], "families": ["xlogx"],
+             "tolerances": {"slack_abs": -1.0}}
+        ))
+        assert main(["bounds", "--config", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATION" in out and "xlogx slack" in out
+
+    def test_one_trial_decomposes_each_matrix_once(self, capsys):
+        # sampling: sigma, rho and the Choi matrix; analysis: sigma_T, rho_T,
+        # G, G_T and the two maximal-f cores.  Families add no decomposition.
+        calls = {}
+        for families in ("xlogx", "xlogx,neg_power:0.25,neg_power:0.5,neg_power:0.75"):
+            before = linalg.herm_eig_calls
+            assert main(["bounds", "--seed", "3", "--trials", "1", "--dims", "4",
+                         "--family", families]) == 0
+            calls[families] = linalg.herm_eig_calls - before
+        counts = set(calls.values())
+        assert len(counts) == 1, calls
+        assert counts.pop() <= 15
 
 
 class TestCertifyCommand:

@@ -15,7 +15,19 @@ from bsdpi import (
     pinv,
     schatten_norm,
 )
-from bsdpi.linalg import EXP, IDENTITY, LOG, SQRT, SQUARE, ScalarFunction
+from bsdpi import SingularState, linalg
+from bsdpi.linalg import (
+    EXP,
+    IDENTITY,
+    LOG,
+    LOG_ON_SUPPORT,
+    RSQRT_ON_SUPPORT,
+    SQRT,
+    SQUARE,
+    STEP_ON_SUPPORT,
+    ScalarFunction,
+    Spectrum,
+)
 
 
 def rand_hermitian(dim, seed):
@@ -41,6 +53,13 @@ def expm_series(a, terms=60):
 
 
 class TestHermEig:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(DomainViolation):
+            herm_eig(a)
+
     def test_already_diagonal(self):
         e = herm_eig(np.diag([1.0, 2.0]))
         assert np.allclose(e.values, [1.0, 2.0])
@@ -134,6 +153,33 @@ class TestPinv:
         assert np.allclose(pinv(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
+class TestSpectrum:
+    def test_one_decomposition_feeds_every_derived_matrix(self):
+        a = rand_psd(4, 3)
+        a[3, :] = 0.0
+        a[:, 3] = 0.0
+        before = linalg.herm_eig_calls
+        spec = Spectrum(a)
+        derived = {
+            SQRT: spec.sqrt,
+            RSQRT_ON_SUPPORT: spec.rsqrt,
+            LOG_ON_SUPPORT: spec.log,
+            STEP_ON_SUPPORT: spec.support_projector,
+        }
+        rank, min_positive, inverse = spec.rank, spec.min_positive, spec.pinv
+        assert linalg.herm_eig_calls - before == 1
+        for f, value in derived.items():
+            assert np.array_equal(value, matrix_fn(a, f))
+        assert np.array_equal(inverse, pinv(a))
+        assert rank == 3 and not spec.full_rank
+        w = np.linalg.eigvalsh(a)
+        assert min_positive == pytest.approx(w[1], rel=1e-12)
+
+    def test_zero_matrix_has_no_positive_spectrum(self):
+        with pytest.raises(SingularState):
+            Spectrum(np.zeros((2, 2))).min_positive
+
+
 class TestNorms:
     def test_schatten_values(self):
         a = np.diag([3.0, -4.0])
@@ -151,6 +197,21 @@ class TestNorms:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 3)
+
+    def test_small_singular_values_keep_full_precision(self):
+        # through the spectrum of A*A each singular value 1e-9 carries an
+        # error of ~sqrt(eps); singular values carry ~eps * ||A||
+        singular = np.array([1.0, 1e-9, 1e-9, 1e-9])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            a = (u * singular) @ v.conj().T
+            assert schatten_norm(a, 1) == pytest.approx(singular.sum(), abs=1e-14)
+            assert schatten_norm(a, 2) == pytest.approx(
+                math.sqrt(np.sum(singular**2)), abs=1e-14
+            )
+            assert schatten_norm(a, np.inf) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestHsInner:
