@@ -48,6 +48,7 @@ from .errors import (
     DimMismatch,
     Diverging,
     DomainViolation,
+    InputError,
     InvalidChannel,
     MissingMeasureParams,
     NoConvergence,

@@ -11,7 +11,14 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidChannel, ParseError, SingularState
 from .linalg import Spectrum, herm_eig
-from .states import as_matrix, as_spectrum, entries_to_matrix, matrix_to_entries
+from .states import (
+    as_matrix,
+    as_spectrum,
+    entries_to_matrix,
+    json_dim,
+    matrix_to_entries,
+    read_input,
+)
 
 TRACE_PRESERVATION_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
@@ -125,7 +132,9 @@ class KrausChannel:
         for key in ("d_in", "d_out", "kraus"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ParseError(f"channel JSON must carry '{key}'")
-        d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
+        d_in, d_out = json_dim(obj, "d_in"), json_dim(obj, "d_out")
+        if not isinstance(obj["kraus"], list):
+            raise ParseError("'kraus' must be a list of operators")
         kraus = [entries_to_matrix(e, d_out, d_in) for e in obj["kraus"]]
         return cls(kraus)
 
@@ -136,8 +145,7 @@ def save_channel(path: str, channel: KrausChannel) -> None:
 
 
 def load_channel(path: str) -> KrausChannel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return KrausChannel.from_json(fh.read())
+    return KrausChannel.from_json(read_input(path, "channel"))
 
 
 class ConditionalExpectation:

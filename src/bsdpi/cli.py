@@ -29,7 +29,7 @@ from .divergences import (
 from .errors import ConfigError, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
-from .states import load_state
+from .states import StatePair, load_state, read_input
 
 
 @dataclass
@@ -101,11 +101,12 @@ def cmd_divergence(args) -> int:
     sigma = load_state(args.sigma)
     rho = load_state(args.rho)
     fam = family_from_tag(args.family)
-    d = relative_entropy(sigma, rho)
-    bs = bs_entropy(sigma, rho)
+    pair = StatePair(sigma, rho)  # one decomposition per matrix for every value
+    d = relative_entropy(pair)
+    bs = bs_entropy(pair)
     try:
-        s_f = standard_f(sigma, rho, fam)
-        m_f = maximal_f(sigma, rho, fam)
+        s_f = standard_f(pair, None, fam)
+        m_f = maximal_f(pair, None, fam)
         route = "direct"
     except SingularState:
         s_f = regularized_divergence(sigma, rho, fam, kind="standard").value
@@ -116,7 +117,7 @@ def cmd_divergence(args) -> int:
     print(f"standard_f[{fam.tag}] = {s_f!r} ({route})")
     print(f"maximal_f[{fam.tag}]  = {m_f!r} ({route})")
     try:
-        quad = bs_entropy_quadrature(sigma, rho, tol=1e-8)
+        quad = bs_entropy_quadrature(pair, tol=1e-8)
         print(f"bs_quadrature         = {quad!r}  |delta| = {abs(quad - bs):.3e}")
     except SingularState:
         print("bs_quadrature         = skipped (rank-deficient input)")
@@ -125,8 +126,7 @@ def cmd_divergence(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = CampaignConfig.from_json(fh.read())
+        config = CampaignConfig.from_json(read_input(args.config, "config"))
     else:
         config = CampaignConfig(
             seed=args.seed,

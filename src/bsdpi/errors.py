@@ -53,5 +53,9 @@ class ParseError(NumericsError):
     """Malformed JSON input."""
 
 
+class InputError(NumericsError):
+    """An input file is missing or cannot be read."""
+
+
 class ConfigError(NumericsError):
     """Malformed campaign configuration."""

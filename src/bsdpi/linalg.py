@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -261,48 +261,89 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def integrate_adaptive(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float,
     max_panels: int = 200_000,
+    breakpoints: Sequence[float] = (),
 ) -> float:
-    """Adaptive Simpson quadrature with absolute-error target ``tol``.
+    """Adaptive Simpson quadrature of ``g`` over [lo, hi], refined level by level.
 
-    Raises NoConvergence when the panel budget is exhausted or the integrand
-    is not finite at the initial nodes.
+    ``g`` is vectorised: it maps a 1-D array of nodes to the array of its
+    values there, and is called once for the initial nodes and once per
+    refinement level, with the midpoints of every pending panel.  The
+    increasing ``breakpoints`` inside (lo, hi) cut the interval into
+    segments; each segment gets the absolute-error target
+    ``tol / number of segments`` and a budget of ``max_panels`` panels.  A
+    panel whose Simpson halves change its estimate by at most 15 times its
+    target, or that is no wider than 1e-14 * max(1, segment width), is
+    accepted with the Richardson correction; otherwise it splits into halves
+    with half the target each.  Accepted panels are summed right to left
+    within each segment, then the segments left to right.
+
+    Raises NoConvergence when a segment exhausts its panel budget or the
+    integrand is not finite at a node.
     """
     lo, hi = float(lo), float(hi)
-    if hi == lo:
+    if hi == lo and len(breakpoints) == 0:
         return 0.0
     if hi < lo:
-        return -integrate_adaptive(g, hi, lo, tol, max_panels)
+        return -integrate_adaptive(g, hi, lo, tol, max_panels, breakpoints[::-1])
+    edges = np.array([lo, *breakpoints, hi], dtype=float)
+    if np.any(np.diff(edges) <= 0.0):
+        raise ValueError("breakpoints must increase strictly inside (lo, hi)")
+
+    def values(t: np.ndarray) -> np.ndarray:
+        f = np.asarray(g(t), dtype=float)
+        if f.shape != t.shape:
+            raise ValueError(f"integrand returned shape {f.shape} for nodes {t.shape}")
+        bad = ~np.isfinite(f)
+        if bad.any():
+            raise NoConvergence(f"integrand is not finite at t = {float(t[bad][0])!r}")
+        return f
 
     def simp(fa, fm, fb, width):
         return width * (fa + 4.0 * fm + fb) / 6.0
 
-    mid = 0.5 * (lo + hi)
-    fa, fm, fb = g(lo), g(mid), g(hi)
-    if not np.all(np.isfinite([fa, fm, fb])):
-        raise NoConvergence("integrand is not finite on the interval")
-    stack = [(lo, hi, fa, fm, fb, simp(fa, fm, fb, hi - lo), tol)]
-    total = 0.0
-    panels = 0
-    min_width = 1e-14 * max(1.0, abs(hi - lo))
-    while stack:
-        a, b, fa, fm, fb, whole, eps = stack.pop()
-        panels += 1
-        if panels > max_panels:
+    n_seg = edges.size - 1
+    a, b = edges[:-1], edges[1:]
+    f = values(np.concatenate((edges, 0.5 * (a + b))))
+    fa, fb, fm = f[:n_seg], f[1 : n_seg + 1], f[n_seg + 1 :]
+    whole = simp(fa, fm, fb, b - a)
+    seg = np.arange(n_seg)
+    min_width = 1e-14 * np.maximum(1.0, b - a)
+    eps = tol / n_seg  # the target of every panel of the current level
+    panels = np.zeros(n_seg, dtype=np.int64)
+    done = []
+    while seg.size:
+        panels += np.bincount(seg, minlength=n_seg)
+        if np.any(panels > max_panels):
             raise NoConvergence("panel budget exceeded")
         m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = g(lm), g(rm)
+        f = values(np.concatenate((0.5 * (a + m), 0.5 * (m + b))))
+        flm, frm = f[: seg.size], f[seg.size :]
         left = simp(fa, flm, fm, m - a)
         right = simp(fm, frm, fb, b - m)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * eps or (b - a) <= min_width:
-            total += left + right + delta / 15.0
-        else:
-            stack.append((a, m, fa, flm, fm, left, 0.5 * eps))
-            stack.append((m, b, fm, frm, fb, right, 0.5 * eps))
+        ok = (np.abs(delta) <= 15.0 * eps) | ((b - a) <= min_width[seg])
+        done.append((seg[ok], a[ok], (left + right + delta / 15.0)[ok]))
+        # the rejected panels split into their left halves, then right halves
+        s = ~ok
+        seg = np.concatenate((seg[s], seg[s]))
+        a, b = np.concatenate((a[s], m[s])), np.concatenate((m[s], b[s]))
+        fa, fm, fb = (
+            np.concatenate((fa[s], fm[s])),
+            np.concatenate((flm[s], frm[s])),
+            np.concatenate((fm[s], fb[s])),
+        )
+        whole = np.concatenate((left[s], right[s]))
+        eps *= 0.5
+    seg, a, val = (np.concatenate(col) for col in zip(*done))
+    order = np.lexsort((-a, seg))  # by segment, then right to left
+    seg, val = seg[order], val[order]
+    total = 0.0
+    for k in range(n_seg):
+        # cumsum adds strictly in order, unlike the pairwise np.sum
+        total += float(np.cumsum(val[seg == k])[-1])
     return total

@@ -8,7 +8,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadRank, DimMismatch, ParseError, SingularState, SupportMismatch
+from .errors import (
+    BadRank,
+    DimMismatch,
+    InputError,
+    ParseError,
+    SingularState,
+    SupportMismatch,
+)
 from .linalg import CLIP_TOL, Spectrum, schatten_norm
 
 # Weight of rho outside the support of sigma tolerated by gamma().
@@ -216,14 +223,38 @@ def matrix_to_entries(m: np.ndarray) -> list:
 
 
 def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise ParseError("entries must be a list of [re, im] pairs")
     if len(entries) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"entry {i} is not an [re, im] pair")
-        flat[i] = float(pair[0]) + 1j * float(pair[1])
+        try:
+            flat[i] = float(pair[0]) + 1j * float(pair[1])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"entry {i} is not a pair of numbers") from exc
     return flat.reshape(rows, cols)
+
+
+def json_dim(obj: dict, key: str) -> int:
+    """The dimension field ``key`` of a parsed JSON object, a positive integer."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"'{key}' must be a positive integer, got {value!r}")
+    return value
+
+
+def read_input(path: str, what: str) -> str:
+    """The text of an input file; InputError when it is missing or unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} file {path!r} is not UTF-8 text") from exc
 
 
 def state_to_json(m) -> str:
@@ -240,7 +271,7 @@ def state_from_json(text: str) -> np.ndarray:
         ) from exc
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ParseError("state JSON must be an object with 'dim' and 'entries'")
-    dim = int(obj["dim"])
+    dim = json_dim(obj, "dim")
     return entries_to_matrix(obj["entries"], dim, dim)
 
 
@@ -250,5 +281,4 @@ def save_state(path: str, m) -> None:
 
 
 def load_state(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(fh.read())
+    return state_from_json(read_input(path, "state"))

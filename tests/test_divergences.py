@@ -262,6 +262,11 @@ class TestQuadratureOracle:
         with pytest.raises(SingularState):
             bs_entropy_quadrature(random_density(3, 2, 0), random_density(3, 3, 1))
 
+    def test_non_positive_t_max_raises(self):
+        sigma, rho = sample_pair(2, 16)
+        with pytest.raises(ValueError):
+            bs_entropy_quadrature(sigma, rho, t_max=-1.0)
+
 
 class TestDataProcessing:
     def test_bs_dpi_smoke(self):

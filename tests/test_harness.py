@@ -139,6 +139,13 @@ class TestDivergenceCommand:
         assert code == 2
         assert "ParseError" in err and "line" in err
 
+    def test_full_rank_request_decomposes_each_matrix_once(self, state_files, capsys):
+        # sigma, rho, G and the maximal-f core, shared by every value printed
+        sp, rp, _ = state_files
+        before = linalg.herm_eig_calls
+        assert main(["divergence", sp, rp, "--family", "neg_power:0.5"]) == 0
+        assert linalg.herm_eig_calls - before <= 4
+
 
 class TestBoundsCommand:
     def test_deterministic_csv(self, tmp_path, capsys):
@@ -263,6 +270,68 @@ class TestCertifyCommand:
         assert main(["certify", sigma, rho, chan, "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert "residual_eq2" in payload
+
+
+def _unreadable(tmp_path, kind: str) -> str:
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00{")
+    return str(path)
+
+
+class TestBadInputFiles:
+    """Missing, unreadable or malformed input files exit 2 with an error line."""
+
+    @staticmethod
+    def argv(command, sigma, rho, channel):
+        return [command, sigma, rho] + ([channel] if command == "certify" else [])
+
+    @pytest.mark.parametrize("command", ["divergence", "certify"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_state_file(self, command, kind, state_files, tmp_path, capsys):
+        _, rp, cp = state_files
+        assert main(self.argv(command, _unreadable(tmp_path, kind), rp, cp)) == 2
+        assert capsys.readouterr().err.startswith("error: InputError: ")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_channel_file(self, kind, state_files, tmp_path, capsys):
+        sp, rp, _ = state_files
+        assert main(["certify", sp, rp, _unreadable(tmp_path, kind)]) == 2
+        assert capsys.readouterr().err.startswith("error: InputError: ")
+
+    @pytest.mark.parametrize("command", ["divergence", "certify"])
+    @pytest.mark.parametrize("dim", ["two", 2.5, 0])
+    def test_non_integer_dim_in_state(self, command, dim, state_files, tmp_path, capsys):
+        sp, rp, cp = state_files
+        state = json.loads((tmp_path / "sigma.json").read_text())
+        state["dim"] = dim
+        bad = tmp_path / "bad_dim.json"
+        bad.write_text(json.dumps(state))
+        assert main(self.argv(command, str(bad), rp, cp)) == 2
+        assert capsys.readouterr().err.startswith("error: ParseError: 'dim'")
+
+    @pytest.mark.parametrize(
+        "role, key, value",
+        [
+            ("chan", "d_in", "three"),
+            ("chan", "kraus", 5),
+            ("sigma", "entries", 5),
+            ("sigma", "entries", [["a", 0.0]] * 9),
+        ],
+    )
+    def test_malformed_field(self, role, key, value, state_files, tmp_path, capsys):
+        path = tmp_path / f"{role}.json"
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        assert main(["certify", *state_files]) == 2
+        assert capsys.readouterr().err.startswith("error: ParseError: ")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["bounds", "--config", str(tmp_path / "none.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: InputError: ")
 
 
 class TestSelftestCommand:

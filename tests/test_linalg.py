@@ -228,9 +228,39 @@ class TestHsInner:
             hs_inner(np.eye(2), np.eye(3))
 
 
+def depth_first_simpson(g, lo, hi, tol, max_panels=200_000):
+    """The depth-first adaptive Simpson loop that integrate_adaptive replaced,
+    kept as the reference: a scalar integrand, one panel popped at a time."""
+
+    def simp(fa, fm, fb, width):
+        return width * (fa + 4.0 * fm + fb) / 6.0
+
+    mid = 0.5 * (lo + hi)
+    fa, fm, fb = g(lo), g(mid), g(hi)
+    stack = [(lo, hi, fa, fm, fb, simp(fa, fm, fb, hi - lo), tol)]
+    total, panels = 0.0, 0
+    min_width = 1e-14 * max(1.0, abs(hi - lo))
+    while stack:
+        a, b, fa, fm, fb, whole, eps = stack.pop()
+        panels += 1
+        if panels > max_panels:
+            raise NoConvergence("panel budget exceeded")
+        m = 0.5 * (a + b)
+        flm, frm = g(0.5 * (a + m)), g(0.5 * (m + b))
+        left = simp(fa, flm, fm, m - a)
+        right = simp(fm, frm, fb, b - m)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * eps or (b - a) <= min_width:
+            total += left + right + delta / 15.0
+        else:
+            stack.append((a, m, fa, flm, fm, left, 0.5 * eps))
+            stack.append((m, b, fm, frm, fb, right, 0.5 * eps))
+    return total
+
+
 class TestIntegrateAdaptive:
     def test_constant(self):
-        assert integrate_adaptive(lambda t: 1.0, 0.0, 1.0, 1e-12) == pytest.approx(1.0)
+        assert integrate_adaptive(lambda t: np.ones_like(t), 0.0, 1.0, 1e-12) == pytest.approx(1.0)
 
     def test_linear(self):
         assert integrate_adaptive(lambda t: t, 0.0, 2.0, 1e-12) == pytest.approx(2.0)
@@ -242,7 +272,57 @@ class TestIntegrateAdaptive:
 
     def test_panel_cap(self):
         with pytest.raises(NoConvergence):
-            integrate_adaptive(lambda t: math.sin(1e4 * t), 0.0, 1.0, 1e-14, max_panels=4)
+            integrate_adaptive(lambda t: np.sin(1e4 * t), 0.0, 1.0, 1e-14, max_panels=4)
 
     def test_reversed_bounds(self):
         assert integrate_adaptive(lambda t: t, 2.0, 0.0, 1e-12) == pytest.approx(-2.0)
+
+    def test_segments_equal_single_segment_calls(self):
+        g = lambda t: 1.0 / (1.0 + t) - 1.0 / (t + math.e)
+        edges = [0.0, 1.0, 10.0, 100.0, 1e3]
+        whole = integrate_adaptive(g, 0.0, 1e3, 1e-9, breakpoints=edges[1:-1])
+        parts = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            parts += integrate_adaptive(g, lo, hi, 1e-9 / 4)
+        assert whole == parts
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize(
+        "g",
+        [lambda t: 1.0 / (1.0 + t) - 1.0 / (t + math.e), lambda t: np.sqrt(t) / (1.0 + t * t)],
+    )
+    def test_same_value_as_depth_first_reference(self, g, tol):
+        # the arithmetic of every panel is unchanged, so the sums are equal
+        edges = [0.0, 1.0, 10.0, 100.0]
+        expected = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            expected += depth_first_simpson(g, lo, hi, tol / 3)
+        assert integrate_adaptive(g, 0.0, 100.0, tol, breakpoints=edges[1:-1]) == expected
+
+    def test_one_integrand_call_per_level(self):
+        sizes = []
+
+        def g(t):
+            sizes.append(t.size)
+            return np.sqrt(t)
+
+        integrate_adaptive(g, 0.0, 4.0, 1e-6, breakpoints=[1.0, 2.0])
+        assert sizes[0] == 7  # four edges and three midpoints
+        assert all(n % 2 == 0 for n in sizes[1:])  # two midpoints per panel
+
+    def test_breakpoints_must_increase_inside(self):
+        with pytest.raises(ValueError):
+            integrate_adaptive(lambda t: t, 0.0, 1.0, 1e-9, breakpoints=[0.5, 0.25])
+        with pytest.raises(ValueError):
+            integrate_adaptive(lambda t: t, 0.0, 1.0, 1e-9, breakpoints=[1.5])
+
+    def test_non_finite_value_fails_at_once(self):
+        calls = []
+
+        def g(t):
+            calls.append(t.size)
+            return np.where(np.abs(t - 0.3) < 0.01, np.nan, np.sin(50.0 * t))
+
+        with pytest.raises(NoConvergence, match="not finite"):
+            integrate_adaptive(g, 0.0, 1.0, 1e-10)
+        assert 1 < len(calls) <= 10  # past the initial nodes, well inside the budget
