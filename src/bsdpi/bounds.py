@@ -224,8 +224,8 @@ def bs_bound_channel(sigma, rho=None, channel: KrausChannel | None = None) -> Bo
     if a.inp.s.full_rank:
         gap = a.gap_bs
     else:
-        top = regularized_divergence(a.inp.sigma, a.inp.rho, xlogx(), kind="maximal")
-        bottom = regularized_divergence(a.out.sigma, a.out.rho, xlogx(), kind="maximal")
+        top = regularized_divergence(a.inp, None, xlogx(), kind="maximal")
+        bottom = regularized_divergence(a.out, None, xlogx(), kind="maximal")
         gap = top.value - bottom.value
         constants["increment_top"] = top.increment
         constants["increment_bottom"] = bottom.increment

@@ -3,13 +3,17 @@
 Each campaign draws deterministic instances from seed-derived Philox streams,
 evaluates a family of inequalities or residuals, and returns a CampaignSummary
 plus CSV-ready rows.  Instances are generated and checked in seed order, so a
-fixed configuration always produces byte-identical artifacts.
+fixed configuration always produces byte-identical artifacts.  ``CRITERIA``
+is the acceptance battery that the tests and ``bsdpi selftest`` run.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from .bounds import (
     InstanceAnalysis,
     bs_bound_channel,
     bs_bound_condexp,
+    k_alpha,
     lemma_integrand_check,
     maxf_bound,
 )
@@ -36,13 +41,14 @@ from .divergences import (
     family_from_tag,
     maximal_f,
     neg_power,
+    relative_entropy,
     square_family,
     standard_f,
     xlogx,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .linalg import schatten_norm
-from .recovery import equality_residuals, pinching_fixed_pair
+from .recovery import equality_residuals, petz_recovery, pinching_fixed_pair
 from .states import DensityMatrix, gamma, random_density
 
 # (d_keep, s) factorizations used for partial-trace conditional expectations
@@ -52,25 +58,12 @@ CONDEXP_KINDS = ("pinching", "partial_trace")
 
 CSV_HEADER = "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
 
-# one shared tolerance record: every campaign reads its default here and the
-# CLI config may override any entry per run
-DEFAULT_TOLERANCES = {
-    "dpi_abs": 1e-9,        # absolute floor for the raw DPI gap
-    "slack_rel": 1e-8,      # bound slack, relative to 1 + gap
-    "slack_abs": 1e-8,      # bound slack for the measure-family evaluators
-    "increment": 1e-6,      # regularized-route extrapolation increment
-    "equality_gap": 1e-9,   # gap on constructed equality instances
-    "equality_residual": 1e-7,
-    "quadrature": 1e-6,     # spectral vs resolvent-integral agreement
-}
-
 
 @dataclass
 class CampaignSummary:
     total: int = 0
     violations: list = field(default_factory=list)
     min_slack: float = math.inf
-    equality_hits: int = 0
 
     def record_slack(self, value: float) -> None:
         self.min_slack = min(self.min_slack, value)
@@ -184,14 +177,11 @@ def sample_channel(dim: int, seed: int, num_kraus: int | None = None) -> KrausCh
     return random_cptp(dim, dim, num_kraus, derive_seed(seed, 5))
 
 
-def _pick_dim(dims, index: int) -> int:
-    return dims[index % len(dims)]
-
-
 @dataclass
 class Trial:
     """One drawn instance of a bound campaign."""
 
+    index: int  # i, the trial's position in its campaign
     seed: int  # the trial's sub-seed, reported in rows and violations
     d: int
     sigma: DensityMatrix
@@ -211,10 +201,10 @@ def draw_trial(seed: int, i: int, dims, kind: str, deficient: bool = False) -> T
         target = sample_condexp(0, kind, i)
         d = target.dim
     elif kind == "pinching":
-        d = _pick_dim(dims, i)
+        d = dims[i % len(dims)]
         target = sample_condexp(d, kind, sub)
     elif kind == "random_cptp":
-        d = _pick_dim(dims, i)
+        d = dims[i % len(dims)]
         target = sample_channel(d, sub)
     else:
         raise ConfigError(f"unknown channel kind {kind!r}")
@@ -222,7 +212,7 @@ def draw_trial(seed: int, i: int, dims, kind: str, deficient: bool = False) -> T
         sigma, rho = sample_equal_support_pair(d, max(1, d - 1), sub)
     else:
         sigma, rho = sample_pair(d, sub)
-    return Trial(sub, d, sigma, rho, target, deficient)
+    return Trial(i, sub, d, sigma, rho, target, deficient)
 
 
 def evaluate(
@@ -240,93 +230,84 @@ def evaluate(
             check.add(trial, analysis)
 
 
+@dataclass
 class Check:
     """One campaign's per-trial evaluation, with its summary and CSV rows."""
 
-    def __init__(self):
-        self.summary = CampaignSummary()
-        self.rows: list[Row] = []
+    summary: CampaignSummary = field(default_factory=CampaignSummary, init=False)
+    rows: list[Row] = field(default_factory=list, init=False)
 
     def add(self, trial: Trial, a: InstanceAnalysis) -> None:
         raise NotImplementedError
 
+    def fail(self, seed: int, message: str) -> None:
+        """Record a violation on the instance drawn from ``seed``."""
+        self.summary.violations.append((seed, message))
 
+
+@dataclass
 class DpiCheck(Check):
     """BS-entropy data processing: gap >= -tol_abs."""
 
-    def __init__(self, tol_abs: float = DEFAULT_TOLERANCES["dpi_abs"]):
-        super().__init__()
-        self.tol_abs = tol_abs
+    tol_abs: float
 
     def add(self, trial, a):
         gap = a.gap_bs
         self.summary.total += 1
         self.summary.record_slack(gap)
         if gap < -self.tol_abs:
-            self.summary.violations.append(
-                (trial.seed, f"dpi gap {gap:.3e} below -{self.tol_abs:.0e}")
-            )
+            self.fail(trial.seed, f"dpi gap {gap:.3e} below -{self.tol_abs:.0e}")
         self.rows.append(Row(trial.seed, trial.d, "bs_dpi", gap, 0.0, 0.0, True, gap))
 
 
+@dataclass
 class BoundCheck(Check):
     """Strengthened BS bound, both forms: under a conditional expectation, or
     through the Stinespring path for a CPTP map.
 
     Rank-deficient trials take the epsilon-regularized gap; their
-    extrapolation increments must stay below increment_tol.  With
+    extrapolation increments must stay below increment_tol (default: no
+    gate, for campaigns that draw no such trial).  With
     ``include_standard_row`` each conditional-expectation trial also emits an
     informational row for the older relative-entropy bound (trace-norm Petz
     residual); those rows are never counted as violations.
     """
 
-    def __init__(
-        self,
-        family: str,
-        slack_rel: float = DEFAULT_TOLERANCES["slack_rel"],
-        increment_tol: float = DEFAULT_TOLERANCES["increment"],
-        include_standard_row: bool = False,
-    ):
-        super().__init__()
-        self.family = family
-        self.slack_rel = slack_rel
-        self.increment_tol = increment_tol
-        self.include_standard_row = include_standard_row
+    family: str
+    slack_rel: float
+    increment_tol: float = math.inf
+    include_standard_row: bool = False
 
     def add(self, trial, a):
         report = bs_bound_condexp(a) if a.is_condexp else bs_bound_channel(a)
         family = self.family + ("_singular" if trial.deficient else "")
         norm = 1.0 + max(report.gap, 0.0)
         slack_min = min(report.slack_k, report.slack_l)
-        summary = self.summary
-        summary.total += 1
+        self.summary.total += 1
         self.rows.append(
             Row(trial.seed, trial.d, family, report.gap, report.rhs_k, report.rhs_l,
                 report.precondition_ok, report.slack)
         )
         if report.precondition_ok:
-            summary.record_slack(slack_min / norm)
+            self.summary.record_slack(slack_min / norm)
             if slack_min < -self.slack_rel * norm:
-                summary.violations.append(
-                    (trial.seed,
-                     f"{family} slack {slack_min:.3e} below -{self.slack_rel:.0e}*(1+gap)")
-                )
+                self.fail(trial.seed,
+                          f"{family} slack {slack_min:.3e} below -{self.slack_rel:.0e}*(1+gap)")
         if trial.deficient:
             inc = max(
                 report.constants.get("increment_top", 0.0),
                 report.constants.get("increment_bottom", 0.0),
             )
             if inc > self.increment_tol:
-                summary.violations.append(
-                    (trial.seed,
-                     f"regularized increment {inc:.3e} above {self.increment_tol:.0e}")
-                )
+                self.fail(trial.seed,
+                          f"regularized increment {inc:.3e} above {self.increment_tol:.0e}")
         if self.include_standard_row:
             self.rows.append(
                 _standard_dpi_row(trial.sigma, trial.rho, trial.target, trial.seed, trial.d)
             )
 
 
+@dataclass
 class MaxfCheck(Check):
     """Maximal f-divergence bounds for every family with measure constants.
 
@@ -334,12 +315,13 @@ class MaxfCheck(Check):
     precondition; ``pass_rates`` records how often each family did.
     """
 
-    def __init__(self, families, slack_abs: float = DEFAULT_TOLERANCES["slack_abs"]):
-        super().__init__()
-        self.fams = [family_from_tag(t) if isinstance(t, str) else t for t in families]
-        self.slack_abs = slack_abs
-        self.trials = 0
+    families: tuple
+    slack_abs: float
+
+    def __post_init__(self):
+        self.fams = [family_from_tag(t) if isinstance(t, str) else t for t in self.families]
         self.passed = {fam.tag: 0 for fam in self.fams}
+        self.trials = 0
 
     def add(self, trial, a):
         self.trials += 1
@@ -355,21 +337,308 @@ class MaxfCheck(Check):
                 slack_min = min(report.slack_k, report.slack_l)
                 self.summary.record_slack(slack_min)
                 if slack_min < -self.slack_abs:
-                    self.summary.violations.append(
-                        (trial.seed,
-                         f"{fam.tag} slack {slack_min:.3e} below -{self.slack_abs:.0e}")
-                    )
+                    self.fail(trial.seed,
+                              f"{fam.tag} slack {slack_min:.3e} below -{self.slack_abs:.0e}")
 
     @property
     def pass_rates(self) -> dict:
         return {tag: count / max(1, self.trials) for tag, count in self.passed.items()}
 
 
-def run_dpi_campaign(seed: int, trials: int, dims, tol_abs: float = DEFAULT_TOLERANCES["dpi_abs"]):
-    """BS-entropy data processing: gap >= -tol_abs for random CPTP triples."""
-    check = DpiCheck(tol_abs)
-    evaluate(seed, trials, dims, "random_cptp", [check])
+@dataclass
+class EqualityCheck(Check):
+    """Equality certification on constructed and random instances.
+
+    Trial i < ``constructed`` also certifies the constructed pinching-fixed
+    pair i, drawn from ``derive_seed(seed, 1000 + i)``: its gap and every
+    residual must vanish, and ``hits`` counts those that do.  Each random
+    trial is checked in both implication directions (a tiny recovery residual
+    forces a tiny gap and conversely); ``co_positive`` counts the trials whose
+    gap and BS-recovery residual are both positive.
+    """
+
+    seed: int
+    constructed: int
+    gap_tol: float
+    residual_tol: float
+    hits: int = field(default=0, init=False)
+    co_positive: int = field(default=0, init=False)
+
+    def add(self, trial, a):
+        if trial.index < self.constructed:
+            sub = derive_seed(self.seed, 1000 + trial.index)
+            sigma, rho, pinching = pinching_fixed_pair(trial.d, sub)
+            report = equality_residuals(sigma, rho, pinching.as_kraus())
+            self.summary.total += 1
+            tol = self.residual_tol
+            checks = {
+                "gap": abs(report.gap_bs) <= self.gap_tol,
+                "eq2": report.residual_eq2 <= tol,
+                "eq3": report.residual_eq3 <= tol,
+                "bs_recovery": report.residual_bs_recovery <= tol,
+                "petz": report.residual_petz <= tol,
+                "renyi2": abs(report.renyi2_gap) <= tol,
+            }
+            if all(checks.values()):
+                self.hits += 1
+            else:
+                bad = ",".join(k for k, v in checks.items() if not v)
+                self.fail(sub, f"constructed pair fails: {bad}")
+        report = equality_residuals(trial.sigma, trial.rho, trial.target)
+        self.summary.total += 1
+        if report.residual_eq2 <= 1e-12 and report.gap_bs > 1e-8:
+            self.fail(trial.seed, f"residual_eq2 tiny but gap {report.gap_bs:.3e}")
+        if abs(report.gap_bs) <= 1e-12 and report.residual_eq2 > 1e-6:
+            self.fail(trial.seed, f"gap tiny but residual_eq2 {report.residual_eq2:.3e}")
+        if report.gap_bs > 1e-10 and report.residual_bs_recovery > 1e-10:
+            self.co_positive += 1
+
+
+@dataclass
+class OrderingCheck(Check):
+    """Standard <= maximal, commuting reductions, and the degree-2 identity."""
+
+    fams = (xlogx(), neg_power(0.5))
+    square = square_family()
+
+    def add(self, trial, a):
+        sub, d = trial.seed, trial.d
+        self.summary.total += 1
+        for fam in self.fams:
+            s_val = standard_f(a.inp, None, fam)
+            m_val = maximal_f(a.inp, None, fam)
+            if s_val > m_val + 1e-9:
+                self.fail(sub, f"ordering fails for {fam.tag}: {s_val} > {m_val}")
+        # degree-2 identity at the absolute tolerance needs bounded condition
+        # numbers (the value tr[s^2 r^-1] is unbounded); unconditioned pairs
+        # are still checked at machine-relative level
+        s_sq = standard_f(a.inp, None, self.square)
+        m_sq = maximal_f(a.inp, None, self.square)
+        if abs(s_sq - m_sq) > 1e-11 * max(1.0, abs(s_sq)):
+            self.fail(sub, f"degree-2 identity off relative scale by {s_sq - m_sq:.3e}")
+        sigma_c, rho_c = sample_conditioned_pair(d, sub)
+        s_sq = standard_f(sigma_c, rho_c, self.square)
+        m_sq = maximal_f(sigma_c, rho_c, self.square)
+        if abs(s_sq - m_sq) > 1e-10:
+            self.fail(sub, f"degree-2 identity off by {s_sq - m_sq:.3e}")
+
+        # commuting reduction on a shared eigenbasis
+        rng = np.random.Generator(np.random.Philox(derive_seed(sub, 8)))
+        u = _haar_isometry(d, d, rng)
+        lam = rng.uniform(0.1, 1.0, size=d)
+        lam /= lam.sum()
+        mu = rng.uniform(0.1, 1.0, size=d)
+        mu /= mu.sum()
+        x = (u * lam) @ u.conj().T
+        y = (u * mu) @ u.conj().T
+        classical = float(np.sum(mu * (lam / mu) * np.log(lam / mu)))
+        fam = xlogx()
+        for label, value in (
+            ("standard", standard_f(x, y, fam)),
+            ("maximal", maximal_f(x, y, fam)),
+        ):
+            if abs(value - classical) > 1e-10:
+                self.fail(sub, f"commuting {label} off classical by {value - classical:.3e}")
+
+
+@dataclass
+class OracleCheck(Check):
+    """Quadrature agreement for the BS-entropy and the scaling identity."""
+
+    quad_tol: float
+
+    def add(self, trial, a):
+        spectral = bs_entropy(a.inp)
+        quad = bs_entropy_quadrature(a.inp, tol=self.quad_tol / 10.0)
+        self.summary.total += 1
+        if abs(spectral - quad) > self.quad_tol:
+            self.fail(trial.seed, f"quadrature disagrees by {spectral - quad:.3e}")
+        for x in (0.5, 2.0):
+            for y in (0.5, 2.0):
+                scaled = bs_entropy(x * trial.sigma.mat, y * trial.rho.mat)
+                expected = x * spectral + x * math.log(x / y)
+                if abs(scaled - expected) > 1e-9:
+                    self.fail(trial.seed, f"scaling identity off at a={x}, b={y}")
+
+
+@dataclass
+class StructuralCheck(Check):
+    """Stinespring reconstruction, isometry, contraction, norm monotonicity,
+    and the resolvent integrand inequality on a t grid."""
+
+    t_grid = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+    def add(self, trial, a):
+        sub, d, channel = trial.seed, trial.d, trial.target
+        dilation = channel.stinespring()
+        omega = random_density(d, d, derive_seed(sub, 6)).mat
+        recon = schatten_norm(dilation.apply(omega) - channel.apply(omega), 2)
+        isometry = float(np.linalg.norm(dilation.v.conj().T @ dilation.v - np.eye(d)))
+        self.summary.total += 1
+        if recon > 1e-12:
+            self.fail(sub, f"stinespring reconstruction {recon:.3e}")
+        if isometry > 1e-10:
+            self.fail(sub, f"V*V residual {isometry:.3e}")
+
+        if trial.index % 4 == 0:
+            expectation = sample_condexp(0, "partial_trace", trial.index)
+        else:
+            expectation = sample_condexp(d, "pinching", sub)
+        de = expectation.dim
+        sig_e, rho_e = sample_pair(de, derive_seed(sub, 7))
+        g_full = gamma(sig_e, rho_e).sup_norm
+        g_proj = gamma(expectation.apply(sig_e), expectation.apply(rho_e)).sup_norm
+        if g_proj > g_full + 1e-10:
+            self.fail(sub, f"norm monotonicity {g_proj:.6f} > {g_full:.6f}")
+
+        contraction = build_contraction(sig_e, expectation.as_kraus())
+        ce_matrix = superop_matrix(expectation.apply, de)
+        uu_matrix = superop_matrix(
+            lambda x: contraction.adjoint(contraction.apply(x)), de
+        )
+        if float(np.abs(uu_matrix - ce_matrix).max()) > 1e-9:
+            self.fail(sub, "U*U deviates from the expectation")
+
+        for t in self.t_grid:
+            lhs, rhs = lemma_integrand_check(sig_e, rho_e, expectation, t)
+            if lhs - rhs < -1e-9:
+                self.fail(sub, f"integrand inequality fails at t={t}: {lhs - rhs:.3e}")
+
+
+def _standard_dpi_row(sigma, rho, expectation, sub: int, d: int) -> Row:
+    """Informational row: relative-entropy gap vs the trace-norm Petz bound."""
+    channel = expectation.as_kraus()
+    sigma_n = expectation.apply(sigma.mat)
+    rho_n = expectation.apply(rho.mat)
+    gap = relative_entropy(sigma, rho) - relative_entropy(sigma_n, rho_n)
+    residual = schatten_norm(petz_recovery(channel, sigma, rho_n) - rho.mat, 1)
+    rho_sup = schatten_norm(rho.mat, np.inf)
+    sigma_inv_sup = 1.0 / float(np.linalg.eigvalsh(sigma.mat)[0])
+    rhs = (math.pi / 8.0) ** 4 * (rho_sup * sigma_inv_sup) ** (-2.0) * residual**4
+    return Row(sub, d, "std_relent_petz", gap, rhs, 0.0, True, gap - rhs)
+
+
+BATTERY_DIMS = (2, 3, 4)
+
+
+def _dpi(seed, counts, tol):
+    summary, _ = run_dpi_campaign(seed, counts[0], BATTERY_DIMS, tol["dpi_abs"])
+    return summary.ok, f"min gap {summary.min_slack:.3e}"
+
+
+def _condexp(seed, counts, tol):
+    summaries = [
+        run_condexp_bound_campaign(seed, trials, BATTERY_DIMS, kind, tol["slack_rel"])[0]
+        for kind, trials in zip(CONDEXP_KINDS, counts)
+    ]
+    min_slack = min(s.min_slack for s in summaries)
+    return all(s.ok for s in summaries), f"min slack {min_slack:.3e}"
+
+
+def _channel(seed, counts, tol):
+    trials, singular = counts
+    summary, rows = run_channel_bound_campaign(
+        seed, trials, BATTERY_DIMS, singular, tol["slack_rel"], tol["increment"]
+    )
+    drawn = sum(row.family == "bs_channel_singular" for row in rows)
+    ok = summary.ok and drawn == singular
+    return ok, f"min slack {summary.min_slack:.3e}, {drawn} singular instances"
+
+
+def _maxf(seed, counts, tol):
+    trials, families = counts
+    summary, _, rates = run_maxf_campaign(
+        seed, trials, BATTERY_DIMS, families, slack_abs=tol["slack_abs"]
+    )
+    # the prefactor and measure constant of the xlogx and beta = 1/2 bounds
+    constants_ok = (
+        abs(k_alpha(0.0) - (math.pi / 4.0) ** 4) <= 1e-12
+        and abs(neg_power(0.5).measure_c - math.pi) <= 1e-12
+    )
+    rate_text = ", ".join(f"{tag}={rate:.3f}" for tag, rate in rates.items())
+    return summary.ok and constants_ok, f"precondition pass-rates: {rate_text}"
+
+
+def _equality(seed, counts, tol):
+    constructed, trials = counts
+    check = EqualityCheck(seed, constructed, tol["equality_gap"], tol["equality_residual"])
+    _campaign(check, seed, trials, BATTERY_DIMS, "random_cptp")
+    ok = check.summary.ok and check.hits == constructed
+    return ok, f"hits {check.hits}/{constructed}, co-positive {check.co_positive}/{trials}"
+
+
+def _one(make_check, seed, counts, tol):
+    """A criterion that one check decides over random CPTP trials."""
+    summary, _ = _campaign(make_check(tol), seed, counts[0], BATTERY_DIMS, "random_cptp")
+    return summary.ok, f"{summary.total} instances"
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion of the acceptance battery.
+
+    ``full`` holds the counts of the acceptance run and ``reduced`` those of
+    ``selftest``, one per part (the maximal-f criterion counts trials and
+    families).  ``check(seed, counts, tolerances)`` draws and checks the
+    instances over BATTERY_DIMS and returns (ok, detail).
+    """
+
+    number: int
+    label: str
+    full: tuple
+    reduced: tuple
+    tolerances: dict
+    budget_s: float
+    check: Callable[[int, tuple, dict], tuple[bool, str]]
+
+    def run(self, seed: int, reduced: bool = False) -> tuple[bool, str]:
+        """(ok, its line); a numerics error or running over budget fails."""
+        started = time.perf_counter()
+        try:
+            ok, detail = self.check(seed, self.reduced if reduced else self.full, self.tolerances)
+        except NumericsError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - started
+        ok = ok and elapsed < self.budget_s
+        status = "PASS" if ok else "FAIL"
+        return ok, f"criterion {self.number} {self.label}: {status} ({detail}, {elapsed:.1f} s)"
+
+
+MAXF_FAMILIES = ("xlogx", "neg_power:0.25", "neg_power:0.5", "neg_power:0.75")
+
+# number, label, full counts, reduced counts, tolerances, budget in s, check
+CRITERIA = (
+    Criterion(1, "dpi campaign", (500,), (60,), {"dpi_abs": 1e-9}, 30.0, _dpi),
+    Criterion(2, "condexp bounds", (500, 200), (60, 24), {"slack_rel": 1e-8}, 60.0, _condexp),
+    Criterion(3, "channel bounds", (500, 100), (60, 12),
+              {"slack_rel": 1e-8, "increment": 1e-6}, 60.0, _channel),
+    Criterion(4, "maxf bounds", (500, MAXF_FAMILIES), (60, ("xlogx", "neg_power:0.5")),
+              {"slack_abs": 1e-8}, 30.0, _maxf),
+    Criterion(5, "equality certification", (50, 500), (10, 60),
+              {"equality_gap": 1e-9, "equality_residual": 1e-7}, 60.0, _equality),
+    Criterion(6, "ordering and reductions", (200,), (40,), {}, 30.0,
+              partial(_one, lambda tol: OrderingCheck())),
+    Criterion(7, "oracle agreement", (50,), (8,), {"quadrature": 1e-6}, 30.0,
+              partial(_one, lambda tol: OracleCheck(tol["quadrature"]))),
+    Criterion(8, "structural", (200,), (25,), {}, 30.0,
+              partial(_one, lambda tol: StructuralCheck())),
+)
+
+# budget of the whole battery at the reduced counts, ``bsdpi selftest``
+SELFTEST_BUDGET_S = 120.0
+
+# every tolerance of the battery by name; ``bounds`` defaults to these values
+DEFAULT_TOLERANCES = {key: value for c in CRITERIA for key, value in c.tolerances.items()}
+
+
+def _campaign(check: Check, seed: int, trials: int, dims, kind: str, n_rank_deficient: int = 0):
+    evaluate(seed, trials, dims, kind, [check], n_rank_deficient)
     return check.summary, check.rows
+
+
+def run_dpi_campaign(seed: int, trials: int, dims, tol_abs: float = DEFAULT_TOLERANCES["dpi_abs"]):
+    """DpiCheck over random CPTP triples: (summary, rows)."""
+    return _campaign(DpiCheck(tol_abs), seed, trials, dims, "random_cptp")
 
 
 def run_condexp_bound_campaign(
@@ -378,36 +647,11 @@ def run_condexp_bound_campaign(
     dims,
     kind: str = "pinching",
     slack_rel: float = DEFAULT_TOLERANCES["slack_rel"],
-    include_standard_row: bool = False,
 ):
-    """Strengthened BS bound under conditional expectations, both forms.
-
-    With ``include_standard_row`` each trial also emits an informational row
-    for the older relative-entropy bound (trace-norm Petz residual); those
-    rows are reported but never counted as violations.
-    """
+    """BoundCheck under conditional expectations of one kind: (summary, rows)."""
     if kind not in CONDEXP_KINDS:
         raise ConfigError(f"unknown conditional-expectation kind {kind!r}")
-    check = BoundCheck(f"bs_{kind}", slack_rel, include_standard_row=include_standard_row)
-    evaluate(seed, trials, dims, kind, [check])
-    return check.summary, check.rows
-
-
-def _standard_dpi_row(sigma, rho, expectation, sub: int, d: int) -> Row:
-    """Informational row: relative-entropy gap vs the trace-norm Petz bound."""
-    from .divergences import relative_entropy
-    from .linalg import schatten_norm as norm
-    from .recovery import petz_recovery
-
-    channel = expectation.as_kraus()
-    sigma_n = expectation.apply(sigma.mat)
-    rho_n = expectation.apply(rho.mat)
-    gap = relative_entropy(sigma, rho) - relative_entropy(sigma_n, rho_n)
-    residual = norm(petz_recovery(channel, sigma, rho_n) - rho.mat, 1)
-    rho_sup = norm(rho.mat, np.inf)
-    sigma_inv_sup = 1.0 / float(np.linalg.eigvalsh(sigma.mat)[0])
-    rhs = (math.pi / 8.0) ** 4 * (rho_sup * sigma_inv_sup) ** (-2.0) * residual**4
-    return Row(sub, d, "std_relent_petz", gap, rhs, 0.0, True, gap - rhs)
+    return _campaign(BoundCheck(f"bs_{kind}", slack_rel), seed, trials, dims, kind)
 
 
 def run_channel_bound_campaign(
@@ -418,220 +662,22 @@ def run_channel_bound_campaign(
     slack_rel: float = DEFAULT_TOLERANCES["slack_rel"],
     increment_tol: float = DEFAULT_TOLERANCES["increment"],
 ):
-    """Strengthened BS bound through the Stinespring path for CPTP maps.
-
-    The final n_rank_deficient trials use equal-support singular pairs and the
-    epsilon-regularized gap; their extrapolation increments must stay below
-    increment_tol.
-    """
+    """BoundCheck over random CPTP maps, the final n_rank_deficient trials on
+    equal-support singular pairs: (summary, rows)."""
     check = BoundCheck("bs_channel", slack_rel, increment_tol)
-    evaluate(seed, trials, dims, "random_cptp", [check], n_rank_deficient)
-    return check.summary, check.rows
+    return _campaign(check, seed, trials, dims, "random_cptp", n_rank_deficient)
 
 
 def run_maxf_campaign(
     seed: int,
     trials: int,
     dims,
-    families=("xlogx", "neg_power:0.25", "neg_power:0.5", "neg_power:0.75"),
+    families=MAXF_FAMILIES,
     kind: str = "pinching",
     slack_abs: float = DEFAULT_TOLERANCES["slack_abs"],
 ):
-    """Maximal f-divergence bounds for every family with measure constants.
-
-    Returns (summary, rows, pass_rates): pass_rates maps a family tag to the
-    fraction of instances satisfying the not-too-far precondition; slack is
-    only asserted on those.
-    """
+    """MaxfCheck over every family: (summary, rows, pass_rates), where
+    pass_rates maps a family tag to the fraction of instances satisfying the
+    not-too-far precondition."""
     check = MaxfCheck(families, slack_abs)
-    evaluate(seed, trials, dims, kind, [check])
-    return check.summary, check.rows, check.pass_rates
-
-
-def run_equality_campaign(
-    seed: int,
-    constructed: int,
-    random_trials: int,
-    dims,
-    gap_tol: float = DEFAULT_TOLERANCES["equality_gap"],
-    residual_tol: float = DEFAULT_TOLERANCES["equality_residual"],
-):
-    """Equality certification: constructed fixed pairs and random instances.
-
-    Constructed pinching-fixed pairs must show a vanishing gap and vanishing
-    residuals.  Random instances are checked for both implication directions
-    (tiny recovery residual forces a tiny gap and conversely); the returned
-    stats record how often gap and recovery residual are simultaneously
-    positive.
-    """
-    summary = CampaignSummary()
-    stats = {"co_positive": 0, "bs_only_hits": 0}
-    for i in range(constructed):
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, 1000 + i)
-        sigma, rho, pinching = pinching_fixed_pair(d, sub)
-        report = equality_residuals(sigma, rho, pinching.as_kraus())
-        summary.total += 1
-        checks = {
-            "gap": abs(report.gap_bs) <= gap_tol,
-            "eq2": report.residual_eq2 <= residual_tol,
-            "eq3": report.residual_eq3 <= residual_tol,
-            "bs_recovery": report.residual_bs_recovery <= residual_tol,
-            "petz": report.residual_petz <= residual_tol,
-            "renyi2": abs(report.renyi2_gap) <= residual_tol,
-        }
-        if all(checks.values()):
-            summary.equality_hits += 1
-        else:
-            bad = ",".join(k for k, v in checks.items() if not v)
-            summary.violations.append((sub, f"constructed pair fails: {bad}"))
-    for i in range(random_trials):
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, i)
-        sigma, rho = sample_pair(d, sub)
-        channel = sample_channel(d, sub)
-        report = equality_residuals(sigma, rho, channel)
-        summary.total += 1
-        if report.residual_eq2 <= 1e-12 and report.gap_bs > 1e-8:
-            summary.violations.append(
-                (sub, f"residual_eq2 tiny but gap {report.gap_bs:.3e}")
-            )
-        if abs(report.gap_bs) <= 1e-12 and report.residual_eq2 > 1e-6:
-            summary.violations.append(
-                (sub, f"gap tiny but residual_eq2 {report.residual_eq2:.3e}")
-            )
-        if report.gap_bs > 1e-10 and report.residual_bs_recovery > 1e-10:
-            stats["co_positive"] += 1
-        if report.residual_bs_recovery <= 1e-8 and report.residual_petz > 1e-4:
-            stats["bs_only_hits"] += 1
-    return summary, stats
-
-
-def run_structural_campaign(seed: int, trials: int, dims, t_grid=(0.01, 0.1, 1.0, 10.0, 100.0)):
-    """Stinespring reconstruction, isometry, contraction, norm monotonicity,
-    and the resolvent integrand inequality on a t grid."""
-    summary = CampaignSummary()
-    for i in range(trials):
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, i)
-        sigma, rho = sample_pair(d, sub)
-        channel = sample_channel(d, sub)
-        dilation = channel.stinespring()
-        omega = random_density(d, d, derive_seed(sub, 6)).mat
-        recon = schatten_norm(dilation.apply(omega) - channel.apply(omega), 2)
-        isometry = float(np.linalg.norm(dilation.v.conj().T @ dilation.v - np.eye(d)))
-        summary.total += 1
-        if recon > 1e-12:
-            summary.violations.append((sub, f"stinespring reconstruction {recon:.3e}"))
-        if isometry > 1e-10:
-            summary.violations.append((sub, f"V*V residual {isometry:.3e}"))
-
-        use_partial = i % 4 == 0
-        if use_partial:
-            expectation = sample_condexp(0, "partial_trace", i)
-            de = expectation.dim
-        else:
-            expectation = sample_condexp(d, "pinching", sub)
-            de = d
-        sig_e, rho_e = sample_pair(de, derive_seed(sub, 7))
-        g_full = gamma(sig_e, rho_e).sup_norm
-        g_proj = gamma(expectation.apply(sig_e), expectation.apply(rho_e)).sup_norm
-        if g_proj > g_full + 1e-10:
-            summary.violations.append(
-                (sub, f"norm monotonicity {g_proj:.6f} > {g_full:.6f}")
-            )
-
-        contraction = build_contraction(sig_e, expectation.as_kraus())
-        ce_matrix = superop_matrix(expectation.apply, de)
-        uu_matrix = superop_matrix(
-            lambda x: contraction.adjoint(contraction.apply(x)), de
-        )
-        if float(np.abs(uu_matrix - ce_matrix).max()) > 1e-9:
-            summary.violations.append((sub, "U*U deviates from the expectation"))
-
-        for t in t_grid:
-            lhs, rhs = lemma_integrand_check(sig_e, rho_e, expectation, t)
-            if lhs - rhs < -1e-9:
-                summary.violations.append(
-                    (sub, f"integrand inequality fails at t={t}: {lhs - rhs:.3e}")
-                )
-    return summary
-
-
-def run_ordering_campaign(seed: int, trials: int, dims):
-    """Standard <= maximal, commuting reductions, and the degree-2 identity."""
-    summary = CampaignSummary()
-    fams = (xlogx(), neg_power(0.5))
-    square = square_family()
-    for i in range(trials):
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, i)
-        sigma, rho = sample_pair(d, sub)
-        summary.total += 1
-        for fam in fams:
-            s_val = standard_f(sigma, rho, fam)
-            m_val = maximal_f(sigma, rho, fam)
-            if s_val > m_val + 1e-9:
-                summary.violations.append(
-                    (sub, f"ordering fails for {fam.tag}: {s_val} > {m_val}")
-                )
-        # degree-2 identity at the absolute tolerance needs bounded condition
-        # numbers (the value tr[s^2 r^-1] is unbounded); unconditioned pairs
-        # are still checked at machine-relative level
-        s_sq = standard_f(sigma, rho, square)
-        m_sq = maximal_f(sigma, rho, square)
-        if abs(s_sq - m_sq) > 1e-11 * max(1.0, abs(s_sq)):
-            summary.violations.append(
-                (sub, f"degree-2 identity off relative scale by {s_sq - m_sq:.3e}")
-            )
-        sigma_c, rho_c = sample_conditioned_pair(d, sub)
-        s_sq = standard_f(sigma_c, rho_c, square)
-        m_sq = maximal_f(sigma_c, rho_c, square)
-        if abs(s_sq - m_sq) > 1e-10:
-            summary.violations.append((sub, f"degree-2 identity off by {s_sq - m_sq:.3e}"))
-
-        # commuting reduction on a shared eigenbasis
-        rng = np.random.Generator(np.random.Philox(derive_seed(sub, 8)))
-        u = _haar_isometry(d, d, rng)
-        lam = rng.uniform(0.1, 1.0, size=d)
-        lam /= lam.sum()
-        mu = rng.uniform(0.1, 1.0, size=d)
-        mu /= mu.sum()
-        a = (u * lam) @ u.conj().T
-        b = (u * mu) @ u.conj().T
-        classical = float(np.sum(mu * (lam / mu) * np.log(lam / mu)))
-        fam = xlogx()
-        for label, value in (
-            ("standard", standard_f(a, b, fam)),
-            ("maximal", maximal_f(a, b, fam)),
-        ):
-            if abs(value - classical) > 1e-10:
-                summary.violations.append(
-                    (sub, f"commuting {label} off classical by {value - classical:.3e}")
-                )
-    return summary
-
-
-def run_oracle_campaign(seed: int, pairs: int, dims, quad_tol: float = DEFAULT_TOLERANCES["quadrature"]):
-    """Quadrature agreement for the BS-entropy and the scaling identity."""
-    summary = CampaignSummary()
-    for i in range(pairs):
-        d = _pick_dim(dims, i)
-        sub = derive_seed(seed, i)
-        sigma, rho = sample_pair(d, sub)
-        spectral = bs_entropy(sigma, rho)
-        quad = bs_entropy_quadrature(sigma, rho, tol=quad_tol / 10.0)
-        summary.total += 1
-        if abs(spectral - quad) > quad_tol:
-            summary.violations.append(
-                (sub, f"quadrature disagrees by {spectral - quad:.3e}")
-            )
-        for a in (0.5, 2.0):
-            for b in (0.5, 2.0):
-                scaled = bs_entropy(a * sigma.mat, b * rho.mat)
-                expected = a * spectral + a * math.log(a / b)
-                if abs(scaled - expected) > 1e-9:
-                    summary.violations.append(
-                        (sub, f"scaling identity off at a={a}, b={b}")
-                    )
-    return summary
+    return (*_campaign(check, seed, trials, dims, kind), check.pass_rates)

@@ -16,11 +16,8 @@ from .states import (
     as_matrix,
     as_pair,
     as_spectrum,
-    regularize,
     support_leak,
 )
-
-EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
 
 
 @dataclass(frozen=True)
@@ -172,17 +169,14 @@ def regularized_divergence(sigma, rho, fam: FDivFamily, kind: str = "maximal") -
     extrapolates the last three values (first order in eps, then second), and
     reports the extrapolated value together with the increment of the
     extrapolated sequence.  Raises Diverging when the raw increments fail to
-    shrink, which signals a support-mismatched (infinite) limit.
+    shrink, which signals a support-mismatched (infinite) limit.  ``sigma``
+    may be a StatePair with ``rho`` None, whose regularized pairs both kinds share.
     """
-    if kind == "maximal":
-        evaluate = lambda a, b: maximal_f(a, b, fam)
-    elif kind == "standard":
-        evaluate = lambda a, b: standard_f(a, b, fam)
-    else:
+    evaluate = {"maximal": maximal_f, "standard": standard_f}.get(kind)
+    if evaluate is None:
         raise ValueError("kind must be 'standard' or 'maximal'")
-    s = as_matrix(sigma)
-    r = as_matrix(rho)
-    values = [evaluate(regularize(s, eps), regularize(r, eps)) for eps in EPS_GRID]
+    pair = as_pair(sigma, rho)
+    values = [evaluate(reg, None, fam) for reg in pair.regularized]
     d_prev = abs(values[2] - values[1])
     d_last = abs(values[3] - values[2])
     # analytic-in-eps values shrink ~10x per decade; anything slower than 2x

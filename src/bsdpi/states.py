@@ -23,6 +23,8 @@ SUPPORT_LEAK_TOL = 1e-8
 # Largest sup-norm distance of two support projectors that counts as equal.
 SUPPORT_EQ_TOL = 1e-8
 TRACE_TOL = 1e-12
+# regularization parameters of the epsilon-regularized divergences
+EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +191,11 @@ class StatePair:
     def core(self) -> Spectrum:
         """rho^{-1/2} sigma rho^{-1/2}, the argument of the maximal f-divergence."""
         return gamma(self.r, self.sigma).spectrum
+
+    @cached_property
+    def regularized(self) -> tuple:
+        """The pair with both states regularized at each eps of EPS_GRID."""
+        return tuple(StatePair(regularize(self.sigma, e), regularize(self.rho, e)) for e in EPS_GRID)
 
     def require_equal_supports(self) -> None:
         """Raise SupportMismatch unless sigma and rho have equal supports."""

@@ -22,7 +22,9 @@ from bsdpi import (
     standard_f,
     xlogx,
 )
-from bsdpi.campaigns import sample_pair
+from bsdpi import linalg
+from bsdpi.campaigns import sample_equal_support_pair, sample_pair
+from bsdpi.states import EPS_GRID, StatePair
 
 # classical value for sigma=diag(1/2,1/2), rho=diag(1/4,3/4) under x log x
 KL_CANONICAL = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
@@ -233,6 +235,18 @@ class TestRegularizedDivergence:
         sigma, rho = sample_pair(2, 14)
         with pytest.raises(ValueError):
             regularized_divergence(sigma, rho, xlogx(), kind="other")
+
+    def test_kinds_share_the_regularized_pairs_of_a_state_pair(self):
+        # sigma_eps, rho_eps and the maximal-f core: three decompositions per
+        # eps for both kinds together, and the values of separate calls
+        sigma, rho = sample_equal_support_pair(3, 2, 21)
+        kinds = ("standard", "maximal")
+        separate = [regularized_divergence(sigma, rho, neg_power(0.5), kind=k) for k in kinds]
+        pair = StatePair(sigma, rho)
+        before = linalg.herm_eig_calls
+        shared = [regularized_divergence(pair, None, neg_power(0.5), kind=k) for k in kinds]
+        assert linalg.herm_eig_calls - before == 3 * len(EPS_GRID)
+        assert shared == separate
 
 
 class TestQuadratureOracle:

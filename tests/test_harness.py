@@ -1,15 +1,20 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from bsdpi import linalg, random_cptp, random_density, save_state
+from bsdpi import cli, linalg, random_cptp, random_density, save_state
 from bsdpi.campaigns import (
+    CRITERIA,
+    DEFAULT_TOLERANCES,
+    SELFTEST_BUDGET_S,
     CampaignSummary,
     Row,
     derive_seed,
     run_condexp_bound_campaign,
     run_dpi_campaign,
+    sample_equal_support_pair,
     write_csv,
 )
 from bsdpi.channels import save_channel
@@ -65,6 +70,45 @@ class TestConfig:
     def test_unknown_tolerance_key(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_json(json.dumps({"tolerances": {"slack_rell": 1e-8}}))
+
+    @pytest.mark.parametrize(
+        "key", ["increment", "equality_gap", "equality_residual", "quadrature"]
+    )
+    def test_tolerance_unread_by_bounds_is_refused(self, key, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_json(json.dumps({"tolerances": {key: 1e-3}}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "dims": [2], "tolerances": {key: 1e-3}}))
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+
+class TestCriteriaTable:
+    FAMILIES = ("xlogx", "neg_power:0.25", "neg_power:0.5", "neg_power:0.75")
+
+    def test_counts_tolerances_and_budgets(self):
+        # number: (full counts, reduced counts, tolerances, budget in s)
+        expected = {
+            1: ((500,), (60,), {"dpi_abs": 1e-9}, 30.0),
+            2: ((500, 200), (60, 24), {"slack_rel": 1e-8}, 60.0),
+            3: ((500, 100), (60, 12), {"slack_rel": 1e-8, "increment": 1e-6}, 60.0),
+            4: ((500, self.FAMILIES), (60, ("xlogx", "neg_power:0.5")),
+                {"slack_abs": 1e-8}, 30.0),
+            5: ((50, 500), (10, 60), {"equality_gap": 1e-9, "equality_residual": 1e-7}, 60.0),
+            6: ((200,), (40,), {}, 30.0),
+            7: ((50,), (8,), {"quadrature": 1e-6}, 30.0),
+            8: ((200,), (25,), {}, 30.0),
+        }
+        table = {c.number: (c.full, c.reduced, c.tolerances, c.budget_s) for c in CRITERIA}
+        assert table == expected
+        assert [c.number for c in CRITERIA] == list(range(1, 9))
+        assert SELFTEST_BUDGET_S == 120.0
+
+    def test_bounds_defaults_are_the_battery_tolerances(self):
+        assert {k: CampaignConfig().tol(k) for k in cli.TOLERANCE_KEYS} == {
+            "dpi_abs": 1e-9, "slack_rel": 1e-8, "slack_abs": 1e-8,
+        }
+        assert all(c.tolerances[k] == DEFAULT_TOLERANCES[k] for c in CRITERIA for k in c.tolerances)
 
 
 class TestSeedDerivation:
@@ -145,6 +189,43 @@ class TestDivergenceCommand:
         before = linalg.herm_eig_calls
         assert main(["divergence", sp, rp, "--family", "neg_power:0.5"]) == 0
         assert linalg.herm_eig_calls - before <= 4
+
+    def test_rank_deficient_request_decomposes_each_regularized_pair_once(
+        self, tmp_path, capsys
+    ):
+        # sigma, rho and G for the direct values, then sigma_eps, rho_eps and
+        # the maximal-f core per eps, shared by the standard and maximal routes
+        sigma, rho = sample_equal_support_pair(3, 2, 31)
+        sp, rp = tmp_path / "s.json", tmp_path / "r.json"
+        save_state(str(sp), sigma.mat)
+        save_state(str(rp), rho.mat)
+        before = linalg.herm_eig_calls
+        assert main(["divergence", str(sp), str(rp), "--family", "neg_power:0.5"]) == 0
+        assert linalg.herm_eig_calls - before <= 15
+        assert "(regularized)" in capsys.readouterr().out
+
+
+class TestParser:
+    def test_main_builds_one_parser_and_keeps_no_option_value(self, monkeypatch, tmp_path):
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, argv=None, namespace=None):
+            args = parse_args(parser, argv, namespace)
+            seen.append((parser, args))
+            return args
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(["bounds", "--seed", "3", "--trials", "1", "--dims", "3",
+                     "--channel", "pinching", "--family", "neg_power:0.5", "--tol", "1e-7",
+                     "--include-standard-dpi", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["bounds", "--trials", "1", "--dims", "2"]) == 0
+        (first, _), (second, args) = seen
+        assert first is second is cli.build_parser()
+        assert (args.seed, args.trials, args.dims, args.channel, args.family) == (
+            7, 1, "2", "random_cptp", "xlogx"
+        )
+        assert args.tol is None and args.out is None and not args.include_standard_dpi
 
 
 class TestBoundsCommand:
