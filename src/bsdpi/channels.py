@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidChannel, ParseError, SingularState
+from .errors import DimMismatch, DomainViolation, InvalidChannel, ParseError, SingularState
 from .linalg import Spectrum, herm_eig
 from .states import (
     as_matrix,
@@ -73,11 +73,18 @@ class KrausChannel:
             self.validate()
 
     def validate(self) -> None:
+        flat = np.array([k.reshape(-1) for k in self.kraus])
+        if not np.isfinite(flat).all():
+            raise DomainViolation("Kraus operator has a NaN or infinite entry")
         acc = sum(k.conj().T @ k for k in self.kraus)
         scale = max(1.0, self.d_in**0.5)
         if float(np.linalg.norm(acc - np.eye(self.d_in))) > TRACE_PRESERVATION_TOL * scale:
             raise InvalidChannel("sum K*K deviates from the identity")
-        w = herm_eig(self.choi()).values
+        # choi() is V V* with the vectorised Kraus operators as V's columns, so
+        # the r x r Gram matrix V*V = [tr(K_a* K_b)] (the same for any fixed
+        # vectorisation) has the same nonzero eigenvalues and every other
+        # Choi eigenvalue is exactly 0.
+        w = herm_eig(flat.conj() @ flat.T).values
         if float(w[0]) < -CHOI_PSD_TOL * max(1.0, float(w[-1])):
             raise InvalidChannel("Choi matrix is not PSD within tolerance")
 
@@ -172,14 +179,15 @@ class Pinching(ConditionalExpectation):
             self.validate()
 
     def validate(self) -> None:
+        if any(p.shape != (self.dim, self.dim) for p in self.projectors):
+            raise InvalidChannel("projectors must be square and equal sized")
+        stack = np.array(self.projectors)
         for j, pj in enumerate(self.projectors):
-            if pj.shape != (self.dim, self.dim):
-                raise InvalidChannel("projectors must be square and equal sized")
-            for k, pk in enumerate(self.projectors):
-                target = pj if j == k else 0.0
-                if float(np.linalg.norm(pj @ pk - target)) > PROJECTOR_TOL:
-                    raise InvalidChannel("projectors are not mutually orthogonal")
-        total = sum(self.projectors)
+            products = pj @ stack  # P_j P_k for every k
+            products[j] -= pj
+            if float(np.linalg.norm(products, axis=(1, 2)).max()) > PROJECTOR_TOL:
+                raise InvalidChannel("projectors are not mutually orthogonal")
+        total = stack.sum(axis=0)
         if float(np.linalg.norm(total - np.eye(self.dim))) > PROJECTOR_TOL:
             raise InvalidChannel("projectors do not sum to the identity")
 

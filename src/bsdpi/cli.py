@@ -34,13 +34,14 @@ from .states import StatePair, load_state, read_input
 
 # the tolerances cmd_bounds reads; a config may override these and no other
 TOLERANCE_KEYS = ("dpi_abs", "slack_rel", "slack_abs")
+DEFAULT_DIMS = (2, 3, 4)
 
 
 @dataclass
 class CampaignConfig:
     seed: int = 7
     trials: int = 500
-    dims: tuple = (2, 3, 4)
+    dims: tuple | None = None  # None: DEFAULT_DIMS; partial_trace takes none
     channel_kind: str = "random_cptp"
     families: tuple = ("xlogx",)
     tolerances: dict = field(default_factory=dict)
@@ -49,15 +50,27 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.dims or any(d < 2 for d in self.dims):
-            raise ConfigError("dims must all be >= 2")
         if self.channel_kind not in ("pinching", "partial_trace", "random_cptp"):
             raise ConfigError(f"unknown channel_kind {self.channel_kind!r}")
+        if self.channel_kind == "partial_trace" and self.dims is not None:
+            drawn = sorted({d_keep * s for d_keep, s in campaigns.PARTIAL_TRACE_SHAPES})
+            raise ConfigError(
+                f"partial_trace draws its own dimensions {drawn} and takes no dims"
+            )
+        if self.dims is None:
+            self.dims = DEFAULT_DIMS
+        if not self.dims or any(d < 2 for d in self.dims):
+            raise ConfigError("dims must all be >= 2")
         for tag in self.families:
             try:
-                family_from_tag(tag)
+                fam = family_from_tag(tag)
             except ValueError as exc:
                 raise ConfigError(f"unknown family {tag!r}") from exc
+            if fam.measure_c is None or fam.measure_alpha is None:
+                raise ConfigError(
+                    f"family {tag!r} has no measure constants; bounds takes xlogx "
+                    "and neg_power:<beta> with beta in (0, 1)"
+                )
         for key, value in self.tolerances.items():
             if key not in TOLERANCE_KEYS:
                 raise ConfigError(f"unknown tolerance key {key!r}; bounds reads {TOLERANCE_KEYS}")
@@ -129,7 +142,7 @@ def cmd_bounds(args) -> int:
         config = CampaignConfig(
             seed=args.seed,
             trials=args.trials,
-            dims=_parse_dims(args.dims.split(",")),
+            dims=None if args.dims is None else _parse_dims(args.dims.split(",")),
             channel_kind=args.channel,
             families=tuple(args.family.split(",")) if args.family else ("xlogx",),
         )
@@ -139,7 +152,13 @@ def cmd_bounds(args) -> int:
         config.tolerances["slack_rel"] = args.tol
 
     kind = config.channel_kind
+    include_standard_dpi = getattr(args, "include_standard_dpi", False)
     if kind == "random_cptp":
+        if include_standard_dpi:
+            raise ConfigError(
+                "--include-standard-dpi compares against conditional expectations; "
+                "use it with --channel pinching or partial_trace"
+            )
         checks = [
             campaigns.DpiCheck(config.tol("dpi_abs")),
             campaigns.BoundCheck("bs_channel", config.tol("slack_rel")),
@@ -148,13 +167,12 @@ def cmd_bounds(args) -> int:
         checks = [
             campaigns.BoundCheck(
                 f"bs_{kind}", config.tol("slack_rel"),
-                include_standard_row=getattr(args, "include_standard_dpi", False),
+                include_standard_row=include_standard_dpi,
             )
         ]
-    bound_families = [t for t in config.families if t not in ("square", "neg_log")]
     maxf = None
-    if bound_families:
-        maxf = campaigns.MaxfCheck(bound_families, config.tol("slack_abs"))
+    if config.families:
+        maxf = campaigns.MaxfCheck(config.families, config.tol("slack_abs"))
         checks.append(maxf)
     campaigns.evaluate(config.seed, config.trials, config.dims, kind, checks)
     if maxf is not None:
@@ -227,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="run a bound campaign and write CSV")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--dims", default="2,3,4")
+    p.add_argument("--dims", default=None,
+                   help="comma-separated dimensions (default 2,3,4); not for partial_trace")
     p.add_argument("--channel", default="random_cptp",
                    choices=["pinching", "partial_trace", "random_cptp"])
     p.add_argument("--family", default="xlogx")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import bsdpi.channels
 from bsdpi import (
     DimMismatch,
+    DomainViolation,
     InvalidChannel,
     KrausChannel,
     PartialTraceFactor,
@@ -19,7 +21,8 @@ from bsdpi import (
     random_pinching,
     superop_matrix,
 )
-from bsdpi.linalg import SQRT, ScalarFunction
+from bsdpi.campaigns import sample_channel
+from bsdpi.linalg import SQRT, ScalarFunction, herm_eig
 
 
 def rand_matrix(dim, seed):
@@ -278,6 +281,73 @@ class TestRandomEnsembles:
         total = sum(pinching.projectors)
         assert np.linalg.norm(total - np.eye(5)) <= 1e-10
         assert len(pinching.projectors) >= 2
+
+
+def record_herm_eig(monkeypatch):
+    """The matrices validate hands to herm_eig, recorded in call order."""
+    seen = []
+
+    def recording(a):
+        seen.append(np.array(a))
+        return herm_eig(a)
+
+    monkeypatch.setattr(bsdpi.channels, "herm_eig", recording)
+    return seen
+
+
+class TestValidation:
+    def test_decomposes_no_matrix_larger_than_the_kraus_rank(self, monkeypatch):
+        channel = sample_channel(16, seed=3)
+        r = len(channel.kraus)
+        seen = record_herm_eig(monkeypatch)
+        channel.validate()
+        assert [m.shape for m in seen] == [(r, r)]
+
+    def test_gram_eigenvalues_are_the_nonzero_choi_eigenvalues(self, monkeypatch):
+        seen = record_herm_eig(monkeypatch)
+        channels = [
+            random_cptp(3, 2, 2, seed=50),
+            random_cptp(4, 4, 3, seed=51),
+            random_cptp(2, 2, 4, seed=52),  # r = d_in * d_out
+            depolarizing_channel(3),  # r = d_in * d_out
+        ]
+        for channel in channels:
+            seen.clear()
+            channel.validate()
+            r = len(channel.kraus)
+            (gram,) = seen
+            assert gram.shape == (r, r)
+            w_gram = np.linalg.eigvalsh(gram)
+            w_choi = np.linalg.eigvalsh(channel.choi())
+            assert np.abs(w_gram - w_choi[-r:]).max() <= 1e-12
+            assert np.abs(w_choi[:-r]).max(initial=0.0) <= 1e-12
+
+    def test_non_trace_preserving_family_is_refused(self):
+        channel = random_cptp(4, 4, 3, seed=53)
+        with pytest.raises(InvalidChannel, match="sum K\\*K"):
+            KrausChannel([0.9 * k for k in channel.kraus])
+        with pytest.raises(InvalidChannel, match="sum K\\*K"):
+            KrausChannel([*channel.kraus, 0.1 * np.eye(4)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_entry_is_refused_first(self, bad, monkeypatch):
+        kraus = [k.copy() for k in random_cptp(3, 3, 2, seed=54).kraus]
+        kraus[1][2, 0] = bad
+        seen = record_herm_eig(monkeypatch)
+        with pytest.raises(DomainViolation, match="Kraus operator has a NaN or infinite entry"):
+            KrausChannel(kraus)
+        assert seen == []
+
+    def test_pinching_refuses_overlapping_or_incomplete_projectors(self):
+        p = random_pinching(6, seed=55, num_blocks=3).projectors
+        with pytest.raises(InvalidChannel, match="orthogonal"):
+            Pinching([p[0], p[1] + 1e-6 * p[0], p[2]])
+        with pytest.raises(InvalidChannel, match="sum to the identity"):
+            Pinching(p[:2])
+
+    def test_pinching_checks_every_shape_before_any_product(self):
+        with pytest.raises(InvalidChannel, match="square and equal sized"):
+            Pinching([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
 
 
 class TestChannelJson:

@@ -296,6 +296,26 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "xlogx slack" in out
 
+    def test_partial_trace_refuses_dims(self, tmp_path, capsys):
+        # the kind draws its own shapes, d = 4 and 6; a requested d is refused
+        assert main(["bounds", "--channel", "partial_trace", "--dims", "8", "--trials", "3"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 3, "dims": [8], "channel_kind": "partial_trace"}))
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert "[4, 6]" in capsys.readouterr().err
+        assert main(["bounds", "--channel", "partial_trace", "--trials", "3"]) == 0
+
+    def test_standard_dpi_rows_are_refused_for_random_cptp(self, capsys):
+        assert main(["bounds", "--trials", "2", "--dims", "2", "--include-standard-dpi"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["square", "neg_log", "xlogx,square"])
+    def test_family_without_measure_constants_is_refused(self, family, capsys):
+        assert main(["bounds", "--trials", "2", "--dims", "2", "--family", family]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "measure constants" in err
+
     def test_one_trial_decomposes_each_matrix_once(self, capsys):
         # sampling: sigma, rho and the Choi matrix; analysis: sigma_T, rho_T,
         # G, G_T and the two maximal-f cores.  Families add no decomposition.
@@ -409,6 +429,16 @@ class TestBadInputFiles:
         path.write_text(json.dumps(obj))
         assert main(["certify", *state_files]) == 2
         assert capsys.readouterr().err.startswith("error: ParseError: ")
+
+    def test_non_finite_kraus_entry(self, state_files, tmp_path, capsys):
+        path = tmp_path / "chan.json"
+        obj = json.loads(path.read_text())
+        obj["kraus"][0][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(obj))
+        assert main(["certify", *state_files]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: DomainViolation: Kraus operator has a NaN or infinite entry"
+        )
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "none.json")]) == 2
