@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ConditionalExpectation, KrausChannel, build_contraction
-from .divergences import FDivFamily, bs_entropy, maximal_f, regularized_divergence, xlogx
+from .divergences import FDivFamily, bs_entropy, maximal_f
 from .errors import BadBeta, MissingMeasureParams, SingularState
 # herm_eig stays bound here: bench/tests check that the tracer wraps this binding
 from .linalg import herm_eig, hs_inner, schatten_norm  # noqa: F401
@@ -123,7 +123,7 @@ class InstanceAnalysis:
 
     @cached_property
     def gap_bs(self) -> float:
-        """BS(sigma||rho) - BS(sigma_T||rho_T) on the spectral route."""
+        """BS(sigma||rho) - BS(sigma_T||rho_T), each on its pair's common support."""
         return bs_entropy(self.inp) - bs_entropy(self.out)
 
     def gap_maximal(self, fam: FDivFamily) -> float:
@@ -171,9 +171,10 @@ class InstanceAnalysis:
         return schatten_norm(self.inp.sigma @ self.pulled_back - self.inp.rho, 2)
 
 
-def _bs_report(a: InstanceAnalysis, gap: float, constants: dict) -> BoundReport:
-    """rhs_k = (pi/4)^4 ||G||_inf^-2 residual_k^4 and
-    rhs_l = (pi/8)^4 ||G||_inf^-4 ||sigma^-1||_inf^-2 residual_l^4."""
+def _bs_report(a: InstanceAnalysis) -> BoundReport:
+    """The analysis' gap_bs against rhs_k = (pi/4)^4 ||G||_inf^-2 residual_k^4
+    and rhs_l = (pi/8)^4 ||G||_inf^-4 ||sigma^-1||_inf^-2 residual_l^4."""
+    gap = a.gap_bs
     residual_k = a.residual_k
     residual_l = a.residual_l
     gamma_sup = a.gamma_sup
@@ -182,16 +183,14 @@ def _bs_report(a: InstanceAnalysis, gap: float, constants: dict) -> BoundReport:
     pref_l = (math.pi / 8.0) ** 4
     rhs_k = pref_k * gamma_sup ** (-2.0) * residual_k**4
     rhs_l = pref_l * gamma_sup ** (-4.0) * sigma_inv_sup ** (-2.0) * residual_l**4
-    constants.update(
-        {
-            "gamma_sup": gamma_sup,
-            "sigma_inv_sup": sigma_inv_sup,
-            "prefactor_k": pref_k,
-            "prefactor_l": pref_l,
-            "residual_k": residual_k,
-            "residual_l": residual_l,
-        }
-    )
+    constants = {
+        "gamma_sup": gamma_sup,
+        "sigma_inv_sup": sigma_inv_sup,
+        "prefactor_k": pref_k,
+        "prefactor_l": pref_l,
+        "residual_k": residual_k,
+        "residual_l": residual_l,
+    }
     return BoundReport(
         gap=gap, rhs_k=rhs_k, rhs_l=rhs_l, precondition_ok=True, constants=constants
     )
@@ -207,29 +206,20 @@ def bs_bound_condexp(
     Both hold unconditionally, so precondition_ok is always True.
     """
     a = InstanceAnalysis.of(sigma, rho, expectation)
-    return _bs_report(a, a.gap_bs, {})
+    return _bs_report(a)
 
 
 def bs_bound_channel(sigma, rho=None, channel: KrausChannel | None = None) -> BoundReport:
     """Strengthened BS-entropy DPI bound for a general channel.
 
     The K form uses the Stinespring-isometry residual; the L form uses the
-    recovery residual with ||sigma_T^-1||_inf.  Rank-deficient inputs with
-    equal supports are handled with Moore-Penrose inverses on the residual
-    side and the epsilon-regularized route for the gap.
+    recovery residual with ||sigma_T^-1||_inf.  Rank-deficient inputs need
+    equal supports; their gap is the BS-entropy on the common support, as for
+    every input, and their residuals use Moore-Penrose inverses.
     """
     a = InstanceAnalysis.of(sigma, rho, channel)
     a.inp.require_equal_supports()
-    constants: dict = {}
-    if a.inp.s.full_rank:
-        gap = a.gap_bs
-    else:
-        top = regularized_divergence(a.inp, None, xlogx(), kind="maximal")
-        bottom = regularized_divergence(a.out, None, xlogx(), kind="maximal")
-        gap = top.value - bottom.value
-        constants["increment_top"] = top.increment
-        constants["increment_bottom"] = bottom.increment
-    return _bs_report(a, gap, constants)
+    return _bs_report(a)
 
 
 def maxf_bound(sigma, rho, target, fam: FDivFamily) -> BoundReport:

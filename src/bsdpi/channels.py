@@ -26,6 +26,11 @@ PROJECTOR_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 
 
+def matrix_units(n: int) -> np.ndarray:
+    """The n x n matrix units E_ij, stacked in row-major order of (i, j)."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
 def partial_trace_env(x: np.ndarray, d_keep: int, s: int) -> np.ndarray:
     """Trace out the trailing tensor factor of dimension s."""
     x = np.asarray(x, dtype=complex)
@@ -182,6 +187,9 @@ class Pinching(ConditionalExpectation):
         if any(p.shape != (self.dim, self.dim) for p in self.projectors):
             raise InvalidChannel("projectors must be square and equal sized")
         stack = np.array(self.projectors)
+        defect = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+        if float(defect.max()) > PROJECTOR_TOL:
+            raise InvalidChannel("projectors are not Hermitian")
         for j, pj in enumerate(self.projectors):
             products = pj @ stack  # P_j P_k for every k
             products[j] -= pj
@@ -219,13 +227,7 @@ class PartialTraceFactor(ConditionalExpectation):
     def as_kraus(self) -> KrausChannel:
         # K_{ij} = (I ⊗ |i><j|)/sqrt(s); their action equals apply() exactly.
         eye = np.eye(self.d_keep)
-        ops = []
-        for i in range(self.s):
-            for j in range(self.s):
-                e = np.zeros((self.s, self.s), dtype=complex)
-                e[i, j] = 1.0
-                ops.append(np.kron(eye, e) / np.sqrt(self.s))
-        return KrausChannel(ops)
+        return KrausChannel([np.kron(eye, e) / np.sqrt(self.s) for e in matrix_units(self.s)])
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -234,13 +236,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def depolarizing_channel(dim: int) -> KrausChannel:
     """X -> tr[X] I/dim."""
-    ops = []
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            ops.append(e / np.sqrt(dim))
-    return KrausChannel(ops)
+    return KrausChannel(list(matrix_units(dim) / np.sqrt(dim)))
 
 
 def diagonal_pinching(dim: int) -> Pinching:
@@ -271,9 +267,9 @@ def random_cptp(d_in: int, d_out: int, num_kraus: int, seed: int) -> KrausChanne
     return KrausChannel([blocks[:, a, :] for a in range(num_kraus)])
 
 
-def random_pinching(dim: int, seed: int, num_blocks: int | None = None) -> Pinching:
-    """Pinching onto a Haar-random block decomposition with >= 2 blocks."""
-    rng = np.random.Generator(np.random.Philox(seed))
+def random_blocks(dim: int, rng: np.random.Generator, num_blocks: int | None = None):
+    """A Haar-random unitary U drawn from ``rng`` and the pinching onto >= 2
+    blocks of consecutive columns of U: (U, Pinching)."""
     u = _haar_isometry(dim, dim, rng)
     if num_blocks is None:
         num_blocks = int(rng.integers(2, dim + 1))
@@ -281,11 +277,13 @@ def random_pinching(dim: int, seed: int, num_blocks: int | None = None) -> Pinch
         raise ValueError(f"num_blocks {num_blocks} outside [2, {dim}]")
     cuts = np.sort(rng.choice(np.arange(1, dim), size=num_blocks - 1, replace=False))
     bounds = [0, *cuts.tolist(), dim]
-    projectors = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        w = u[:, lo:hi]
-        projectors.append(w @ w.conj().T)
-    return Pinching(projectors)
+    blocks = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return u, Pinching([w @ w.conj().T for w in blocks])
+
+
+def random_pinching(dim: int, seed: int, num_blocks: int | None = None) -> Pinching:
+    """Pinching onto a Haar-random block decomposition with >= 2 blocks."""
+    return random_blocks(dim, np.random.Generator(np.random.Philox(seed)), num_blocks)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,10 +319,4 @@ def superop_matrix(fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarr
     Intended for property tests at dim <= 8; columns are vec(fn(E_ij)) with
     row-major vec and basis order E_00, E_01, ...
     """
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            m[:, i * dim + j] = fn(e).ravel()
-    return m
+    return np.array([fn(e).ravel() for e in matrix_units(dim)], dtype=complex).T

@@ -35,6 +35,10 @@ from .states import StatePair, load_state, read_input
 # the tolerances cmd_bounds reads; a config may override these and no other
 TOLERANCE_KEYS = ("dpi_abs", "slack_rel", "slack_abs")
 DEFAULT_DIMS = (2, 3, 4)
+# the CampaignConfig field of each bounds flag; a config file sets these
+# fields itself, so the flags are refused next to --config
+CAMPAIGN_FLAGS = {"seed": "seed", "trials": "trials", "dims": "dims",
+                  "channel": "channel_kind", "family": "families"}
 
 
 @dataclass
@@ -136,16 +140,18 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    given = {flag: value for flag in CAMPAIGN_FLAGS if (value := getattr(args, flag)) is not None}
     if args.config:
+        if given:
+            flags = ", ".join(f"--{flag}" for flag in given)
+            raise ConfigError(f"--config takes no {flags}; set them in the config file")
         config = CampaignConfig.from_json(read_input(args.config, "config"))
     else:
-        config = CampaignConfig(
-            seed=args.seed,
-            trials=args.trials,
-            dims=None if args.dims is None else _parse_dims(args.dims.split(",")),
-            channel_kind=args.channel,
-            families=tuple(args.family.split(",")) if args.family else ("xlogx",),
-        )
+        if "dims" in given:
+            given["dims"] = _parse_dims(given["dims"].split(","))
+        if "family" in given:
+            given["family"] = tuple(given["family"].split(","))
+        config = CampaignConfig(**{CAMPAIGN_FLAGS[flag]: value for flag, value in given.items()})
     if args.out:
         config.output_path = args.out
     if getattr(args, "tol", None) is not None:
@@ -243,13 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_divergence)
 
     p = sub.add_parser("bounds", help="run a bound campaign and write CSV")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--dims", default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--dims",
                    help="comma-separated dimensions (default 2,3,4); not for partial_trace")
-    p.add_argument("--channel", default="random_cptp",
-                   choices=["pinching", "partial_trace", "random_cptp"])
-    p.add_argument("--family", default="xlogx")
+    p.add_argument("--channel", choices=["pinching", "partial_trace", "random_cptp"])
+    p.add_argument("--family", help="comma-separated maximal-f families")
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=None,
                    help="override the relative slack tolerance")

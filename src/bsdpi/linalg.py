@@ -110,9 +110,6 @@ EXP = ScalarFunction(np.exp)
 SQRT = ScalarFunction(np.sqrt, lo=0.0, at_zero=0.0)
 LOG = ScalarFunction(np.log, lo=0.0)
 LOG_ON_SUPPORT = ScalarFunction(np.log, lo=0.0, at_zero=0.0, support_tol=RANK_TOL)
-RECIP_ON_SUPPORT = ScalarFunction(
-    lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=RANK_TOL
-)
 RSQRT_ON_SUPPORT = ScalarFunction(
     lambda x: 1.0 / np.sqrt(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
 )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ConditionalExpectation, KrausChannel, Pinching, _haar_isometry
+from .channels import ConditionalExpectation, KrausChannel, random_blocks
 from .divergences import renyi2_trace
 from .errors import SingularState
 from .linalg import Spectrum, schatten_norm
@@ -155,16 +155,7 @@ def pinching_fixed_pair(dim: int, seed: int, num_blocks: int | None = None):
     points of the expectation and the DPI gap vanishes without rho = sigma.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    u = _haar_isometry(dim, dim, rng)
-    if num_blocks is None:
-        num_blocks = int(rng.integers(2, dim + 1))
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=num_blocks - 1, replace=False))
-    bounds = [0, *cuts.tolist(), dim]
-    projectors = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        w = u[:, lo:hi]
-        projectors.append(w @ w.conj().T)
-    pinching = Pinching(projectors)
+    u, pinching = random_blocks(dim, rng, num_blocks)
 
     def _state() -> DensityMatrix:
         diag = rng.uniform(0.1, 1.0, size=dim)

@@ -52,10 +52,6 @@ class DensityMatrix:
             raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]!r}")
         return cls(mat=mat, dim=mat.shape[0], rank=spec.rank, spectrum=spec)
 
-    @property
-    def is_full_rank(self) -> bool:
-        return self.rank == self.dim
-
 
 @dataclass(frozen=True, eq=False)
 class GammaOperator:

@@ -16,12 +16,14 @@ from bsdpi import (
     k_alpha,
     l_alpha,
     lemma_integrand_check,
+    linalg,
     maxf_bound,
     neg_power,
     pinching_fixed_pair,
     random_cptp,
     random_density,
     random_pinching,
+    regularized_divergence,
     square_family,
     xlogx,
 )
@@ -121,6 +123,7 @@ class TestChannelBound:
             assert report.slack_l >= -tol
 
     def test_rank_deficient_regularized_route(self):
+        # the bound reads the common-support gap; the regularized route agrees
         for seed in range(10):
             sigma, rho = sample_equal_support_pair(4, 3, 4000 + seed)
             channel = random_cptp(4, 4, 2, seed=5000 + seed)
@@ -128,8 +131,26 @@ class TestChannelBound:
             tol = 1e-8 * (1.0 + report.gap)
             assert report.slack_k >= -tol
             assert report.slack_l >= -tol
-            assert report.constants["increment_top"] < 1e-6
-            assert report.constants["increment_bottom"] < 1e-6
+            top = regularized_divergence(sigma, rho, xlogx(), kind="maximal")
+            bottom = regularized_divergence(
+                channel.apply(sigma), channel.apply(rho), xlogx(), kind="maximal"
+            )
+            assert top.increment < 1e-6
+            assert bottom.increment < 1e-6
+            assert abs(top.value - bottom.value - report.gap) <= 1e-9
+
+    def test_one_spectral_route_for_every_input(self):
+        # sigma, rho, G and their three outputs for a singular pair; a
+        # full-rank pair arrives with its two spectra
+        channel = random_cptp(4, 4, 2, seed=5000)
+        calls = []
+        for sigma, rho in (sample_equal_support_pair(4, 3, 4000), sample_pair(4, 4000)):
+            before = linalg.herm_eig_calls
+            bs_bound_channel(sigma, rho, channel)
+            calls.append(linalg.herm_eig_calls - before)
+        singular, full_rank = calls
+        assert singular <= 6
+        assert full_rank == 4
 
     def test_support_mismatch(self):
         sigma = np.diag([1.0, 0.0]).astype(complex)

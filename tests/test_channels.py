@@ -345,6 +345,12 @@ class TestValidation:
         with pytest.raises(InvalidChannel, match="sum to the identity"):
             Pinching(p[:2])
 
+    def test_pinching_refuses_oblique_idempotents(self):
+        # P^2 = P, P(I - P) = 0 and the sum is I, but P is not Hermitian
+        p = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidChannel, match="Hermitian"):
+            Pinching([p, np.eye(2) - p])
+
     def test_pinching_checks_every_shape_before_any_product(self):
         with pytest.raises(InvalidChannel, match="square and equal sized"):
             Pinching([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])])

@@ -7,6 +7,14 @@ match exactly; every numeric column may deviate by at most DRIFT_TOL relative
 to max(|golden|, DRIFT_FLOOR), and the largest deviation per column is
 reported.
 
+bounds_channel_singular.csv holds the rows of
+`run_channel_bound_campaign(7, 0, (2, 3, 4), n_rank_deficient=24)` from the
+library that still took singular gaps from the epsilon-regularized Richardson
+route.  Today's gap is the BS-entropy on the common support, so `gap` and
+`slack` may move by at most SINGULAR_GAP_TOL absolute: on d = 2 rank-1 pairs
+the true gap is 0, where no relative gate applies.  `rhs_k` and `rhs_l` keep
+the DRIFT_TOL relative gate.
+
 The comparison also runs on its own:
 
     python tests/test_golden_csv.py NEW.csv GOLDEN.csv
@@ -19,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from bsdpi.campaigns import run_channel_bound_campaign, write_csv
 from bsdpi.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,10 +36,12 @@ EXACT = ("seed", "d", "family", "precondition_ok")
 NUMERIC = ("gap", "rhs_k", "rhs_l", "slack")
 DRIFT_TOL = 1e-10
 DRIFT_FLOOR = 1e-9
+SINGULAR_GAP_TOL = 1e-9
 
 
-def column_drift(text: str, golden: str) -> dict:
-    """Largest |x - g| / max(|g|, DRIFT_FLOOR) per numeric column.
+def column_drift(text: str, golden: str, absolute=()) -> dict:
+    """Largest |x - g| / max(|g|, DRIFT_FLOOR) per numeric column, or |x - g|
+    for the columns named in ``absolute``.
 
     Raises AssertionError when the row count or an identifying column differs.
     """
@@ -43,7 +54,8 @@ def column_drift(text: str, golden: str) -> dict:
             assert row[col] == g[col], f"row {i}: {col} {row[col]!r} != {g[col]!r}"
         for col in NUMERIC:
             x, y = float(row[col]), float(g[col])
-            drift[col] = max(drift[col], abs(x - y) / max(abs(y), DRIFT_FLOOR))
+            dev = abs(x - y) if col in absolute else abs(x - y) / max(abs(y), DRIFT_FLOOR)
+            drift[col] = max(drift[col], dev)
     return drift
 
 
@@ -57,6 +69,17 @@ def test_bounds_csv_matches_golden(kind, tmp_path, capsys):
     with capsys.disabled():
         print(f"\n{kind} drift per column: {drift}")
     assert max(drift.values()) <= DRIFT_TOL, drift
+
+
+def test_singular_channel_rows_match_golden(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    write_csv(str(out), run_channel_bound_campaign(7, 0, (2, 3, 4), n_rank_deficient=24)[1])
+    golden = (GOLDEN / "bounds_channel_singular.csv").read_text()
+    drift = column_drift(out.read_text(), golden, absolute=("gap", "slack"))
+    with capsys.disabled():
+        print(f"\nbs_channel_singular drift per column (gap, slack absolute): {drift}")
+    assert drift["rhs_k"] <= DRIFT_TOL and drift["rhs_l"] <= DRIFT_TOL, drift
+    assert drift["gap"] <= SINGULAR_GAP_TOL and drift["slack"] <= SINGULAR_GAP_TOL, drift
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ class TestConfig:
             CampaignConfig.from_json(json.dumps({"tolerances": {"slack_rell": 1e-8}}))
 
     @pytest.mark.parametrize(
-        "key", ["increment", "equality_gap", "equality_residual", "quadrature"]
+        "key", ["increment", "regularized_gap", "equality_gap", "equality_residual", "quadrature"]
     )
     def test_tolerance_unread_by_bounds_is_refused(self, key, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -91,7 +91,8 @@ class TestCriteriaTable:
         expected = {
             1: ((500,), (60,), {"dpi_abs": 1e-9}, 30.0),
             2: ((500, 200), (60, 24), {"slack_rel": 1e-8}, 60.0),
-            3: ((500, 100), (60, 12), {"slack_rel": 1e-8, "increment": 1e-6}, 60.0),
+            3: ((500, 100), (60, 12),
+                {"slack_rel": 1e-8, "increment": 1e-6, "regularized_gap": 1e-9}, 60.0),
             4: ((500, self.FAMILIES), (60, ("xlogx", "neg_power:0.5")),
                 {"slack_abs": 1e-8}, 30.0),
             5: ((50, 500), (10, 60), {"equality_gap": 1e-9, "equality_residual": 1e-7}, 60.0),
@@ -103,6 +104,14 @@ class TestCriteriaTable:
         assert table == expected
         assert [c.number for c in CRITERIA] == list(range(1, 9))
         assert SELFTEST_BUDGET_S == 120.0
+
+    @pytest.mark.parametrize("key", ["increment", "regularized_gap"])
+    def test_channel_criterion_fails_at_a_zero_oracle_tolerance(self, key):
+        # the regularized-route oracle gates criterion 3 and can fail it
+        criterion = CRITERIA[2]
+        assert criterion.check(7, criterion.reduced, criterion.tolerances)[0]
+        ok, detail = criterion.check(7, criterion.reduced, {**criterion.tolerances, key: 0.0})
+        assert not ok, detail
 
     def test_bounds_defaults_are_the_battery_tolerances(self):
         assert {k: CampaignConfig().tol(k) for k in cli.TOLERANCE_KEYS} == {
@@ -222,8 +231,9 @@ class TestParser:
         assert main(["bounds", "--trials", "1", "--dims", "2"]) == 0
         (first, _), (second, args) = seen
         assert first is second is cli.build_parser()
+        # flags left out stay None; CampaignConfig holds the defaults
         assert (args.seed, args.trials, args.dims, args.channel, args.family) == (
-            7, 1, "2", "random_cptp", "xlogx"
+            None, 1, "2", None, None
         )
         assert args.tol is None and args.out is None and not args.include_standard_dpi
 
@@ -252,6 +262,23 @@ class TestBoundsCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 5, "trials": 6, "dims": [2], "channel_kind": "pinching"}))
         assert main(["bounds", "--config", str(cfg)]) == 0
+
+    def test_config_refuses_campaign_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "dims": [2]}))
+        argv = ["bounds", "--config", str(cfg)]
+        assert main(argv + ["--dims", "3", "--trials", "5", "--channel", "pinching"]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "--trials, --dims, --channel" in err
+        for flag, value in (("--seed", "3"), ("--family", "xlogx")):
+            assert main(argv + [flag, value]) == 2
+            assert flag in capsys.readouterr().err
+        # --out and --tol still apply on top of a config: a negative slack
+        # tolerance demands slack above the gap scale, which no bound row has
+        out = tmp_path / "rows.csv"
+        assert main(argv + ["--out", str(out), "--tol", "-1"]) == 1
+        assert len(out.read_text().splitlines()) == 1 + 2 * 3
+        assert "bs_channel slack" in capsys.readouterr().out
 
     def test_fixture_single_trial(self, capsys):
         # trials=1 with rho=sigma style fixture: slack cannot be negative
