@@ -49,7 +49,7 @@ from .divergences import (
 )
 from .errors import ConfigError, NumericsError
 from .linalg import schatten_norm
-from .recovery import equality_residuals, petz_recovery, pinching_fixed_pair
+from .recovery import _petz, equality_residuals, pinching_fixed_pair
 from .states import DensityMatrix, gamma, random_density
 
 # (d_keep, s) factorizations used for partial-trace conditional expectations
@@ -223,12 +223,18 @@ def evaluate(
     deficient, analyse each once and hand that analysis to every check.
 
     An analysis lives for one trial; the checks keep only rows and summaries.
+    A numerics error from a check leaves with ``trial_seed`` set to the seed
+    of the trial that raised it.
     """
     for i in range(trials + n_rank_deficient):
         trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
         analysis = InstanceAnalysis(trial.sigma, trial.rho, trial.target)
-        for check in checks:
-            check.add(trial, analysis)
+        try:
+            for check in checks:
+                check.add(trial, analysis)
+        except NumericsError as exc:
+            exc.trial_seed = trial.seed
+            raise
 
 
 @dataclass
@@ -293,9 +299,7 @@ class BoundCheck(Check):
                 self.fail(trial.seed,
                           f"{family} slack {slack_min:.3e} below -{self.slack_rel:.0e}*(1+gap)")
         if self.include_standard_row:
-            self.rows.append(
-                _standard_dpi_row(trial.sigma, trial.rho, trial.target, trial.seed, trial.d)
-            )
+            self.rows.append(_standard_dpi_row(trial, a))
 
 
 @dataclass
@@ -528,75 +532,97 @@ class StructuralCheck(Check):
                 self.fail(sub, f"integrand inequality fails at t={t}: {lhs - rhs:.3e}")
 
 
-def _standard_dpi_row(sigma, rho, expectation, sub: int, d: int) -> Row:
-    """Informational row: relative-entropy gap vs the trace-norm Petz bound."""
-    channel = expectation.as_kraus()
-    sigma_n = expectation.apply(sigma.mat)
-    rho_n = expectation.apply(rho.mat)
-    gap = relative_entropy(sigma, rho) - relative_entropy(sigma_n, rho_n)
-    residual = schatten_norm(petz_recovery(channel, sigma, rho_n) - rho.mat, 1)
-    rho_sup = schatten_norm(rho.mat, np.inf)
-    sigma_inv_sup = 1.0 / float(np.linalg.eigvalsh(sigma.mat)[0])
+def _standard_dpi_row(trial: Trial, a: InstanceAnalysis) -> Row:
+    """Informational row: relative-entropy gap vs the trace-norm Petz bound,
+    read off the trial's analysis."""
+    gap = relative_entropy(a.inp) - relative_entropy(a.out)
+    recovered = _petz(a.target.as_kraus(), a.inp.s, a.out.s, a.out.rho)
+    residual = schatten_norm(recovered - a.inp.rho, 1)
+    rho_sup = a.inp.r.lam_max
+    sigma_inv_sup = 1.0 / a.inp.s.min_positive
     rhs = (math.pi / 8.0) ** 4 * (rho_sup * sigma_inv_sup) ** (-2.0) * residual**4
-    return Row(sub, d, "std_relent_petz", gap, rhs, 0.0, True, gap - rhs)
+    return Row(trial.seed, trial.d, "std_relent_petz", gap, rhs, 0.0, True, gap - rhs)
 
 
 BATTERY_DIMS = (2, 3, 4)
 
 
+def _battery(seed: int, trials: int, kind: str, checks, n_rank_deficient: int = 0) -> str:
+    """Run ``evaluate`` over BATTERY_DIMS for a criterion.
+
+    Returns "" when every trial was evaluated.  A numerics error stops the
+    run; the checks keep what they gathered before it, and the returned text,
+    appended to the criterion's line, names the error and the seed of the
+    trial that raised it.
+    """
+    try:
+        evaluate(seed, trials, BATTERY_DIMS, kind, checks, n_rank_deficient)
+    except NumericsError as exc:
+        return f"; {type(exc).__name__} on trial seed {exc.trial_seed}: {exc}"
+    return ""
+
+
 def _dpi(seed, counts, tol):
-    summary, _ = run_dpi_campaign(seed, counts[0], BATTERY_DIMS, tol["dpi_abs"])
-    return summary.ok, f"min gap {summary.min_slack:.3e}"
+    check = DpiCheck(tol["dpi_abs"])
+    error = _battery(seed, counts[0], "random_cptp", [check])
+    return check.summary.ok and not error, f"min gap {check.summary.min_slack:.3e}{error}"
 
 
 def _condexp(seed, counts, tol):
-    summaries = [
-        run_condexp_bound_campaign(seed, trials, BATTERY_DIMS, kind, tol["slack_rel"])[0]
-        for kind, trials in zip(CONDEXP_KINDS, counts)
-    ]
-    min_slack = min(s.min_slack for s in summaries)
-    return all(s.ok for s in summaries), f"min slack {min_slack:.3e}"
+    checks = []
+    error = ""
+    for kind, trials in zip(CONDEXP_KINDS, counts):
+        checks.append(BoundCheck(f"bs_{kind}", tol["slack_rel"]))
+        error = _battery(seed, trials, kind, checks[-1:])
+        if error:
+            break
+    min_slack = min(c.summary.min_slack for c in checks)
+    ok = all(c.summary.ok for c in checks) and not error
+    return ok, f"min slack {min_slack:.3e}{error}"
 
 
 def _channel(seed, counts, tol):
     trials, singular = counts
     bound = BoundCheck("bs_channel", tol["slack_rel"])
     oracle = RegularizedOracleCheck(tol["increment"], tol["regularized_gap"])
-    evaluate(seed, trials, BATTERY_DIMS, "random_cptp", [bound, oracle], singular)
+    error = _battery(seed, trials, "random_cptp", [bound, oracle], singular)
     ok = bound.summary.ok and oracle.summary.ok and oracle.summary.total == singular
-    return ok, (
-        f"min slack {bound.summary.min_slack:.3e}, {oracle.summary.total} singular instances, "
+    violations = len(bound.summary.violations) + len(oracle.summary.violations)
+    return ok and not error, (
+        f"min slack {bound.summary.min_slack:.3e}, {bound.summary.total} instances, "
+        f"{oracle.summary.total} singular instances, {violations} violations, "
         f"max increment {oracle.max_increment:.1e}, "
-        f"max gap disagreement {oracle.max_disagreement:.1e}"
+        f"max gap disagreement {oracle.max_disagreement:.1e}{error}"
     )
 
 
 def _maxf(seed, counts, tol):
     trials, families = counts
-    summary, _, rates = run_maxf_campaign(
-        seed, trials, BATTERY_DIMS, families, slack_abs=tol["slack_abs"]
-    )
+    check = MaxfCheck(families, tol["slack_abs"])
+    error = _battery(seed, trials, "pinching", [check])
     # the prefactor and measure constant of the xlogx and beta = 1/2 bounds
     constants_ok = (
         abs(k_alpha(0.0) - (math.pi / 4.0) ** 4) <= 1e-12
         and abs(neg_power(0.5).measure_c - math.pi) <= 1e-12
     )
-    rate_text = ", ".join(f"{tag}={rate:.3f}" for tag, rate in rates.items())
-    return summary.ok and constants_ok, f"precondition pass-rates: {rate_text}"
+    rate_text = ", ".join(f"{tag}={rate:.3f}" for tag, rate in check.pass_rates.items())
+    ok = check.summary.ok and constants_ok and not error
+    return ok, f"precondition pass-rates: {rate_text}{error}"
 
 
 def _equality(seed, counts, tol):
     constructed, trials = counts
     check = EqualityCheck(seed, constructed, tol["equality_gap"], tol["equality_residual"])
-    _campaign(check, seed, trials, BATTERY_DIMS, "random_cptp")
-    ok = check.summary.ok and check.hits == constructed
-    return ok, f"hits {check.hits}/{constructed}, co-positive {check.co_positive}/{trials}"
+    error = _battery(seed, trials, "random_cptp", [check])
+    ok = check.summary.ok and check.hits == constructed and not error
+    return ok, f"hits {check.hits}/{constructed}, co-positive {check.co_positive}/{trials}{error}"
 
 
 def _one(make_check, seed, counts, tol):
     """A criterion that one check decides over random CPTP trials."""
-    summary, _ = _campaign(make_check(tol), seed, counts[0], BATTERY_DIMS, "random_cptp")
-    return summary.ok, f"{summary.total} instances"
+    check = make_check(tol)
+    error = _battery(seed, counts[0], "random_cptp", [check])
+    return check.summary.ok and not error, f"{check.summary.total} instances{error}"
 
 
 @dataclass(frozen=True)
@@ -618,12 +644,10 @@ class Criterion:
     check: Callable[[int, tuple, dict], tuple[bool, str]]
 
     def run(self, seed: int, reduced: bool = False) -> tuple[bool, str]:
-        """(ok, its line); a numerics error or running over budget fails."""
+        """(ok, its line); a numerics error in a trial or running over budget
+        fails, and the line keeps the counts gathered up to the error."""
         started = time.perf_counter()
-        try:
-            ok, detail = self.check(seed, self.reduced if reduced else self.full, self.tolerances)
-        except NumericsError as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        ok, detail = self.check(seed, self.reduced if reduced else self.full, self.tolerances)
         elapsed = time.perf_counter() - started
         ok = ok and elapsed < self.budget_s
         status = "PASS" if ok else "FAIL"

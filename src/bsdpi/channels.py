@@ -117,11 +117,8 @@ class KrausChannel:
     def stinespring(self) -> StinespringIsometry:
         """V = sum_a K_a ⊗ e_a; the environment basis follows the Kraus order."""
         s = len(self.kraus)
-        v = np.zeros((self.d_out * s, self.d_in), dtype=complex)
-        for a, k in enumerate(self.kraus):
-            e = np.zeros((s, 1), dtype=complex)
-            e[a, 0] = 1.0
-            v += np.kron(k, e)
+        # row r*s + a of V is row r of K_a
+        v = np.stack(self.kraus, axis=1).reshape(self.d_out * s, self.d_in)
         return StinespringIsometry(v=v, d_in=self.d_in, d_out=self.d_out, s=s)
 
     def to_json(self) -> str:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadBeta, Diverging
-from .linalg import ScalarFunction, integrate_adaptive, matrix_fn
+from .linalg import LOG_ON_SUPPORT, RECIP_ON_SUPPORT, ScalarFunction, integrate_adaptive
 from .states import (
     SUPPORT_EQ_TOL,
     as_matrix,
@@ -124,19 +124,22 @@ def relative_entropy(sigma, rho=None) -> float:
     pair = as_pair(sigma, rho)
     if support_leak(pair.r, pair.sigma) > SUPPORT_EQ_TOL:
         return math.inf
-    return float(np.trace(pair.sigma @ (pair.s.log - pair.r.log)).real)
+    # sigma's weights in its own eigenbasis are its eigenvalues
+    return pair.s.trace_fn(LOG_ON_SUPPORT, pair.s.eig.values) - pair.r.trace_fn(
+        LOG_ON_SUPPORT, pair.r.weights(pair.s)
+    )
 
 
 def maximal_f(sigma, rho, fam: FDivFamily) -> float:
     """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}] for full-rank pairs.
 
-    ``sigma`` may be a StatePair with ``rho`` None; only ``fam.f`` is then
-    evaluated anew, on the pair's cached core spectrum.
+    The trace is tr[rho f(core)], a sum of f over the core's eigenvalues
+    weighted by rho.  ``sigma`` may be a StatePair with ``rho`` None; only
+    ``fam.f`` is then evaluated anew, on the pair's cached core spectrum.
     """
     pair = as_pair(sigma, rho)
     pair.require_full_rank()
-    r_half = pair.r.sqrt
-    return float(np.trace(r_half @ matrix_fn(pair.core, fam.f) @ r_half).real)
+    return pair.core.trace_fn(fam.f, pair.core_weights)
 
 
 def bs_entropy(sigma, rho=None) -> float:
@@ -148,13 +151,14 @@ def bs_entropy(sigma, rho=None) -> float:
     """
     pair = as_pair(sigma, rho)
     pair.require_equal_supports()
-    return -float(np.trace(pair.sigma @ pair.ratio.log).real)
+    return -pair.ratio.trace_fn(LOG_ON_SUPPORT, pair.ratio_weights)
 
 
 def renyi2_trace(sigma, rho) -> float:
     """tr[sigma^2 rho^{-1}] with the Moore-Penrose inverse on singular rho."""
     s = as_matrix(sigma)
-    return float(np.trace(s @ s @ as_spectrum(rho).pinv).real)
+    r = as_spectrum(rho)
+    return r.trace_fn(RECIP_ON_SUPPORT, r.weights(s @ s))
 
 
 class RegularizedValue(NamedTuple):

@@ -2,7 +2,13 @@
 
 
 class NumericsError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``trial_seed`` is the seed of the campaign trial that raised the error,
+    when a campaign was running; ``campaigns.evaluate`` sets it.
+    """
+
+    trial_seed: int | None = None
 
 
 class NotHermitian(NumericsError):

@@ -9,7 +9,7 @@ pure: no input is mutated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -113,6 +113,7 @@ LOG_ON_SUPPORT = ScalarFunction(np.log, lo=0.0, at_zero=0.0, support_tol=RANK_TO
 RSQRT_ON_SUPPORT = ScalarFunction(
     lambda x: 1.0 / np.sqrt(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
 )
+RECIP_ON_SUPPORT = ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=RANK_TOL)
 STEP_ON_SUPPORT = ScalarFunction(
     lambda x: np.ones_like(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
 )
@@ -123,9 +124,9 @@ class Spectrum:
 
     Every spectral quantity of the matrix is read off the single herm_eig call
     made here: functions of the matrix (matrix_fn and pinv accept a Spectrum),
-    its support projector, numerical rank and smallest positive eigenvalue.
-    Derived matrices are computed on first use and kept for the life of the
-    object.
+    traces tr[X f(A)] as weighted eigenvalue sums, its support projector,
+    numerical rank and smallest positive eigenvalue.  Derived matrices are
+    computed on first use and kept for the life of the object.
     """
 
     def __init__(self, a: np.ndarray):
@@ -156,13 +157,30 @@ class Spectrum:
         return pinv(self)
 
     @cached_property
-    def log(self) -> np.ndarray:
-        """Logarithm on the support, 0 off it."""
-        return matrix_fn(self, LOG_ON_SUPPORT)
-
-    @cached_property
     def support_projector(self) -> np.ndarray:
+        """Projector onto the support; exactly the identity at full rank,
+        where U U* would differ from it by rounding."""
+        if self.full_rank:
+            return np.eye(self.dim, dtype=complex)
         return matrix_fn(self, STEP_ON_SUPPORT)
+
+    def weights(self, x: np.ndarray | Spectrum) -> np.ndarray:
+        """The diagonal <u_i, X u_i> of X in the eigenbasis, in eigenvalue order.
+
+        For X given by its Spectrum sum_k mu_k v_k v_k*, each weight is the
+        sum of mu_k |<v_k, u_i>|^2: for PSD X its terms are nonnegative, so a
+        small weight keeps its relative accuracy, which <u_i, X u_i> loses to
+        cancellation at ~eps ||X||.
+        """
+        u = self.eig.vectors
+        if isinstance(x, Spectrum):
+            return x.eig.values @ np.abs(x.eig.vectors.conj().T @ u) ** 2
+        return (u.conj() * (np.asarray(x) @ u)).sum(axis=0).real
+
+    def trace_fn(self, f: ScalarFunction | Callable, weights: np.ndarray) -> float:
+        """tr[X f(A)] = sum_i f(lambda_i) <u_i, X u_i> for Hermitian X, given
+        ``weights(X)``; f(A) itself is never formed."""
+        return float(spectral_values(self, f) @ weights)
 
     @cached_property
     def rank(self) -> int:
@@ -183,24 +201,31 @@ class Spectrum:
         return float(positive[0])
 
 
-def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
+def spectral_values(spec: Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
+    """f(lambda_i) for every eigenvalue of ``spec``, in its eigenvalue order.
 
-    Returns ``U diag(f(lambda_i)) U*``; the output is hermitized.  Eigenvalues
-    outside the (clipped) domain of ``f`` raise DomainViolation.  ``a`` may be
-    a Spectrum, whose decomposition is then reused.
+    Eigenvalues in (-CLIP_TOL * max(lambda_max, 1), 0) are clipped to 0 when
+    ``f`` lives on the nonnegative axis; with ``f.at_zero`` set, zero
+    eigenvalues, or with ``f.support_tol`` every eigenvalue at most
+    ``support_tol * lambda_max``, map to ``at_zero``.  Any other eigenvalue
+    outside the open domain of ``f`` raises DomainViolation.
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
-    spec = a if isinstance(a, Spectrum) else Spectrum(a)
-    eig = spec.eig
-    lam = eig.values.copy()
+    lam = spec.eig.values
     lam_max = spec.lam_max
+    cut = 0.0 if f.support_tol is None else f.support_tol * lam_max
+    # eigenvalues ascend: when the smallest is positive, above the support cut
+    # and the lower end of the domain, and the largest is below its upper end,
+    # nothing is clipped or cut and f applies to every eigenvalue
+    if lam[0] > max(f.lo, cut) and lam[-1] < f.hi:
+        return np.asarray(f.fn(lam), dtype=float)
+    lam = lam.copy()
     if f.lo >= 0.0:
         clip = CLIP_TOL * max(lam_max, 1.0)
         lam[(lam < 0.0) & (lam > -clip)] = 0.0
     if f.support_tol is not None:
-        zero = lam <= f.support_tol * lam_max
+        zero = lam <= cut
     else:
         zero = lam == 0.0
     if f.at_zero is None:
@@ -215,7 +240,19 @@ def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndar
         vals[zero] = f.at_zero
     if live.any():
         vals[live] = np.asarray(f.fn(lam[live]), dtype=float)
-    out = (eig.vectors * vals) @ eig.vectors.conj().T
+    return vals
+
+
+def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
+    """Apply a scalar function to a Hermitian matrix through its spectrum.
+
+    Returns ``U diag(f(lambda_i)) U*``, with the eigenvalues mapped by
+    spectral_values; the output is hermitized.  ``a`` may be a Spectrum,
+    whose decomposition is then reused.
+    """
+    spec = a if isinstance(a, Spectrum) else Spectrum(a)
+    vectors = spec.eig.vectors
+    out = (vectors * spectral_values(spec, f)) @ vectors.conj().T
     return 0.5 * (out + out.conj().T)
 
 
@@ -225,8 +262,7 @@ def pinv(a: np.ndarray | Spectrum, rank_tol: float = RANK_TOL) -> np.ndarray:
     Eigenvalues below ``rank_tol * lambda_max`` map to 0, the rest to their
     reciprocal.  The zero matrix maps to itself.
     """
-    f = ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=rank_tol)
-    return matrix_fn(a, f)
+    return matrix_fn(a, replace(RECIP_ON_SUPPORT, support_tol=rank_tol))
 
 
 def schatten_norm(a: np.ndarray, p) -> float:

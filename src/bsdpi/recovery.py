@@ -80,18 +80,25 @@ def _analysis(sigma, rho, target):
 def stinespring_residual(sigma, rho=None, channel: KrausChannel | None = None) -> float:
     """Residual of the isometry-form equality condition.
 
-    || V s^(1/2) V* (s_T^(-1/2) G_T^(1/2) s_T^(1/2) ⊗ I) - V G^(1/2) s^(1/2) V* ||_2
-    with G the ratio operator of (sigma, rho), G_T of the channel outputs, and
-    V the Stinespring isometry constructed from the Kraus family.  ``sigma``
-    may be an InstanceAnalysis of the triple, whose spectra are then reused.
+    || V s^(1/2) V* (X ⊗ I) - V G^(1/2) s^(1/2) V* ||_2 with
+    X = s_T^(-1/2) G_T^(1/2) s_T^(1/2), G the ratio operator of (sigma, rho),
+    G_T of the channel outputs, and V the Stinespring isometry constructed
+    from the Kraus family.  V*V = I, so the left factor V leaves the norm
+    unchanged and is dropped, and V*(X ⊗ I) is formed from the blocks K_a* X
+    without X ⊗ I.  ``sigma`` may be an InstanceAnalysis of the triple, whose
+    spectra are then reused.
     """
     a = _analysis(sigma, rho, channel)
     inp, out = a.inp, a.out
     dilation = a.target.stinespring()
-    v = dilation.v
-    theta = np.kron(out.s.rsqrt @ out.ratio.sqrt @ out.s.sqrt, np.eye(dilation.s))
-    lhs = v @ inp.s.sqrt @ v.conj().T @ theta
-    rhs = v @ inp.ratio.sqrt @ inp.s.sqrt @ v.conj().T
+    d_in, d_out, s = dilation.d_in, dilation.d_out, dilation.s
+    v_adj = dilation.v.conj().T
+    x = out.s.rsqrt @ out.ratio.sqrt @ out.s.sqrt
+    # column r*s + a of V* is column r of K_a*, so that of V*(X ⊗ I) is column r of K_a* X
+    blocks = v_adj.reshape(d_in, d_out, s).transpose(2, 0, 1) @ x
+    v_adj_x = blocks.transpose(1, 2, 0).reshape(d_in, d_out * s)
+    lhs = inp.s.sqrt @ v_adj_x
+    rhs = inp.ratio.sqrt @ inp.s.sqrt @ v_adj
     return schatten_norm(lhs - rhs, 2)
 
 

@@ -160,7 +160,10 @@ class StatePair:
 
     sigma, rho, the ratio operator G = gamma(sigma, rho) and the maximal-f
     core rho^{-1/2} sigma rho^{-1/2} = gamma(rho, sigma) are each decomposed
-    at most once, on first use.  Arguments are anything as_spectrum accepts.
+    at most once, on first use, and sigma's weights in G's eigenbasis and
+    rho's in the core's are kept, so every divergence of the pair is a
+    weighted sum over a cached spectrum.  Arguments are anything as_spectrum
+    accepts.
     """
 
     def __init__(self, sigma, rho):
@@ -189,14 +192,28 @@ class StatePair:
         return gamma(self.r, self.sigma).spectrum
 
     @cached_property
+    def ratio_weights(self) -> np.ndarray:
+        """sigma in the eigenbasis of G: tr[sigma f(G)] = ratio.trace_fn(f, this)."""
+        return self.ratio.weights(self.s)
+
+    @cached_property
+    def core_weights(self) -> np.ndarray:
+        """rho in the eigenbasis of the core: tr[rho f(core)] = core.trace_fn(f, this)."""
+        return self.core.weights(self.r)
+
+    @cached_property
     def regularized(self) -> tuple:
         """The pair with both states regularized at each eps of EPS_GRID."""
         return tuple(StatePair(regularize(self.sigma, e), regularize(self.rho, e)) for e in EPS_GRID)
 
     def require_equal_supports(self) -> None:
-        """Raise SupportMismatch unless sigma and rho have equal supports."""
+        """Raise SupportMismatch unless sigma and rho have equal supports.
+
+        Two full-rank states have the exact identity as support projector, so
+        their difference is exactly 0 and needs no singular values.
+        """
         diff = support_projector(self.s) - support_projector(self.r)
-        if schatten_norm(diff, np.inf) > SUPPORT_EQ_TOL:
+        if diff.any() and schatten_norm(diff, np.inf) > SUPPORT_EQ_TOL:
             raise SupportMismatch("sigma and rho must have equal supports")
 
     def require_full_rank(self) -> None:

@@ -97,6 +97,16 @@ class TestStinespring:
         assert np.allclose(dilation.v, expected)
         assert np.allclose(dilation.v.conj().T @ dilation.v, np.eye(2))
 
+    @pytest.mark.parametrize("d_in,d_out,s", [(2, 2, 3), (3, 2, 3), (4, 4, 2), (2, 5, 1)])
+    def test_isometry_is_bitwise_the_kron_sum(self, d_in, d_out, s):
+        channel = random_cptp(d_in, d_out, s, seed=10 * d_in + d_out)
+        v = np.zeros((d_out * s, d_in), dtype=complex)
+        for a, k in enumerate(channel.kraus):
+            e = np.zeros((s, 1), dtype=complex)
+            e[a, 0] = 1.0
+            v += np.kron(k, e)
+        assert channel.stinespring().v.tobytes() == v.tobytes()
+
     def test_reconstruction(self):
         channel = random_cptp(2, 2, 3, seed=6)
         dilation = channel.stinespring()

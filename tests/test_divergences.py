@@ -24,6 +24,7 @@ from bsdpi import (
 )
 from bsdpi import linalg
 from bsdpi.campaigns import sample_equal_support_pair, sample_pair
+from bsdpi.linalg import LOG_ON_SUPPORT, matrix_fn
 from bsdpi.states import EPS_GRID, StatePair
 
 # classical value for sigma=diag(1/2,1/2), rho=diag(1/4,3/4) under x log x
@@ -294,3 +295,42 @@ class TestDataProcessing:
                 channel.apply(sigma), channel.apply(rho)
             )
             assert gap >= -1e-9
+
+
+class TestWeightedTraces:
+    """Traces read as weighted sums over a cached spectrum agree with the
+    reconstructed form tr[X f(A)]."""
+
+    FAMILIES = (xlogx(), neg_power(0.25), neg_power(0.5), neg_power(0.75))
+
+    @staticmethod
+    def assert_close(value, reference):
+        assert abs(value - reference) <= 1e-13 * abs(reference), (value, reference)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_full_rank_pairs(self, d):
+        for seed in range(3):
+            pair = StatePair(*sample_pair(d, 100 * d + seed))
+            r_half = pair.r.sqrt
+            for fam in self.FAMILIES:
+                reference = np.trace(r_half @ matrix_fn(pair.core, fam.f) @ r_half).real
+                self.assert_close(maximal_f(pair, None, fam), reference)
+            reference = -np.trace(pair.sigma @ matrix_fn(pair.ratio, LOG_ON_SUPPORT)).real
+            self.assert_close(bs_entropy(pair), reference)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_equal_support_rank_deficient_pairs(self, d):
+        for seed in range(3):
+            pair = StatePair(*sample_equal_support_pair(d, d - 1, 100 * d + seed))
+            reference = -np.trace(pair.sigma @ matrix_fn(pair.ratio, LOG_ON_SUPPORT)).real
+            self.assert_close(bs_entropy(pair), reference)
+            for fam in self.FAMILIES:
+                reference = np.trace(pair.sigma @ matrix_fn(pair.ratio, fam.f)).real
+                self.assert_close(pair.ratio.trace_fn(fam.f, pair.ratio_weights), reference)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_spectral_weights_match_the_direct_diagonal(self, d):
+        pair = StatePair(*sample_pair(d, 900 + d))
+        direct = pair.core.weights(pair.rho)
+        assert np.allclose(pair.core_weights, direct, rtol=0.0, atol=1e-14)
+        assert np.all(pair.core_weights >= 0.0)

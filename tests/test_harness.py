@@ -1,17 +1,24 @@
 import argparse
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
 
-from bsdpi import cli, linalg, random_cptp, random_density, save_state
+from bsdpi import campaigns, cli, linalg, random_cptp, random_density, save_state
 from bsdpi.campaigns import (
     CRITERIA,
     DEFAULT_TOLERANCES,
+    MAXF_FAMILIES,
     SELFTEST_BUDGET_S,
+    BoundCheck,
     CampaignSummary,
+    DpiCheck,
+    MaxfCheck,
     Row,
     derive_seed,
+    evaluate,
     run_condexp_bound_campaign,
     run_dpi_campaign,
     sample_equal_support_pair,
@@ -19,7 +26,7 @@ from bsdpi.campaigns import (
 )
 from bsdpi.channels import save_channel
 from bsdpi.cli import CampaignConfig, main
-from bsdpi.errors import ConfigError
+from bsdpi.errors import ConfigError, Diverging
 from bsdpi.recovery import pinching_fixed_pair
 
 
@@ -113,11 +120,63 @@ class TestCriteriaTable:
         ok, detail = criterion.check(7, criterion.reduced, {**criterion.tolerances, key: 0.0})
         assert not ok, detail
 
+    def test_numerics_error_keeps_the_gathered_counts(self):
+        # the corrupted eigensolver makes the regularized oracle raise on a
+        # singular trial; the line still carries what came before it
+        criterion = CRITERIA[2]
+        trials, singular = criterion.reduced
+        linalg.set_eig_corruption(1e-6)
+        try:
+            ok, line = criterion.run(7, reduced=True)
+        finally:
+            linalg.set_eig_corruption(0.0)
+        assert not ok and ": FAIL (" in line, line
+        match = re.search(r"Diverging on trial seed (\d+): ", line)
+        assert match, line
+        singular_seeds = {derive_seed(7, i) for i in range(trials, trials + singular)}
+        assert int(match.group(1)) in singular_seeds
+        counts = re.search(
+            r"min slack (\S+), (\d+) instances, (\d+) singular instances, (\d+) violations", line
+        )
+        assert counts, line
+        assert float(counts.group(1)) < 1.0
+        assert int(counts.group(2)) >= trials
+        assert int(counts.group(3)) < singular
+
     def test_bounds_defaults_are_the_battery_tolerances(self):
         assert {k: CampaignConfig().tol(k) for k in cli.TOLERANCE_KEYS} == {
             "dpi_abs": 1e-9, "slack_rel": 1e-8, "slack_abs": 1e-8,
         }
         assert all(c.tolerances[k] == DEFAULT_TOLERANCES[k] for c in CRITERIA for k in c.tolerances)
+
+
+class TestTrialCost:
+    def test_one_channel_trial_with_four_families(self, monkeypatch):
+        # every module's binding of matrix_fn is counted, as the benchmark
+        # tracer wraps them; each matrix is decomposed once and no support
+        # comparison needs singular values
+        calls = {"matrix_fn": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        matrix_fn = linalg.matrix_fn
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bsdpi" and getattr(module, "matrix_fn", None) is matrix_fn:
+                monkeypatch.setattr(module, "matrix_fn", counted("matrix_fn", matrix_fn))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for d in (2, 3, 4):
+            calls.update(matrix_fn=0, svd=0)
+            checks = [DpiCheck(1e-9), BoundCheck("bs_channel", 1e-8), MaxfCheck(MAXF_FAMILIES, 1e-8)]
+            before = linalg.herm_eig_calls
+            evaluate(7, 1, (d,), "random_cptp", checks)
+            assert linalg.herm_eig_calls - before == 9
+            assert calls["matrix_fn"] <= 9, calls
+            assert calls["svd"] == 0
+            assert sum(len(c.rows) for c in checks) == 6
 
 
 class TestSeedDerivation:
@@ -465,6 +524,16 @@ class TestBadInputFiles:
         assert main(["certify", *state_files]) == 2
         assert capsys.readouterr().err.startswith(
             "error: DomainViolation: Kraus operator has a NaN or infinite entry"
+        )
+
+    def test_numerics_error_in_a_trial_exits_2(self, monkeypatch, capsys):
+        def diverge(self, trial, a):
+            raise Diverging("regularized increments fail to shrink")
+
+        monkeypatch.setattr(campaigns.BoundCheck, "add", diverge)
+        assert main(["bounds", "--trials", "2", "--dims", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: Diverging: regularized increments fail to shrink\n"
         )
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -118,6 +118,19 @@ class TestMatrixFn:
         with pytest.raises(DomainViolation):
             matrix_fn(np.diag([1.0, 0.0]), LOG)
 
+    def test_domain_ends_hold_for_matrices_and_traces(self):
+        # log(1 - x) lives on (0, 1); the trace shares the matrix function's checks
+        f = ScalarFunction(lambda x: np.log(1.0 - x), lo=0.0, hi=1.0)
+        inside = Spectrum(np.diag([0.25, 0.5]))
+        expected = 0.25 * math.log(0.75) + 0.5 * math.log(0.5)
+        assert inside.trace_fn(f, inside.weights(inside.mat)) == pytest.approx(expected, rel=1e-15)
+        for values in ([0.5, 1.0], [0.0, 0.5], [-0.1, 0.5]):
+            spec = Spectrum(np.diag(values))
+            with pytest.raises(DomainViolation):
+                matrix_fn(spec, f)
+            with pytest.raises(DomainViolation):
+                spec.trace_fn(f, spec.weights(spec.mat))
+
     def test_negative_clipping(self):
         a = np.diag([1.0, -1e-15])
         out = matrix_fn(a, SQRT)
@@ -163,13 +176,14 @@ class TestSpectrum:
         derived = {
             SQRT: spec.sqrt,
             RSQRT_ON_SUPPORT: spec.rsqrt,
-            LOG_ON_SUPPORT: spec.log,
             STEP_ON_SUPPORT: spec.support_projector,
         }
         rank, min_positive, inverse = spec.rank, spec.min_positive, spec.pinv
+        log_trace = spec.trace_fn(LOG_ON_SUPPORT, spec.weights(a))
         assert linalg.herm_eig_calls - before == 1
         for f, value in derived.items():
             assert np.array_equal(value, matrix_fn(a, f))
+        assert log_trace == pytest.approx(np.trace(a @ matrix_fn(a, LOG_ON_SUPPORT)).real, rel=1e-13)
         assert np.array_equal(inverse, pinv(a))
         assert rank == 3 and not spec.full_rank
         w = np.linalg.eigvalsh(a)

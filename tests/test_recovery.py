@@ -8,6 +8,7 @@ from bsdpi import (
     SingularState,
     bs_recovery,
     condexp_equality_residuals,
+    depolarizing_channel,
     diagonal_pinching,
     equality_residuals,
     identity_channel,
@@ -16,8 +17,48 @@ from bsdpi import (
     random_cptp,
     random_density,
     random_pinching,
+    stinespring_residual,
 )
+from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import sample_pair
+from bsdpi.linalg import schatten_norm
+
+
+def dilation_residual(sigma, rho, channel):
+    """The isometry-form residual in its dilation form, kept as the reference:
+    || V s^(1/2) V* (X ⊗ I) - V G^(1/2) s^(1/2) V* ||_2 on the full
+    (d_out s)-dimensional space, X = s_T^(-1/2) G_T^(1/2) s_T^(1/2)."""
+    a = InstanceAnalysis(sigma, rho, channel)
+    inp, out = a.inp, a.out
+    dilation = channel.stinespring()
+    v = dilation.v
+    theta = np.kron(out.s.rsqrt @ out.ratio.sqrt @ out.s.sqrt, np.eye(dilation.s))
+    lhs = v @ inp.s.sqrt @ v.conj().T @ theta
+    rhs = v @ inp.ratio.sqrt @ inp.s.sqrt @ v.conj().T
+    return schatten_norm(lhs - rhs, 2)
+
+
+class TestStinespringResidual:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_the_dilation_form_on_random_channels(self, d):
+        for seed in range(3):
+            channel = random_cptp(d, d, 2 + seed, seed=700 + 10 * d + seed)
+            sigma, rho = sample_pair(d, 800 + 10 * d + seed)
+            reference = dilation_residual(sigma, rho, channel)
+            assert stinespring_residual(sigma, rho, channel) == pytest.approx(reference, rel=1e-12)
+
+    def test_matches_the_dilation_form_between_dimensions(self):
+        channel = random_cptp(3, 2, 3, seed=71)
+        sigma, rho = sample_pair(3, 72)
+        reference = dilation_residual(sigma, rho, channel)
+        assert stinespring_residual(sigma, rho, channel) == pytest.approx(reference, rel=1e-12)
+
+    def test_matches_the_dilation_form_on_the_depolarizing_channel(self):
+        sigma, rho = sample_pair(3, 73)
+        channel = depolarizing_channel(3)
+        reference = dilation_residual(sigma, rho, channel)
+        assert reference > 0.1
+        assert stinespring_residual(sigma, rho, channel) == pytest.approx(reference, rel=1e-12)
 
 
 class TestPetzRecovery:

@@ -17,7 +17,9 @@ from bsdpi import (
     state_to_json,
     support_projector,
 )
+from bsdpi.campaigns import sample_equal_support_pair
 from bsdpi.linalg import SQRT
+from bsdpi.states import StatePair
 
 
 class TestRandomDensity:
@@ -140,6 +142,19 @@ class TestSupportProjector:
     def test_full_rank(self):
         rho = random_density(3, 3, 17)
         assert np.allclose(support_projector(rho), np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_full_rank_is_exactly_the_identity(self, d):
+        assert np.array_equal(support_projector(random_density(d, d, 30 + d)), np.eye(d))
+
+    def test_equal_supports_required_of_rank_deficient_pairs(self):
+        sigma, rho = sample_equal_support_pair(4, 2, 31)
+        StatePair(sigma, rho).require_equal_supports()
+        other, _ = sample_equal_support_pair(4, 2, 32)
+        with pytest.raises(SupportMismatch):
+            StatePair(sigma, other).require_equal_supports()
+        with pytest.raises(SupportMismatch):
+            StatePair(sigma, random_density(4, 4, 33)).require_equal_supports()
 
     def test_rank_one(self):
         v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
