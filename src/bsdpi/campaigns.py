@@ -223,17 +223,17 @@ def evaluate(
     deficient, analyse each once and hand that analysis to every check.
 
     An analysis lives for one trial; the checks keep only rows and summaries.
-    A numerics error from a check leaves with ``trial_seed`` set to the seed
-    of the trial that raised it.
+    A numerics error from drawing or checking a trial leaves with
+    ``trial_seed`` set to that trial's seed.
     """
     for i in range(trials + n_rank_deficient):
-        trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
-        analysis = InstanceAnalysis(trial.sigma, trial.rho, trial.target)
         try:
+            trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
+            analysis = InstanceAnalysis(trial.sigma, trial.rho, trial.target)
             for check in checks:
                 check.add(trial, analysis)
         except NumericsError as exc:
-            exc.trial_seed = trial.seed
+            exc.trial_seed = derive_seed(seed, i)  # the sub-seed draw_trial gives trial i
             raise
 
 

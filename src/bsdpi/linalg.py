@@ -212,20 +212,13 @@ def spectral_values(spec: Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
-    lam = spec.eig.values
+    lam = spec.eig.values.copy()
     lam_max = spec.lam_max
-    cut = 0.0 if f.support_tol is None else f.support_tol * lam_max
-    # eigenvalues ascend: when the smallest is positive, above the support cut
-    # and the lower end of the domain, and the largest is below its upper end,
-    # nothing is clipped or cut and f applies to every eigenvalue
-    if lam[0] > max(f.lo, cut) and lam[-1] < f.hi:
-        return np.asarray(f.fn(lam), dtype=float)
-    lam = lam.copy()
     if f.lo >= 0.0:
         clip = CLIP_TOL * max(lam_max, 1.0)
         lam[(lam < 0.0) & (lam > -clip)] = 0.0
     if f.support_tol is not None:
-        zero = lam <= cut
+        zero = lam <= f.support_tol * lam_max
     else:
         zero = lam == 0.0
     if f.at_zero is None:
