@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadBeta, Diverging
-from .linalg import LOG_ON_SUPPORT, RECIP_ON_SUPPORT, ScalarFunction, integrate_adaptive
+from .linalg import LOG_ON_SUPPORT, ScalarFunction, integrate_adaptive
 from .states import (
     SUPPORT_EQ_TOL,
     as_matrix,
@@ -157,8 +157,7 @@ def bs_entropy(sigma, rho=None) -> float:
 def renyi2_trace(sigma, rho) -> float:
     """tr[sigma^2 rho^{-1}] with the Moore-Penrose inverse on singular rho."""
     s = as_matrix(sigma)
-    r = as_spectrum(rho)
-    return r.trace_fn(RECIP_ON_SUPPORT, r.weights(s @ s))
+    return float(np.trace(s @ s @ as_spectrum(rho).pinv).real)
 
 
 class RegularizedValue(NamedTuple):

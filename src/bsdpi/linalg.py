@@ -9,7 +9,7 @@ pure: no input is mutated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -113,7 +113,6 @@ LOG_ON_SUPPORT = ScalarFunction(np.log, lo=0.0, at_zero=0.0, support_tol=RANK_TO
 RSQRT_ON_SUPPORT = ScalarFunction(
     lambda x: 1.0 / np.sqrt(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
 )
-RECIP_ON_SUPPORT = ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=RANK_TOL)
 STEP_ON_SUPPORT = ScalarFunction(
     lambda x: np.ones_like(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
 )
@@ -255,7 +254,8 @@ def pinv(a: np.ndarray | Spectrum, rank_tol: float = RANK_TOL) -> np.ndarray:
     Eigenvalues below ``rank_tol * lambda_max`` map to 0, the rest to their
     reciprocal.  The zero matrix maps to itself.
     """
-    return matrix_fn(a, replace(RECIP_ON_SUPPORT, support_tol=rank_tol))
+    f = ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=rank_tol)
+    return matrix_fn(a, f)
 
 
 def schatten_norm(a: np.ndarray, p) -> float:
