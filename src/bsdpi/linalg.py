@@ -163,22 +163,19 @@ class Spectrum:
             return np.eye(self.dim, dtype=complex)
         return matrix_fn(self, STEP_ON_SUPPORT)
 
-    def weights(self, x: np.ndarray | Spectrum) -> np.ndarray:
-        """The diagonal <u_i, X u_i> of X in the eigenbasis, in eigenvalue order.
+    def weights(self, x: Spectrum) -> np.ndarray:
+        """The diagonal <u_i, X u_i> of X = sum_k mu_k v_k v_k* in this
+        eigenbasis, in eigenvalue order, as sum_k mu_k |<v_k, u_i>|^2.
 
-        For X given by its Spectrum sum_k mu_k v_k v_k*, each weight is the
-        sum of mu_k |<v_k, u_i>|^2: for PSD X its terms are nonnegative, so a
-        small weight keeps its relative accuracy, which <u_i, X u_i> loses to
+        For PSD X the terms are nonnegative, so a small weight keeps its
+        relative accuracy, which the product <u_i, X u_i> loses to
         cancellation at ~eps ||X||.
         """
-        u = self.eig.vectors
-        if isinstance(x, Spectrum):
-            return x.eig.values @ np.abs(x.eig.vectors.conj().T @ u) ** 2
-        return (u.conj() * (np.asarray(x) @ u)).sum(axis=0).real
+        return x.eig.values @ np.abs(x.eig.vectors.conj().T @ self.eig.vectors) ** 2
 
     def trace_fn(self, f: ScalarFunction | Callable, weights: np.ndarray) -> float:
         """tr[X f(A)] = sum_i f(lambda_i) <u_i, X u_i> for Hermitian X, given
-        ``weights(X)``; f(A) itself is never formed."""
+        those weights (see ``weights``); f(A) itself is never formed."""
         return float(spectral_values(self, f) @ weights)
 
     @cached_property

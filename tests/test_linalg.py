@@ -123,13 +123,13 @@ class TestMatrixFn:
         f = ScalarFunction(lambda x: np.log(1.0 - x), lo=0.0, hi=1.0)
         inside = Spectrum(np.diag([0.25, 0.5]))
         expected = 0.25 * math.log(0.75) + 0.5 * math.log(0.5)
-        assert inside.trace_fn(f, inside.weights(inside.mat)) == pytest.approx(expected, rel=1e-15)
+        assert inside.trace_fn(f, inside.weights(inside)) == pytest.approx(expected, rel=1e-15)
         for values in ([0.5, 1.0], [0.0, 0.5], [-0.1, 0.5]):
             spec = Spectrum(np.diag(values))
             with pytest.raises(DomainViolation):
                 matrix_fn(spec, f)
             with pytest.raises(DomainViolation):
-                spec.trace_fn(f, spec.weights(spec.mat))
+                spec.trace_fn(f, spec.weights(spec))
 
     def test_negative_clipping(self):
         a = np.diag([1.0, -1e-15])
@@ -179,7 +179,7 @@ class TestSpectrum:
             STEP_ON_SUPPORT: spec.support_projector,
         }
         rank, min_positive, inverse = spec.rank, spec.min_positive, spec.pinv
-        log_trace = spec.trace_fn(LOG_ON_SUPPORT, spec.weights(a))
+        log_trace = spec.trace_fn(LOG_ON_SUPPORT, spec.weights(spec))
         assert linalg.herm_eig_calls - before == 1
         for f, value in derived.items():
             assert np.array_equal(value, matrix_fn(a, f))
