@@ -78,8 +78,6 @@ from .recovery import (
     stinespring_residual,
 )
 from .states import (
-    DensityMatrix,
-    GammaOperator,
     gamma,
     load_state,
     random_density,

@@ -48,9 +48,9 @@ from .divergences import (
     xlogx,
 )
 from .errors import ConfigError, NumericsError
-from .linalg import schatten_norm
+from .linalg import Spectrum, herm_eig, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
-from .states import DensityMatrix, gamma, random_density
+from .states import gamma, random_density
 
 # (d_keep, s) factorizations used for partial-trace conditional expectations
 PARTIAL_TRACE_SHAPES = ((2, 2), (3, 2), (2, 3))
@@ -106,7 +106,7 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
+def sample_pair(dim: int, seed: int) -> tuple[Spectrum, Spectrum]:
     return (
         random_density(dim, dim, derive_seed(seed, 0)),
         random_density(dim, dim, derive_seed(seed, 1)),
@@ -115,17 +115,17 @@ def sample_pair(dim: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
 
 def sample_conditioned_pair(
     dim: int, seed: int, min_eig: float = 0.02
-) -> tuple[DensityMatrix, DensityMatrix]:
+) -> tuple[Spectrum, Spectrum]:
     """Full-rank Ginibre pair with both smallest eigenvalues >= min_eig.
 
     Identity checks with absolute tolerances need bounded condition numbers;
     rejection stays inside seed-indexed streams, so sampling is deterministic.
     """
 
-    def _draw(role: int) -> DensityMatrix:
+    def _draw(role: int) -> Spectrum:
         for attempt in range(64):
             state = random_density(dim, dim, derive_seed(seed, role, attempt))
-            if float(np.linalg.eigvalsh(state.mat)[0]) >= min_eig:
+            if float(state.eig.values[0]) >= min_eig:
                 return state
         raise RuntimeError("conditioned-state rejection budget exhausted")
 
@@ -134,7 +134,7 @@ def sample_conditioned_pair(
 
 def sample_equal_support_pair(
     dim: int, rank: int, seed: int, min_block_eig: float = 0.02
-) -> tuple[DensityMatrix, DensityMatrix]:
+) -> tuple[Spectrum, Spectrum]:
     """Rank-deficient pair with exactly equal supports.
 
     Blocks are Ginibre states on a shared Haar-random subspace; blocks with a
@@ -151,13 +151,12 @@ def sample_equal_support_pair(
             )
             a = g @ g.conj().T
             a = a / float(np.trace(a).real)
-            if float(np.linalg.eigvalsh(a)[0]) >= min_block_eig:
+            if float(herm_eig(a).values[0]) >= min_block_eig:
                 return a
 
-    def _embed(a: np.ndarray) -> DensityMatrix:
+    def _embed(a: np.ndarray) -> Spectrum:
         m = basis @ a @ basis.conj().T
-        m = 0.5 * (m + m.conj().T)
-        return DensityMatrix(mat=m, dim=dim, rank=rank)
+        return Spectrum(0.5 * (m + m.conj().T))
 
     return _embed(_block()), _embed(_block())
 
@@ -185,8 +184,8 @@ class Trial:
     index: int  # i, the trial's position in its campaign
     seed: int  # the trial's sub-seed, reported in rows and violations
     d: int
-    sigma: DensityMatrix
-    rho: DensityMatrix
+    sigma: Spectrum
+    rho: Spectrum
     target: KrausChannel | ConditionalExpectation
     deficient: bool = False  # an equal-support rank-deficient pair
 
@@ -411,7 +410,7 @@ class EqualityCheck(Check):
             else:
                 bad = ",".join(k for k, v in checks.items() if not v)
                 self.fail(sub, f"constructed pair fails: {bad}")
-        report = equality_residuals(trial.sigma, trial.rho, trial.target)
+        report = equality_residuals(a, None, None)
         self.summary.total += 1
         if report.residual_eq2 <= 1e-12 and report.gap_bs > 1e-8:
             self.fail(trial.seed, f"residual_eq2 tiny but gap {report.gap_bs:.3e}")
@@ -513,8 +512,8 @@ class StructuralCheck(Check):
             expectation = sample_condexp(d, "pinching", sub)
         de = expectation.dim
         sig_e, rho_e = sample_pair(de, derive_seed(sub, 7))
-        g_full = gamma(sig_e, rho_e).sup_norm
-        g_proj = gamma(expectation.apply(sig_e), expectation.apply(rho_e)).sup_norm
+        g_full = gamma(sig_e, rho_e).lam_max
+        g_proj = gamma(expectation.apply(sig_e), expectation.apply(rho_e)).lam_max
         if g_proj > g_full + 1e-10:
             self.fail(sub, f"norm monotonicity {g_proj:.6f} > {g_full:.6f}")
 

@@ -65,7 +65,7 @@ class StinespringIsometry:
 class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators."""
 
-    def __init__(self, kraus: Sequence[np.ndarray], *, validate: bool = True):
+    def __init__(self, kraus: Sequence[np.ndarray]):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise InvalidChannel("empty Kraus family")
@@ -74,8 +74,7 @@ class KrausChannel:
             raise InvalidChannel("Kraus operators must share one 2-d shape")
         self.kraus = ops
         self.d_out, self.d_in = shape
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         flat = np.array([k.reshape(-1) for k in self.kraus])
@@ -172,13 +171,12 @@ class ConditionalExpectation:
 class Pinching(ConditionalExpectation):
     """X -> sum_k P_k X P_k for orthogonal projectors summing to the identity."""
 
-    def __init__(self, projectors: Sequence[np.ndarray], *, validate: bool = True):
+    def __init__(self, projectors: Sequence[np.ndarray]):
         self.projectors = [np.asarray(p, dtype=complex) for p in projectors]
         if not self.projectors:
             raise InvalidChannel("empty projector family")
         self.dim = self.projectors[0].shape[0]
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         if any(p.shape != (self.dim, self.dim) for p in self.projectors):

@@ -13,7 +13,7 @@ from .channels import ConditionalExpectation, KrausChannel, random_blocks
 from .divergences import renyi2_trace
 from .errors import SingularState
 from .linalg import Spectrum, schatten_norm
-from .states import DensityMatrix, as_matrix, as_spectrum, state_to_json
+from .states import as_matrix, as_spectrum, state_to_json
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ def stinespring_residual(sigma, rho=None, channel: KrausChannel | None = None) -
     return schatten_norm(lhs - rhs, 2)
 
 
-def equality_residuals(sigma, rho, channel: KrausChannel) -> RecoveryReport:
-    """Every equality-condition residual plus the BS gap for one instance."""
+def equality_residuals(sigma, rho=None, channel: KrausChannel | None = None) -> RecoveryReport:
+    """Every equality-condition residual plus the BS gap for one instance.
+    ``sigma`` may be an InstanceAnalysis of the triple."""
     a = _analysis(sigma, rho, channel)
     _nonvanishing(a.out.s)
     _nonvanishing(a.out.r)
@@ -112,13 +113,13 @@ def equality_residuals(sigma, rho, channel: KrausChannel) -> RecoveryReport:
     residual_eq2 = schatten_norm(a.pulled_back - a.inp.s.pinv @ r, 2)
     residual_bs = a.residual_l
     residual_eq3 = a.residual_k
-    residual_petz = schatten_norm(s - _petz(channel, a.inp.r, a.out.r, a.out.sigma), 1)
+    residual_petz = schatten_norm(s - _petz(a.target, a.inp.r, a.out.r, a.out.sigma), 1)
     renyi_gap = renyi2_trace(s, a.inp.r) - renyi2_trace(a.out.sigma, a.out.r)
 
     hashes = {
         "sigma": _hash_text(state_to_json(s)),
         "rho": _hash_text(state_to_json(r)),
-        "channel": _hash_text(channel.to_json()),
+        "channel": _hash_text(a.target.to_json()),
     }
     return RecoveryReport(
         gap_bs=gap,
@@ -164,11 +165,10 @@ def pinching_fixed_pair(dim: int, seed: int, num_blocks: int | None = None):
     rng = np.random.Generator(np.random.Philox(seed))
     u, pinching = random_blocks(dim, rng, num_blocks)
 
-    def _state() -> DensityMatrix:
+    def _state() -> Spectrum:
         diag = rng.uniform(0.1, 1.0, size=dim)
         diag = diag / diag.sum()
         m = (u * diag) @ u.conj().T
-        m = 0.5 * (m + m.conj().T)
-        return DensityMatrix(mat=m, dim=dim, rank=dim)
+        return Spectrum(0.5 * (m + m.conj().T))
 
     return _state(), _state(), pinching

@@ -1,9 +1,9 @@
-"""Density matrices, random ensembles, support handling and serialization."""
+"""States as the Spectrum of their matrix: random ensembles, support handling
+and serialization."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 from .errors import (
     BadRank,
     DimMismatch,
+    DomainViolation,
     InputError,
     ParseError,
     SingularState,
@@ -27,51 +28,9 @@ TRACE_TOL = 1e-12
 EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian PSD unit-trace matrix with its numerical rank.
-
-    ``spectrum``, when present, is the decomposition the rank was read from;
-    spectral code reuses it instead of decomposing ``mat`` again.
-    """
-
-    mat: np.ndarray
-    dim: int
-    rank: int
-    spectrum: Spectrum | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_matrix(cls, mat, *, trace_tol: float = TRACE_TOL) -> "DensityMatrix":
-        spec = Spectrum(mat)  # raises NotHermitian / DimMismatch
-        mat = spec.mat
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace {tr!r} is not 1 within {trace_tol}")
-        w = spec.eig.values
-        if float(w[0]) < -CLIP_TOL * max(spec.lam_max, 1.0):
-            raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]!r}")
-        return cls(mat=mat, dim=mat.shape[0], rank=spec.rank, spectrum=spec)
-
-
-@dataclass(frozen=True, eq=False)
-class GammaOperator:
-    """The PSD ratio operator sigma^{-1/2} rho sigma^{-1/2} and its spectrum."""
-
-    spectrum: Spectrum
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.spectrum.mat
-
-    @property
-    def sup_norm(self) -> float:
-        return self.spectrum.lam_max
-
-
 def as_matrix(x) -> np.ndarray:
-    """Accept a DensityMatrix, a Spectrum or a plain (possibly unnormalized)
-    PSD array."""
-    if isinstance(x, (DensityMatrix, Spectrum)):
+    """Accept a Spectrum or a plain (possibly unnormalized) PSD array."""
+    if isinstance(x, Spectrum):
         return x.mat
     return np.asarray(x, dtype=complex)
 
@@ -80,12 +39,10 @@ def as_spectrum(x) -> Spectrum:
     """The spectrum of anything as_matrix accepts, reusing one already made."""
     if isinstance(x, Spectrum):
         return x
-    if isinstance(x, DensityMatrix) and x.spectrum is not None:
-        return x.spectrum
     return Spectrum(as_matrix(x))
 
 
-def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
+def random_density(dim: int, rank: int, seed: int) -> Spectrum:
     """Ginibre-induced random state G G* / tr[G G*] with G of shape (dim, rank).
 
     The stream is the counter-based Philox generator keyed by ``seed``; the
@@ -98,18 +55,16 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m = m / float(np.trace(m).real)
-    spec = Spectrum(0.5 * (m + m.conj().T))
-    return DensityMatrix(mat=spec.mat, dim=dim, rank=spec.rank, spectrum=spec)
+    return Spectrum(0.5 * (m + m.conj().T))
 
 
-def regularize(rho, eps: float) -> DensityMatrix:
+def regularize(rho, eps: float) -> Spectrum:
     """Full-rank surrogate (rho + eps I) / (1 + eps d); trace is preserved."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     m = as_matrix(rho)
     d = m.shape[0]
-    out = (m + eps * np.eye(d)) / (1.0 + eps * d)
-    return DensityMatrix(mat=out, dim=d, rank=d)
+    return Spectrum((m + eps * np.eye(d)) / (1.0 + eps * d))
 
 
 def support_projector(rho) -> np.ndarray:
@@ -135,8 +90,9 @@ def support_leak(sigma, rho: np.ndarray) -> float:
     return schatten_norm(comp @ rho @ comp, np.inf)
 
 
-def gamma(sigma, rho) -> GammaOperator:
-    """sigma^{-1/2} rho sigma^{-1/2} with Moore-Penrose inverses on singular sigma.
+def gamma(sigma, rho) -> Spectrum:
+    """The spectrum of sigma^{-1/2} rho sigma^{-1/2}, with Moore-Penrose
+    inverses on singular sigma; its lam_max is ||G||_inf.
 
     Requires the support of rho to lie inside the support of sigma: the leaked
     weight ||(I - P) rho (I - P)||_inf must not exceed SUPPORT_LEAK_TOL.
@@ -152,7 +108,7 @@ def gamma(sigma, rho) -> GammaOperator:
         )
     rs = s.rsqrt
     g = rs @ r @ rs
-    return GammaOperator(Spectrum(0.5 * (g + g.conj().T)))
+    return Spectrum(0.5 * (g + g.conj().T))
 
 
 class StatePair:
@@ -184,12 +140,12 @@ class StatePair:
     @cached_property
     def ratio(self) -> Spectrum:
         """G = sigma^{-1/2} rho sigma^{-1/2}; raises SupportMismatch as gamma does."""
-        return gamma(self.s, self.rho).spectrum
+        return gamma(self.s, self.rho)
 
     @cached_property
     def core(self) -> Spectrum:
         """rho^{-1/2} sigma rho^{-1/2}, the argument of the maximal f-divergence."""
-        return gamma(self.r, self.sigma).spectrum
+        return gamma(self.r, self.sigma)
 
     @cached_property
     def ratio_weights(self) -> np.ndarray:
@@ -300,5 +256,18 @@ def save_state(path: str, m) -> None:
         fh.write(state_to_json(m))
 
 
-def load_state(path: str) -> np.ndarray:
-    return state_from_json(read_input(path, "state"))
+def load_state(path: str) -> Spectrum:
+    """The spectrum of the state in a JSON file.
+
+    Raises DomainViolation, naming the file, unless the matrix has unit trace
+    within TRACE_TOL and no eigenvalue below -CLIP_TOL * max(lambda_max, 1).
+    """
+    spec = Spectrum(state_from_json(read_input(path, "state")))
+    tr = float(np.trace(spec.mat).real)
+    low = float(spec.eig.values[0])
+    if abs(tr - 1.0) > TRACE_TOL or low < -CLIP_TOL * max(spec.lam_max, 1.0):
+        raise DomainViolation(
+            f"state file {path!r} is not a density matrix (unit trace, PSD): "
+            f"trace {tr!r}, smallest eigenvalue {low!r}"
+        )
+    return spec

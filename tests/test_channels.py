@@ -244,8 +244,8 @@ class TestNormMonotonicity:
                 e = PartialTraceFactor(2, 2)
             sigma = random_density(e.dim, e.dim, 1000 + seed)
             rho = random_density(e.dim, e.dim, 2000 + seed)
-            full = gamma(sigma, rho).sup_norm
-            reduced = gamma(e.apply(sigma.mat), e.apply(rho.mat)).sup_norm
+            full = gamma(sigma, rho).lam_max
+            reduced = gamma(e.apply(sigma.mat), e.apply(rho.mat)).lam_max
             assert reduced <= full + 1e-10
 
 

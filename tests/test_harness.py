@@ -516,6 +516,20 @@ class TestBadInputFiles:
         assert main(["certify", *state_files]) == 2
         assert capsys.readouterr().err.startswith("error: ParseError: ")
 
+    @pytest.mark.parametrize("command", ["divergence", "certify"])
+    @pytest.mark.parametrize("role", ["sigma", "rho"])
+    @pytest.mark.parametrize("diag", [[1.0, 0.5, 0.5], [1.5, -0.5, 0.0]], ids=["trace2", "not_psd"])
+    def test_state_that_is_not_a_density_matrix(
+        self, command, role, diag, state_files, tmp_path, capsys
+    ):
+        files = dict(zip(("sigma", "rho", "channel"), state_files))
+        files[role] = str(tmp_path / "bad_state.json")
+        save_state(files[role], np.diag(diag).astype(complex))
+        assert main(self.argv(command, *files.values())) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: DomainViolation: state file {files[role]!r} is not a density matrix"
+        )
+
     def test_non_finite_kraus_entry(self, state_files, tmp_path, capsys):
         path = tmp_path / "chan.json"
         obj = json.loads(path.read_text())

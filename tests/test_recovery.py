@@ -115,6 +115,13 @@ class TestEqualityResiduals:
         assert report.residual_petz <= 1e-9
         assert abs(report.renyi2_gap) <= 1e-9
 
+    def test_analysis_form_matches_the_triple_form(self):
+        sigma, rho = sample_pair(3, 14)
+        channel = random_cptp(3, 3, 2, seed=15)
+        triple = equality_residuals(sigma, rho, channel)
+        analysis = equality_residuals(InstanceAnalysis(sigma, rho, channel), None, None)
+        assert analysis == triple
+
     def test_partial_trace_fixed_pair(self):
         s = 2
         sigma1 = random_density(3, 3, 11).mat

@@ -5,20 +5,24 @@ import pytest
 
 from bsdpi import (
     BadRank,
-    DensityMatrix,
+    DomainViolation,
     ParseError,
     SupportMismatch,
     gamma,
     hs_inner,
+    linalg,
+    load_state,
     matrix_fn,
+    pinching_fixed_pair,
     random_density,
     regularize,
+    save_state,
     state_from_json,
     state_to_json,
     support_projector,
 )
-from bsdpi.campaigns import sample_equal_support_pair
-from bsdpi.linalg import SQRT
+from bsdpi.campaigns import sample_conditioned_pair, sample_equal_support_pair, sample_pair
+from bsdpi.linalg import SQRT, Spectrum
 from bsdpi.states import StatePair
 
 
@@ -55,18 +59,65 @@ class TestRandomDensity:
             random_density(3, 0, 0)
 
 
-class TestFromMatrix:
-    def test_valid(self):
-        rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5]))
+class TestLoadState:
+    @staticmethod
+    def write(tmp_path, diag) -> str:
+        path = str(tmp_path / "state.json")
+        save_state(path, np.diag(diag).astype(complex))
+        return path
+
+    def test_valid(self, tmp_path):
+        rho = load_state(self.write(tmp_path, [0.5, 0.5]))
+        assert isinstance(rho, Spectrum)
         assert rho.dim == 2 and rho.rank == 2
 
-    def test_trace_enforced(self):
-        with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(np.diag([0.5, 0.6]))
+    def test_trace_enforced(self, tmp_path):
+        path = self.write(tmp_path, [0.5, 0.6])
+        with pytest.raises(DomainViolation, match="not a density matrix") as err:
+            load_state(path)
+        assert repr(path) in str(err.value)
 
-    def test_psd_enforced(self):
-        with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(np.diag([1.5, -0.5]))
+    def test_psd_enforced(self, tmp_path):
+        path = self.write(tmp_path, [1.5, -0.5])
+        with pytest.raises(DomainViolation, match="not a density matrix") as err:
+            load_state(path)
+        assert repr(path) in str(err.value)
+
+
+class TestStatesAreSpectra:
+    """Every state the library makes or loads is a Spectrum, decomposed once."""
+
+    def test_constructors_return_spectra(self, tmp_path):
+        path = tmp_path / "state.json"
+        save_state(str(path), random_density(3, 3, 1))
+        states = [
+            random_density(3, 2, 1),
+            regularize(np.diag([1.0, 0.0]), 1e-3),
+            load_state(str(path)),
+            *pinching_fixed_pair(4, 2)[:2],
+            *sample_pair(3, 4),
+            *sample_conditioned_pair(3, 5),
+            *sample_equal_support_pair(4, 3, 6),
+        ]
+        assert all(isinstance(state, Spectrum) for state in states)
+
+    def test_state_pair_reuses_the_spectra(self):
+        sigma, rho = sample_pair(3, 7)
+        pair = StatePair(sigma, rho)
+        before = linalg.herm_eig_calls
+        assert pair.s is sigma and pair.r is rho
+        assert linalg.herm_eig_calls == before
+
+    def test_rejection_samplers_decompose_through_herm_eig(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh bypasses herm_eig")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        before = linalg.herm_eig_calls
+        sample_conditioned_pair(3, 8)
+        sample_equal_support_pair(4, 3, 9)
+        # at least the two states of each pair and the two blocks
+        assert linalg.herm_eig_calls - before >= 6
 
 
 class TestRegularize:
@@ -104,13 +155,13 @@ class TestGamma:
     def test_diagonal_arithmetic(self):
         g = gamma(np.eye(2) / 2.0, np.diag([0.25, 0.75]))
         assert np.allclose(g.mat, np.diag([0.5, 1.5]))
-        assert g.sup_norm == pytest.approx(1.5)
+        assert g.lam_max == pytest.approx(1.5)
 
     def test_equal_states_give_projector(self):
         rho = random_density(4, 2, 11)
         g = gamma(rho, rho)
         assert np.linalg.norm(g.mat - support_projector(rho)) <= 1e-8
-        assert g.sup_norm == pytest.approx(1.0, abs=1e-8)
+        assert g.lam_max == pytest.approx(1.0, abs=1e-8)
 
     def test_trace_identity(self):
         for seed in range(20):
