@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ConditionalExpectation, KrausChannel, build_contraction
+from .channels import ConditionalExpectation, ContractionMap, KrausChannel
 from .divergences import FDivFamily, bs_entropy, maximal_f
 from .errors import BadBeta, MissingMeasureParams, SingularState
 # herm_eig stays bound here: bench/tests check that the tracer wraps this binding
@@ -147,6 +147,11 @@ class InstanceAnalysis:
         return self.target.adjoint_apply(self.out.s.pinv @ self.out.rho)
 
     @cached_property
+    def contraction(self) -> ContractionMap:
+        """U(X) = sigma^{1/2} T*(sigma_T^{-1/2} X) on the cached spectra."""
+        return ContractionMap(self.target, self.inp.s.sqrt, self.out.s.rsqrt)
+
+    @cached_property
     def _condexp_residuals(self) -> tuple[float, float]:
         return condexp_equality_residuals(self)
 
@@ -205,8 +210,7 @@ def bs_bound_condexp(
     rhs_l = (pi/8)^4 ||G||_inf^-4 ||sigma^-1||_inf^-2 r_recovery^4.
     Both hold unconditionally, so precondition_ok is always True.
     """
-    a = InstanceAnalysis.of(sigma, rho, expectation)
-    return _bs_report(a)
+    return _bs_report(InstanceAnalysis.of(sigma, rho, expectation))
 
 
 def bs_bound_channel(sigma, rho=None, channel: KrausChannel | None = None) -> BoundReport:
@@ -276,32 +280,28 @@ def maxf_bound(sigma, rho, target, fam: FDivFamily) -> BoundReport:
     )
 
 
-def lemma_integrand_check(sigma, rho, expectation: ConditionalExpectation, t: float):
+def lemma_integrand_check(sigma, rho, expectation: ConditionalExpectation | None, t: float):
     """Both sides of the resolvent integrand inequality at one t > 0.
 
     Returns (lhs, rhs) with lhs the pulled-back resolvent difference paired
     against sigma_N^{1/2} and rhs = t ||w_t||_2^2; lhs - rhs >= 0 up to
-    rounding for every t > 0.
+    rounding for every t > 0.  ``sigma`` may be an InstanceAnalysis.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    a = InstanceAnalysis(sigma, rho, expectation)
+    a = InstanceAnalysis.of(sigma, rho, expectation)
+    if not a.is_condexp:
+        raise TypeError("the integrand check needs a conditional expectation")
     if not (a.inp.s.full_rank and a.inp.r.full_rank):
         raise SingularState("the integrand check needs full-rank states")
-    g = a.inp.ratio.mat
-    g_n = a.out.ratio.mat
-    contraction = build_contraction(a.inp.s, expectation.as_kraus())
+    contraction = a.contraction
     sn_half = a.out.s.sqrt
     eye = np.eye(a.inp.s.dim)
 
-    u_sn = contraction.apply(sn_half)
-    resolvent_u = np.linalg.solve(g + t * eye, u_sn)
-    lhs = float(
-        (
-            hs_inner(sn_half, contraction.adjoint(resolvent_u))
-            - hs_inner(sn_half, np.linalg.solve(g_n + t * eye, sn_half))
-        ).real
-    )
-    w_t = contraction.apply(np.linalg.solve(g_n + t * eye, sn_half)) - resolvent_u
+    resolvent_u = np.linalg.solve(a.inp.ratio.mat + t * eye, contraction.apply(sn_half))
+    resolvent_n = np.linalg.solve(a.out.ratio.mat + t * eye, sn_half)
+    lhs = float((hs_inner(sn_half, contraction.adjoint(resolvent_u))
+                 - hs_inner(sn_half, resolvent_n)).real)
+    w_t = contraction.apply(resolvent_n) - resolvent_u
     rhs = t * float(np.vdot(w_t, w_t).real)
     return lhs, rhs

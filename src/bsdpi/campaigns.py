@@ -29,7 +29,6 @@ from .channels import (
     ConditionalExpectation,
     KrausChannel,
     PartialTraceFactor,
-    build_contraction,
     random_cptp,
     random_pinching,
     superop_matrix,
@@ -50,7 +49,7 @@ from .divergences import (
 from .errors import ConfigError, NumericsError
 from .linalg import Spectrum, herm_eig, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
-from .states import gamma, random_density
+from .states import StatePair, random_density
 
 # (d_keep, s) factorizations used for partial-trace conditional expectations
 PARTIAL_TRACE_SHAPES = ((2, 2), (3, 2), (2, 3))
@@ -455,13 +454,12 @@ class OrderingCheck(Check):
         lam /= lam.sum()
         mu = rng.uniform(0.1, 1.0, size=d)
         mu /= mu.sum()
-        x = (u * lam) @ u.conj().T
-        y = (u * mu) @ u.conj().T
+        pair = StatePair((u * lam) @ u.conj().T, (u * mu) @ u.conj().T)
         classical = float(np.sum(mu * (lam / mu) * np.log(lam / mu)))
         fam = xlogx()
         for label, value in (
-            ("standard", standard_f(x, y, fam)),
-            ("maximal", maximal_f(x, y, fam)),
+            ("standard", standard_f(pair, None, fam)),
+            ("maximal", maximal_f(pair, None, fam)),
         ):
             if abs(value - classical) > 1e-10:
                 self.fail(sub, f"commuting {label} off classical by {value - classical:.3e}")
@@ -511,22 +509,19 @@ class StructuralCheck(Check):
         else:
             expectation = sample_condexp(d, "pinching", sub)
         de = expectation.dim
-        sig_e, rho_e = sample_pair(de, derive_seed(sub, 7))
-        g_full = gamma(sig_e, rho_e).lam_max
-        g_proj = gamma(expectation.apply(sig_e), expectation.apply(rho_e)).lam_max
+        analysis = InstanceAnalysis(*sample_pair(de, derive_seed(sub, 7)), expectation)
+        g_full, g_proj = analysis.gamma_sup, analysis.out.ratio.lam_max
         if g_proj > g_full + 1e-10:
             self.fail(sub, f"norm monotonicity {g_proj:.6f} > {g_full:.6f}")
 
-        contraction = build_contraction(sig_e, expectation.as_kraus())
+        u = analysis.contraction
         ce_matrix = superop_matrix(expectation.apply, de)
-        uu_matrix = superop_matrix(
-            lambda x: contraction.adjoint(contraction.apply(x)), de
-        )
+        uu_matrix = superop_matrix(lambda x: u.adjoint(u.apply(x)), de)
         if float(np.abs(uu_matrix - ce_matrix).max()) > 1e-9:
             self.fail(sub, "U*U deviates from the expectation")
 
         for t in self.t_grid:
-            lhs, rhs = lemma_integrand_check(sig_e, rho_e, expectation, t)
+            lhs, rhs = lemma_integrand_check(analysis, None, None, t)
             if lhs - rhs < -1e-9:
                 self.fail(sub, f"integrand inequality fails at t={t}: {lhs - rhs:.3e}")
 
@@ -535,7 +530,7 @@ def _standard_dpi_row(trial: Trial, a: InstanceAnalysis) -> Row:
     """Informational row: relative-entropy gap vs the trace-norm Petz bound,
     read off the trial's analysis."""
     gap = relative_entropy(a.inp) - relative_entropy(a.out)
-    recovered = _petz(a.target.as_kraus(), a.inp.s, a.out.s, a.out.rho)
+    recovered = _petz(a.target, a.inp.s, a.out.s, a.out.rho)
     residual = schatten_norm(recovered - a.inp.rho, 1)
     rho_sup = a.inp.r.lam_max
     sigma_inv_sup = 1.0 / a.inp.s.min_positive

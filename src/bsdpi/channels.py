@@ -164,6 +164,10 @@ class ConditionalExpectation:
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        """E itself: E is self-adjoint for the trace inner product tr[X* Y]."""
+        return self.apply(y)
+
     def as_kraus(self) -> KrausChannel:
         raise NotImplementedError
 
@@ -289,7 +293,7 @@ class ContractionMap:
     contraction; for conditional expectations U*U is the expectation itself.
     """
 
-    channel: KrausChannel
+    channel: KrausChannel | ConditionalExpectation
     sigma_half: np.ndarray
     sigma_t_rsqrt: np.ndarray
 
@@ -300,7 +304,7 @@ class ContractionMap:
         return self.sigma_t_rsqrt @ self.channel.apply(self.sigma_half @ y)
 
 
-def build_contraction(sigma, channel: KrausChannel) -> ContractionMap:
+def build_contraction(sigma, channel: KrausChannel | ConditionalExpectation) -> ContractionMap:
     s = as_spectrum(sigma)
     sigma_t = Spectrum(channel.apply(s.mat))
     if float(sigma_t.eig.values[-1]) <= 0.0:

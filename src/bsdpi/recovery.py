@@ -53,7 +53,7 @@ def _nonvanishing(out: Spectrum) -> Spectrum:
     return out
 
 
-def _petz(channel: KrausChannel, s: Spectrum, sigma_t: Spectrum, x) -> np.ndarray:
+def _petz(channel: KrausChannel | ConditionalExpectation, s: Spectrum, sigma_t: Spectrum, x):
     st_rsqrt = sigma_t.rsqrt
     return s.sqrt @ channel.adjoint_apply(st_rsqrt @ np.asarray(x) @ st_rsqrt) @ s.sqrt
 

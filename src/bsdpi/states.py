@@ -13,6 +13,7 @@ from .errors import (
     DimMismatch,
     DomainViolation,
     InputError,
+    NumericsError,
     ParseError,
     SingularState,
     SupportMismatch,
@@ -259,10 +260,15 @@ def save_state(path: str, m) -> None:
 def load_state(path: str) -> Spectrum:
     """The spectrum of the state in a JSON file.
 
-    Raises DomainViolation, naming the file, unless the matrix has unit trace
-    within TRACE_TOL and no eigenvalue below -CLIP_TOL * max(lambda_max, 1).
+    Every refusal names the file.  Malformed JSON and a matrix herm_eig
+    refuses keep their error type; one without unit trace within TRACE_TOL or
+    with an eigenvalue below -CLIP_TOL * max(lambda_max, 1) is a DomainViolation.
     """
-    spec = Spectrum(state_from_json(read_input(path, "state")))
+    text = read_input(path, "state")
+    try:
+        spec = Spectrum(state_from_json(text))
+    except NumericsError as exc:
+        raise type(exc)(f"{exc} (state file {path!r})") from exc
     tr = float(np.trace(spec.mat).real)
     low = float(spec.eig.values[0])
     if abs(tr - 1.0) > TRACE_TOL or low < -CLIP_TOL * max(spec.lam_max, 1.0):

@@ -5,11 +5,13 @@ import pytest
 
 from bsdpi import (
     MissingMeasureParams,
+    PartialTraceFactor,
     SingularState,
     SupportMismatch,
     bs_bound_channel,
     bs_bound_condexp,
     bs_entropy,
+    build_contraction,
     depolarizing_channel,
     diagonal_pinching,
     identity_channel,
@@ -27,7 +29,8 @@ from bsdpi import (
     square_family,
     xlogx,
 )
-from bsdpi.campaigns import sample_equal_support_pair, sample_pair
+from bsdpi.bounds import InstanceAnalysis
+from bsdpi.campaigns import PARTIAL_TRACE_SHAPES, sample_equal_support_pair, sample_pair
 from bsdpi.errors import BadBeta
 
 
@@ -240,6 +243,39 @@ class TestLemmaIntegrand:
             for t in (0.01, 0.1, 1.0, 10.0, 100.0):
                 lhs, rhs = lemma_integrand_check(sigma, rho, pinching, t)
                 assert lhs - rhs >= -1e-9
+
+    def test_analysis_form_is_bitwise_the_triple_form(self):
+        targets = [random_pinching(d, seed=12000 + d) for d in (2, 3, 4)]
+        targets += [PartialTraceFactor(d_keep, s) for d_keep, s in PARTIAL_TRACE_SHAPES]
+        for i, expectation in enumerate(targets):
+            sigma, rho = sample_pair(expectation.dim, 12100 + i)
+            a = InstanceAnalysis(sigma, rho, expectation)
+            for t in (0.01, 1.0, 100.0):
+                by_analysis = lemma_integrand_check(a, None, None, t)
+                by_triple = lemma_integrand_check(sigma, rho, expectation, t)
+                assert [v.hex() for v in by_analysis] == [v.hex() for v in by_triple]
+
+    def test_analysis_contraction_is_the_kraus_contraction(self):
+        for d in (2, 3, 4):
+            sigma, rho = sample_pair(d, 12200 + d)
+            pinching = random_pinching(d, seed=12300 + d)
+            u = InstanceAnalysis(sigma, rho, pinching).contraction
+            reference = build_contraction(sigma, pinching.as_kraus())
+            x = pinching.apply(sigma.mat @ rho.mat)
+            assert np.linalg.norm(u.apply(x) - reference.apply(x)) <= 1e-12
+            assert np.linalg.norm(u.adjoint(x) - reference.adjoint(x)) <= 1e-12
+
+    def test_analysis_takes_no_other_arguments(self):
+        sigma, rho = sample_pair(2, 14)
+        a = InstanceAnalysis(sigma, rho, diagonal_pinching(2))
+        with pytest.raises(TypeError):
+            lemma_integrand_check(a, rho, None, 1.0)
+
+    def test_channel_is_refused(self):
+        # the inequality is stated for conditional expectations only
+        sigma, rho = sample_pair(2, 14)
+        with pytest.raises(TypeError):
+            lemma_integrand_check(sigma, rho, identity_channel(2), 1.0)
 
     def test_bad_t(self):
         sigma, rho = sample_pair(2, 14)

@@ -21,7 +21,7 @@ from bsdpi import (
     random_pinching,
     superop_matrix,
 )
-from bsdpi.campaigns import sample_channel
+from bsdpi.campaigns import PARTIAL_TRACE_SHAPES, sample_channel
 from bsdpi.linalg import SQRT, ScalarFunction, herm_eig
 
 
@@ -177,6 +177,30 @@ class TestAsKraus:
         for e in (random_pinching(5, seed=22), PartialTraceFactor(3, 2)):
             acc = sum(k.conj().T @ k for k in e.as_kraus().kraus)
             assert np.linalg.norm(acc - np.eye(e.dim)) <= 1e-10
+
+
+class TestExpectationAdjoint:
+    """A conditional expectation is its own Hilbert-Schmidt adjoint."""
+
+    @staticmethod
+    def expectations():
+        pinchings = [random_pinching(d, seed=10 * d + k) for d in range(2, 7) for k in range(3)]
+        return pinchings + [PartialTraceFactor(d_keep, s) for d_keep, s in PARTIAL_TRACE_SHAPES]
+
+    def test_hilbert_schmidt_adjoint(self):
+        # <Y, E(X)> = <E*(Y), X>
+        for e in self.expectations():
+            for seed in range(10):
+                x = rand_matrix(e.dim, 60 + seed)
+                y = rand_matrix(e.dim, 80 + seed)
+                assert abs(hs_inner(y, e.apply(x)) - hs_inner(e.adjoint_apply(y), x)) <= 1e-13
+
+    def test_agrees_with_the_kraus_adjoint(self):
+        for e in self.expectations():
+            kraus = e.as_kraus()
+            for seed in range(10):
+                y = rand_matrix(e.dim, 100 + seed)
+                assert np.linalg.norm(e.adjoint_apply(y) - kraus.adjoint_apply(y)) <= 1e-14
 
 
 class TestContraction:

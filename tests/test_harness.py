@@ -16,7 +16,9 @@ from bsdpi.campaigns import (
     CampaignSummary,
     DpiCheck,
     MaxfCheck,
+    OrderingCheck,
     Row,
+    StructuralCheck,
     derive_seed,
     evaluate,
     run_condexp_bound_campaign,
@@ -177,6 +179,31 @@ class TestTrialCost:
             assert calls["matrix_fn"] <= 9, calls
             assert calls["svd"] == 0
             assert sum(len(c.rows) for c in checks) == 6
+
+    @staticmethod
+    def eig_calls(kind, dims, check):
+        before = linalg.herm_eig_calls
+        evaluate(7, 1, dims, kind, [check])
+        return linalg.herm_eig_calls - before
+
+    def test_structural_trial_reads_one_analysis(self):
+        # sigma, rho and the channel's Gram matrix of the trial, omega, and
+        # the expectation's sigma, rho, G, sigma_N and G_N; the lemma grid,
+        # the contraction and the norm monotonicity reuse that analysis
+        for d in (2, 3, 4):
+            assert self.eig_calls("random_cptp", (d,), StructuralCheck()) <= 9
+
+    def test_ordering_trial_shares_the_commuting_pair(self):
+        # two fewer than when standard_f and maximal_f each decomposed it
+        counts = {d: self.eig_calls("random_cptp", (d,), OrderingCheck()) for d in (2, 3, 4)}
+        assert counts == {2: 10, 3: 11, 4: 10}
+
+    @pytest.mark.parametrize("kind", ["pinching", "partial_trace"])
+    def test_petz_row_adds_no_decomposition(self, kind):
+        # the Petz map reads the expectation itself, not a validated Kraus form
+        check = BoundCheck(f"bs_{kind}", 1e-8, include_standard_row=True)
+        assert self.eig_calls(kind, (3,), check) == 6
+        assert [row.family for row in check.rows] == [f"bs_{kind}", "std_relent_petz"]
 
 
 class TestSeedDerivation:
@@ -529,6 +556,32 @@ class TestBadInputFiles:
         assert capsys.readouterr().err.startswith(
             f"error: DomainViolation: state file {files[role]!r} is not a density matrix"
         )
+
+    @pytest.mark.parametrize("command", ["divergence", "certify"])
+    @pytest.mark.parametrize("role", ["sigma", "rho"])
+    @pytest.mark.parametrize(
+        "state, error",
+        [
+            ({"dim": 2, "entries": [[0.5, 0], [0.3, 0], [0, 0], [0.5, 0]]}, "NotHermitian"),
+            ({"dim": 2, "entries": [[float("nan"), 0], [0, 0], [0, 0], [0.5, 0]]},
+             "DomainViolation"),
+            ({"dim": "two", "entries": []}, "ParseError"),
+        ],
+        ids=["not_hermitian", "nan", "malformed"],
+    )
+    def test_refused_state_names_its_file(self, command, role, state, error, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        save_state(str(good), np.diag([0.5, 0.5]).astype(complex))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(state))
+        channel = tmp_path / "channel.json"
+        save_channel(str(channel), random_cptp(2, 2, 2, seed=103))
+        states = (bad, good) if role == "sigma" else (good, bad)
+        assert main(self.argv(command, *map(str, states), str(channel))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert repr(str(bad)) in err
+        assert str(good) not in err
 
     def test_non_finite_kraus_entry(self, state_files, tmp_path, capsys):
         path = tmp_path / "chan.json"
