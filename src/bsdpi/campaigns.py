@@ -665,7 +665,9 @@ CRITERIA = (
               {"equality_gap": 1e-9, "equality_residual": 1e-7}, 60.0, _equality),
     Criterion(6, "ordering and reductions", (200,), (40,), {}, 30.0,
               partial(_one, lambda tol: OrderingCheck())),
-    Criterion(7, "oracle agreement", (50,), (8,), {"quadrature": 1e-6}, 30.0,
+    # quadrature: the oracle at tol 1e-10 agreed with bs_entropy within 6.8e-12
+    # over the full count at seeds 20190424 and 7
+    Criterion(7, "oracle agreement", (50,), (8,), {"quadrature": 1e-9}, 30.0,
               partial(_one, lambda tol: OracleCheck(tol["quadrature"]))),
     Criterion(8, "structural", (200,), (25,), {}, 30.0,
               partial(_one, lambda tol: StructuralCheck())),

@@ -9,7 +9,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, DomainViolation, InvalidChannel, ParseError, SingularState
+from .errors import (
+    DimMismatch,
+    DomainViolation,
+    InvalidChannel,
+    NumericsError,
+    ParseError,
+    SingularState,
+)
 from .linalg import Spectrum, herm_eig
 from .states import (
     as_matrix,
@@ -153,7 +160,16 @@ def save_channel(path: str, channel: KrausChannel) -> None:
 
 
 def load_channel(path: str) -> KrausChannel:
-    return KrausChannel.from_json(read_input(path, "channel"))
+    """The Kraus channel in a JSON file.
+
+    Every refusal names the file; a malformed, non-finite or invalid channel
+    keeps its error type.
+    """
+    text = read_input(path, "channel")
+    try:
+        return KrausChannel.from_json(text)
+    except NumericsError as exc:
+        raise type(exc)(f"{exc} (channel file {path!r})") from exc
 
 
 class ConditionalExpectation:

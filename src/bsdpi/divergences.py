@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadBeta, Diverging
-from .linalg import LOG_ON_SUPPORT, ScalarFunction, integrate_adaptive
+from .errors import BadBeta, Diverging, NoConvergence
+from .linalg import LOG_ON_SUPPORT, ScalarFunction
 from .states import (
     SUPPORT_EQ_TOL,
     as_matrix,
@@ -195,41 +195,74 @@ def regularized_divergence(sigma, rho, fam: FDivFamily, kind: str = "maximal") -
     return RegularizedValue(value=value, increment=abs(u2 - u1))
 
 
+# the share of tol each dropped end of the quadrature may take, and the
+# number of step halvings after its first level
+QUAD_END_SHARE = 1e-3
+QUAD_MAX_LEVELS = 6
+
+
 def bs_entropy_quadrature(sigma, rho=None, t_max: float | None = None, tol: float = 1e-8) -> float:
     """BS-entropy via the resolvent integral of the operator logarithm.
 
-    Integrates <sigma^{1/2}, ((G + t)^{-1} - (1 + t)^{-1}) sigma^{1/2}> over
-    [0, t_max] by adaptive quadrature, with the tail beyond t_max bounded by
-    ||G - I||_inf^2 / t_max (G the ratio operator).  With the default t_max
-    the result agrees with bs_entropy within ~tol.  Resolvents are evaluated
-    by direct linear solves, independent of the spectral-logarithm path: each
-    refinement level solves the stack G + t_k I against sigma^{1/2} for all
-    its nodes t_k at once.  ``sigma`` may be a StatePair with ``rho`` omitted.
+    Integrates f(t) = <sigma^{1/2}, ((G + t)^{-1} - (1 + t)^{-1}) sigma^{1/2}>
+    (G the ratio operator) over [t_lo, t_max] by the trapezoid rule in
+    u = log t.  The integrand e^u f(e^u) is analytic in the strip |Im u| < pi
+    (its poles sit at log lambda_i +- i pi for the eigenvalues lambda_i of G)
+    and decays at both ends, so the sums converge exponentially.  The first
+    level has a step of at most 1; each further level halves the step, adds
+    only the new midpoints and solves the stack G + t_k I against sigma^{1/2}
+    for all of them at once.  The rule stops when two levels agree within
+    ``tol``; a level's error is then far below that increment.
+
+    From |f(t)| <= tr(sigma) dev / ((lambda_min + t)(1 + t)), with
+    dev = ||G - I||_inf, the dropped [0, t_lo] is at most tr(sigma) dev t_lo /
+    lambda_min and [t_max, inf) at most tr(sigma) dev / t_max.  t_lo and the
+    default t_max hold each to QUAD_END_SHARE * tol.  Resolvents are direct
+    linear solves, independent of the spectral-logarithm path; G's extreme
+    eigenvalues only set the ends.  ``sigma`` may be a StatePair with ``rho``
+    omitted.
+
+    Raises NoConvergence when G is not numerically positive definite, the
+    integrand is not finite at a node, or the levels still disagree after
+    QUAD_MAX_LEVELS refinements.
     """
     pair = as_pair(sigma, rho)
     pair.require_full_rank()
-    s = pair.sigma
     g = pair.ratio.mat
     s_half = pair.s.sqrt
     s_half_conj = s_half.conj()
-    eye = np.eye(s.shape[0])
+    eye = np.eye(g.shape[0])
     w = pair.ratio.eig.values
+    trace_s = float(np.trace(pair.sigma).real)
+    if w[0] <= 0.0:
+        raise NoConvergence(f"ratio operator's smallest eigenvalue {float(w[0])!r} is not positive")
     dev = max(abs(float(w[0]) - 1.0), abs(float(w[-1]) - 1.0))
+    # tr(sigma) dev bounds |f| at both ends; equal states (dev = 0) divide by no zero
+    scale = trace_s * max(dev, np.finfo(float).tiny)
     if t_max is None:
-        t_max = max(1.0, 10.0 * dev * dev / tol)
+        t_max = scale / (QUAD_END_SHARE * tol)
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    trace_s = float(np.trace(s).real)
+    hi = math.log(t_max)
+    lo = min(math.log(QUAD_END_SHARE * tol * float(w[0]) / scale), hi)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        rhs = np.broadcast_to(s_half, (t.size, *s.shape))
-        x = np.linalg.solve(g + t[:, None, None] * eye, rhs)
-        return np.einsum("ij,kij->k", s_half_conj, x).real - trace_s / (1.0 + t)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        t = np.exp(u)
+        x = np.linalg.solve(g + t[:, None, None] * eye, s_half)
+        f = t * (np.einsum("ij,kij->k", s_half_conj, x).real - trace_s / (1.0 + t))
+        if not np.all(np.isfinite(f)):
+            raise NoConvergence("quadrature integrand is not finite")
+        return f
 
-    # geometric segments keep the adaptive splitting local
-    breakpoints = []
-    upper = 1.0
-    while upper < t_max:
-        breakpoints.append(upper)
-        upper *= 10.0
-    return integrate_adaptive(integrand, 0.0, t_max, 0.5 * tol, breakpoints=breakpoints)
+    n = max(1, math.ceil(hi - lo))
+    h = (hi - lo) / n
+    f = integrand(np.linspace(lo, hi, n + 1))
+    total = h * (float(np.sum(f)) - 0.5 * float(f[0] + f[-1]))
+    for _ in range(QUAD_MAX_LEVELS):
+        h *= 0.5
+        refined = 0.5 * total + h * float(np.sum(integrand(lo + h * np.arange(1, 2 * n, 2))))
+        n *= 2
+        if abs(refined - total) <= tol:
+            return refined
+        total = refined
+    raise NoConvergence(f"quadrature levels still differ by more than {tol:.1e}")

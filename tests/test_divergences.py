@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from bsdpi import (
     BadBeta,
     Diverging,
+    NoConvergence,
     SingularState,
     SupportMismatch,
     bs_entropy,
@@ -22,9 +25,9 @@ from bsdpi import (
     standard_f,
     xlogx,
 )
-from bsdpi import linalg
+from bsdpi import divergences, linalg
 from bsdpi.campaigns import sample_equal_support_pair, sample_pair
-from bsdpi.linalg import LOG_ON_SUPPORT, matrix_fn
+from bsdpi.linalg import LOG_ON_SUPPORT, Spectrum, matrix_fn
 from bsdpi.states import EPS_GRID, StatePair
 
 # classical value for sigma=diag(1/2,1/2), rho=diag(1/4,3/4) under x log x
@@ -251,6 +254,8 @@ class TestRegularizedDivergence:
 
 
 class TestQuadratureOracle:
+    GOLDEN = Path(__file__).parent / "golden" / "quadrature.csv"
+
     def test_equal_states(self):
         rho = random_density(3, 3, 15)
         assert abs(bs_entropy_quadrature(rho, rho, tol=1e-8)) <= 1e-8
@@ -265,13 +270,58 @@ class TestQuadratureOracle:
             sigma, rho = sample_pair(d, 700 + seed)
             spectral = bs_entropy(sigma, rho)
             quad = bs_entropy_quadrature(sigma, rho, tol=1e-7)
-            assert abs(spectral - quad) <= 1e-6
+            assert abs(spectral - quad) <= 1e-10
 
     def test_explicit_t_max(self):
         sigma, rho = sample_pair(2, 16)
         spectral = bs_entropy(sigma, rho)
         quad = bs_entropy_quadrature(sigma, rho, t_max=1e9, tol=1e-8)
-        assert abs(spectral - quad) <= 1e-6
+        assert abs(spectral - quad) <= 1e-10
+
+    def test_returns_a_python_float(self):
+        # divergence prints the value with repr, which must not read np.float64(...)
+        sigma, rho = sample_pair(3, 5)
+        assert type(bs_entropy_quadrature(sigma, rho)) is float
+        assert type(bs_entropy_quadrature(sigma, rho, t_max=1e9)) is float
+
+    def test_non_finite_integrand_raises(self, monkeypatch):
+        sigma, rho = sample_pair(2, 16)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(a.shape, np.nan))
+        with pytest.raises(NoConvergence, match="not finite"):
+            bs_entropy_quadrature(sigma, rho)
+
+    def test_exhausted_level_budget_raises(self, monkeypatch):
+        # this pair's levels agree bitwise from a step of 1/8 on, so two
+        # halvings cannot meet a tolerance of 1e-30
+        sigma, rho = sample_pair(2, 16)
+        monkeypatch.setattr(divergences, "QUAD_MAX_LEVELS", 2)
+        with pytest.raises(NoConvergence, match="levels"):
+            bs_entropy_quadrature(sigma, rho, tol=1e-30)
+
+    def test_ratio_that_is_not_positive_definite_raises(self):
+        # rounding can push the smallest eigenvalue of an ill-conditioned G
+        # below zero; the lower end of the rule cannot be placed then
+        pair = StatePair(*sample_pair(2, 16))
+        pair.ratio = Spectrum(np.diag([-1e-9, 2.0]).astype(complex))
+        with pytest.raises(NoConvergence, match="not positive"):
+            bs_entropy_quadrature(pair)
+
+    def test_nodes_per_call_on_the_golden_cases(self, monkeypatch):
+        solve = np.linalg.solve
+        nodes = []
+
+        def counting(a, b):
+            nodes[-1] += a.shape[0]
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for row in csv.DictReader(self.GOLDEN.open()):
+            sigma, rho = sample_pair(int(row["d"]), int(row["seed"]))
+            t_max = float(row["t_max"]) if row["t_max"] else None
+            nodes.append(0)
+            bs_entropy_quadrature(sigma, rho, t_max=t_max, tol=1e-8)
+        assert len(nodes) == 49
+        assert max(nodes) <= 400, nodes
 
     def test_singular_raises(self):
         with pytest.raises(SingularState):

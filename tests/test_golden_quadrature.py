@@ -2,9 +2,11 @@
 
 tests/golden/quadrature.csv holds `bs_entropy_quadrature` at tol=1e-8 on 16
 `sample_pair` pairs for each of d = 2, 3, 4, plus the explicit t_max=1e9 case
-of test_divergences, as the library computed them before the level-batched
-quadrature.  Every value may deviate by at most DRIFT_TOL relative to
-max(|golden|, DRIFT_FLOOR); the largest deviation is reported.
+of test_divergences, as the trapezoid rule in log t computes them.  Every
+value may deviate by at most DRIFT_TOL relative to max(|golden|,
+DRIFT_FLOOR); the largest deviation is reported.  Every golden value must
+also lie within SPECTRAL_TOL of `bs_entropy` on its pair, which ties the file
+to the independent spectral path.
 
 The comparison also runs on its own, and can rewrite the golden file:
 
@@ -16,7 +18,7 @@ import io
 import sys
 from pathlib import Path
 
-from bsdpi import bs_entropy_quadrature
+from bsdpi import bs_entropy, bs_entropy_quadrature
 from bsdpi.campaigns import sample_pair
 
 GOLDEN = Path(__file__).parent / "golden" / "quadrature.csv"
@@ -24,6 +26,7 @@ TOL = 1e-8
 CASES = [(d, seed, None) for d in (2, 3, 4) for seed in range(16)] + [(2, 16, 1e9)]
 DRIFT_TOL = 1e-12
 DRIFT_FLOOR = 1e-9
+SPECTRAL_TOL = 1e-10
 
 
 def compute() -> str:
@@ -54,6 +57,14 @@ def test_quadrature_matches_golden(capsys):
     with capsys.disabled():
         print(f"\nquadrature drift: {drift:.3e}")
     assert drift <= DRIFT_TOL
+
+
+def test_golden_values_match_the_spectral_path():
+    rows = list(csv.DictReader(io.StringIO(GOLDEN.read_text())))
+    assert len(rows) == len(CASES)
+    for row in rows:
+        spectral = bs_entropy(*sample_pair(int(row["d"]), int(row["seed"])))
+        assert abs(float(row["value"]) - spectral) <= SPECTRAL_TOL, row
 
 
 if __name__ == "__main__":

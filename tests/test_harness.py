@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestCriteriaTable:
                 {"slack_abs": 1e-8}, 30.0),
             5: ((50, 500), (10, 60), {"equality_gap": 1e-9, "equality_residual": 1e-7}, 60.0),
             6: ((200,), (40,), {}, 30.0),
-            7: ((50,), (8,), {"quadrature": 1e-6}, 30.0),
+            7: ((50,), (8,), {"quadrature": 1e-9}, 30.0),
             8: ((200,), (25,), {}, 30.0),
         }
         table = {c.number: (c.full, c.reduced, c.tolerances, c.budget_s) for c in CRITERIA}
@@ -120,6 +121,16 @@ class TestCriteriaTable:
         criterion = CRITERIA[2]
         assert criterion.check(7, criterion.reduced, criterion.tolerances)[0]
         ok, detail = criterion.check(7, criterion.reduced, {**criterion.tolerances, key: 0.0})
+        assert not ok, detail
+
+    def test_oracle_criterion_fails_on_a_disagreement_of_1e_8(self, monkeypatch):
+        criterion = CRITERIA[6]
+        assert criterion.check(7, criterion.reduced, criterion.tolerances)[0]
+        quad = campaigns.bs_entropy_quadrature
+        monkeypatch.setattr(
+            campaigns, "bs_entropy_quadrature", lambda *args, **kw: quad(*args, **kw) + 1e-8
+        )
+        ok, detail = criterion.check(7, criterion.reduced, criterion.tolerances)
         assert not ok, detail
 
     def test_numerics_error_keeps_the_gathered_counts(self):
@@ -582,6 +593,26 @@ class TestBadInputFiles:
         assert err.startswith(f"error: {error}: ")
         assert repr(str(bad)) in err
         assert str(good) not in err
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"d_in": "three"}, "ParseError"),
+            # 2 * identity: sum K*K is 4 * identity
+            ({"kraus": [[[2.0 if i % 4 == 0 else 0.0, 0.0] for i in range(9)]]},
+             "InvalidChannel"),
+            ({"kraus": [[[float("nan"), 0.0]] * 9]}, "DomainViolation"),
+        ],
+        ids=["malformed", "not_trace_preserving", "nan"],
+    )
+    def test_refused_channel_names_its_file(self, change, error, state_files, tmp_path, capsys):
+        sp, rp, cp = state_files
+        bad = tmp_path / "bad_channel.json"
+        bad.write_text(json.dumps({**json.loads(Path(cp).read_text()), **change}))
+        assert main(["certify", sp, rp, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert repr(str(bad)) in err
 
     def test_non_finite_kraus_entry(self, state_files, tmp_path, capsys):
         path = tmp_path / "chan.json"
