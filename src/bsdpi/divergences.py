@@ -248,7 +248,10 @@ def bs_entropy_quadrature(sigma, rho=None, t_max: float | None = None, tol: floa
 
     def integrand(u: np.ndarray) -> np.ndarray:
         t = np.exp(u)
-        x = np.linalg.solve(g + t[:, None, None] * eye, s_half)
+        # one right-hand side per matrix: NumPy 1.x reads a (d, d) b against
+        # a (k, d, d) stack as k vectors, not as a shared matrix
+        rhs = np.broadcast_to(s_half, (t.size, *g.shape))
+        x = np.linalg.solve(g + t[:, None, None] * eye, rhs)
         f = t * (np.einsum("ij,kij->k", s_half_conj, x).real - trace_s / (1.0 + t))
         if not np.all(np.isfinite(f)):
             raise NoConvergence("quadrature integrand is not finite")

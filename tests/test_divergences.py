@@ -323,6 +323,24 @@ class TestQuadratureOracle:
         assert len(nodes) == 49
         assert max(nodes) <= 400, nodes
 
+    def test_each_solve_gets_a_right_hand_side_per_matrix(self, monkeypatch):
+        # NumPy 1.x reads a b with one dimension fewer than a as a stack of
+        # vectors; levels of one node (equal states, t_max below t_lo) and of
+        # d nodes must still pass a full stack
+        solve = np.linalg.solve
+
+        def checked(a, b):
+            assert b.shape == a.shape, (a.shape, b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        rho = random_density(3, 3, 15)
+        assert abs(bs_entropy_quadrature(rho, rho)) <= 1e-8
+        sigma, rho = sample_pair(2, 16)
+        bs_entropy_quadrature(sigma, rho, t_max=1e-30)
+        spectral = bs_entropy(sigma, rho)
+        assert abs(bs_entropy_quadrature(sigma, rho) - spectral) <= 1e-10
+
     def test_singular_raises(self):
         with pytest.raises(SingularState):
             bs_entropy_quadrature(random_density(3, 2, 0), random_density(3, 3, 1))
