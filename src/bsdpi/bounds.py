@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .channels import ConditionalExpectation, ContractionMap, KrausChannel
 from .divergences import FDivFamily, bs_entropy, maximal_f
 from .errors import BadBeta, MissingMeasureParams, SingularState
 # herm_eig stays bound here: bench/tests check that the tracer wraps this binding
-from .linalg import herm_eig, hs_inner, schatten_norm  # noqa: F401
+from .linalg import herm_eig, hs_inner, lazy_property, schatten_norm  # noqa: F401
 from .recovery import condexp_equality_residuals, stinespring_residual
 from .states import StatePair
 
@@ -116,12 +115,12 @@ class InstanceAnalysis:
     def is_condexp(self) -> bool:
         return isinstance(self.target, ConditionalExpectation)
 
-    @cached_property
+    @lazy_property
     def out(self) -> StatePair:
         """The pair of outputs (sigma_T, rho_T)."""
         return StatePair(self.target.apply(self.inp.sigma), self.target.apply(self.inp.rho))
 
-    @cached_property
+    @lazy_property
     def gap_bs(self) -> float:
         """BS(sigma||rho) - BS(sigma_T||rho_T), each on its pair's common support."""
         return bs_entropy(self.inp) - bs_entropy(self.out)
@@ -134,28 +133,28 @@ class InstanceAnalysis:
         """||G||_inf of the input pair."""
         return self.inp.ratio.lam_max
 
-    @cached_property
+    @lazy_property
     def sigma_inv_sup(self) -> float:
         """||sigma^-1||_inf for a conditional expectation, ||sigma_T^-1||_inf
         for a channel (Moore-Penrose on singular states)."""
         spec = self.inp.s if self.is_condexp else self.out.s
         return 1.0 / spec.min_positive
 
-    @cached_property
+    @lazy_property
     def pulled_back(self) -> np.ndarray:
         """T*(sigma_T^-1 rho_T); sigma times it is the BS recovery of rho_T."""
         return self.target.adjoint_apply(self.out.s.pinv @ self.out.rho)
 
-    @cached_property
+    @lazy_property
     def contraction(self) -> ContractionMap:
         """U(X) = sigma^{1/2} T*(sigma_T^{-1/2} X) on the cached spectra."""
         return ContractionMap(self.target, self.inp.s.sqrt, self.out.s.rsqrt)
 
-    @cached_property
+    @lazy_property
     def _condexp_residuals(self) -> tuple[float, float]:
         return condexp_equality_residuals(self)
 
-    @cached_property
+    @lazy_property
     def residual_k(self) -> float:
         """Residual of the square-root equality condition (K form): the
         strange residual for a conditional expectation, the Stinespring
@@ -164,7 +163,7 @@ class InstanceAnalysis:
             return self._condexp_residuals[1]
         return stinespring_residual(self)
 
-    @cached_property
+    @lazy_property
     def residual_l(self) -> float:
         """Residual of the recovery equality condition (L form).
 

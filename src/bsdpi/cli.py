@@ -27,7 +27,7 @@ from .divergences import (
     relative_entropy,
     standard_f,
 )
-from .errors import ConfigError, NumericsError, SingularState
+from .errors import ConfigError, NoConvergence, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
 from .states import StatePair, load_state, read_input
@@ -136,6 +136,9 @@ def cmd_divergence(args) -> int:
         print(f"bs_quadrature         = {quad!r}  |delta| = {abs(quad - bs):.3e}")
     except SingularState:
         print("bs_quadrature         = skipped (rank-deficient input)")
+    except NoConvergence as exc:
+        # an unresolved oracle is a finding about the oracle, not a bad input
+        print(f"bs_quadrature         = unresolved (NoConvergence: {exc})")
     return 0
 
 

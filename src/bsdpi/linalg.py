@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +42,29 @@ def set_eig_corruption(scale: float) -> None:
     """Install (or clear, with 0.0) the eigensolver corruption used by selftest."""
     global _EIG_CORRUPTION
     _EIG_CORRUPTION = float(scale)
+
+
+class lazy_property:
+    """A method read as an attribute: computed on first read, then stored in
+    the instance ``__dict__``, which shadows this non-data descriptor.
+
+    functools.cached_property does the same, but on Python < 3.12 it takes a
+    lock on every first read, a measurable cost on objects that live for one
+    trial.  No lock is needed here: the objects are not shared across threads.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +143,21 @@ STEP_ON_SUPPORT = ScalarFunction(
 class Spectrum:
     """A Hermitian matrix together with its one eigendecomposition.
 
-    Every spectral quantity of the matrix is read off the single herm_eig call
-    made here: functions of the matrix (matrix_fn and pinv accept a Spectrum),
-    traces tr[X f(A)] as weighted eigenvalue sums, its support projector,
-    numerical rank and smallest positive eigenvalue.  Derived matrices are
-    computed on first use and kept for the life of the object.
+    The matrix is decomposed by one herm_eig call on the first read of
+    ``eig``, and every spectral quantity is read off that decomposition:
+    functions of the matrix (matrix_fn and pinv accept a Spectrum), traces
+    tr[X f(A)] as weighted eigenvalue sums, its support projector, numerical
+    rank and smallest positive eigenvalue.  Derived matrices are computed on
+    first use and kept for the life of the object.
     """
 
     def __init__(self, a: np.ndarray):
         self.mat = np.asarray(a, dtype=complex)
-        self.eig = herm_eig(self.mat)
+
+    @lazy_property
+    def eig(self) -> EigenSystem:
+        """herm_eig of the matrix; its refusals are raised on this first read."""
+        return herm_eig(self.mat)
 
     @property
     def dim(self) -> int:
@@ -141,21 +168,21 @@ class Spectrum:
         """Largest eigenvalue clipped at 0; the sup norm of a PSD matrix."""
         return max(float(self.eig.values[-1]), 0.0)
 
-    @cached_property
+    @lazy_property
     def sqrt(self) -> np.ndarray:
         return matrix_fn(self, SQRT)
 
-    @cached_property
+    @lazy_property
     def rsqrt(self) -> np.ndarray:
         """Inverse square root on the support, 0 off it."""
         return matrix_fn(self, RSQRT_ON_SUPPORT)
 
-    @cached_property
+    @lazy_property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse at the default RANK_TOL."""
         return pinv(self)
 
-    @cached_property
+    @lazy_property
     def support_projector(self) -> np.ndarray:
         """Projector onto the support; exactly the identity at full rank,
         where U U* would differ from it by rounding."""
@@ -178,7 +205,7 @@ class Spectrum:
         those weights (see ``weights``); f(A) itself is never formed."""
         return float(spectral_values(self, f) @ weights)
 
-    @cached_property
+    @lazy_property
     def rank(self) -> int:
         """Number of eigenvalues above RANK_TOL * lambda_max."""
         return int(np.count_nonzero(self.eig.values > RANK_TOL * self.lam_max))
@@ -187,7 +214,7 @@ class Spectrum:
     def full_rank(self) -> bool:
         return self.rank == self.dim
 
-    @cached_property
+    @lazy_property
     def min_positive(self) -> float:
         """Smallest eigenvalue above RANK_TOL * lambda_max."""
         w = self.eig.values
@@ -205,11 +232,21 @@ def spectral_values(spec: Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
     eigenvalues, or with ``f.support_tol`` every eigenvalue at most
     ``support_tol * lambda_max``, map to ``at_zero``.  Any other eigenvalue
     outside the open domain of ``f`` raises DomainViolation.
+
+    A spectrum wholly inside the open domain, and above the cut to
+    ``at_zero`` when that is set, has nothing to clip or mask: ``f`` maps it
+    as is, the same values the general route computes.
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
-    lam = spec.eig.values.copy()
+    lam = spec.eig.values
     lam_max = spec.lam_max
+    lo = f.lo
+    if f.at_zero is not None:
+        lo = max(lo, 0.0 if f.support_tol is None else f.support_tol * lam_max)
+    if lam[0] > lo and lam[-1] < f.hi:
+        return np.array(f.fn(lam), dtype=float)
+    lam = lam.copy()
     if f.lo >= 0.0:
         clip = CLIP_TOL * max(lam_max, 1.0)
         lam[(lam < 0.0) & (lam > -clip)] = 0.0

@@ -4,7 +4,6 @@ and serialization."""
 from __future__ import annotations
 
 import json
-from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .errors import (
     SingularState,
     SupportMismatch,
 )
-from .linalg import CLIP_TOL, Spectrum, schatten_norm
+from .linalg import CLIP_TOL, Spectrum, lazy_property, schatten_norm
 
 # Weight of rho outside the support of sigma tolerated by gamma().
 SUPPORT_LEAK_TOL = 1e-8
@@ -130,35 +129,35 @@ class StatePair:
         if self.sigma.shape != self.rho.shape:
             raise DimMismatch(f"shape mismatch {self.sigma.shape} vs {self.rho.shape}")
 
-    @cached_property
+    @lazy_property
     def s(self) -> Spectrum:
         return as_spectrum(self._sigma)
 
-    @cached_property
+    @lazy_property
     def r(self) -> Spectrum:
         return as_spectrum(self._rho)
 
-    @cached_property
+    @lazy_property
     def ratio(self) -> Spectrum:
         """G = sigma^{-1/2} rho sigma^{-1/2}; raises SupportMismatch as gamma does."""
         return gamma(self.s, self.rho)
 
-    @cached_property
+    @lazy_property
     def core(self) -> Spectrum:
         """rho^{-1/2} sigma rho^{-1/2}, the argument of the maximal f-divergence."""
         return gamma(self.r, self.sigma)
 
-    @cached_property
+    @lazy_property
     def ratio_weights(self) -> np.ndarray:
         """sigma in the eigenbasis of G: tr[sigma f(G)] = ratio.trace_fn(f, this)."""
         return self.ratio.weights(self.s)
 
-    @cached_property
+    @lazy_property
     def core_weights(self) -> np.ndarray:
         """rho in the eigenbasis of the core: tr[rho f(core)] = core.trace_fn(f, this)."""
         return self.core.weights(self.r)
 
-    @cached_property
+    @lazy_property
     def regularized(self) -> tuple:
         """The pair with both states regularized at each eps of EPS_GRID."""
         return tuple(StatePair(regularize(self.sigma, e), regularize(self.rho, e)) for e in EPS_GRID)
@@ -267,6 +266,7 @@ def load_state(path: str) -> Spectrum:
     text = read_input(path, "state")
     try:
         spec = Spectrum(state_from_json(text))
+        spec.eig  # decompose here, so that herm_eig's refusals name the file
     except NumericsError as exc:
         raise type(exc)(f"{exc} (state file {path!r})") from exc
     tr = float(np.trace(spec.mat).real)

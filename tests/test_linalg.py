@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +18,21 @@ from bsdpi import (
     schatten_norm,
 )
 from bsdpi import SingularState, linalg
+from bsdpi.divergences import neg_log, neg_power, square_family, xlogx
 from bsdpi.linalg import (
     EXP,
     IDENTITY,
     LOG,
     LOG_ON_SUPPORT,
+    RANK_TOL,
     RSQRT_ON_SUPPORT,
     SQRT,
     SQUARE,
     STEP_ON_SUPPORT,
     ScalarFunction,
     Spectrum,
+    lazy_property,
+    spectral_values,
 )
 
 
@@ -192,6 +198,155 @@ class TestSpectrum:
     def test_zero_matrix_has_no_positive_spectrum(self):
         with pytest.raises(SingularState):
             Spectrum(np.zeros((2, 2))).min_positive
+
+
+def functions_in_use():
+    """Every scalar function the library maps spectra with, by name."""
+    fns = {
+        "SQRT": SQRT,
+        "LOG": LOG,
+        "LOG_ON_SUPPORT": LOG_ON_SUPPORT,
+        "RSQRT_ON_SUPPORT": RSQRT_ON_SUPPORT,
+        "STEP_ON_SUPPORT": STEP_ON_SUPPORT,
+        # the function pinv builds
+        "pinv": ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=RANK_TOL),
+    }
+    for fam in (xlogx(), neg_log(), *(neg_power(b) for b in (0.25, 0.5, 0.75)), square_family()):
+        fns[f"{fam.tag}.f"] = fam.f
+        fns[f"{fam.tag}.f_transpose"] = fam.f_transpose
+    return fns
+
+
+def documented_values(spec, f):
+    """spectral_values' rule eigenvalue by eigenvalue: clip, map to at_zero
+    on and below the cut, refuse what is left outside the domain, and map
+    the rest by f in one call."""
+    lam_max = spec.lam_max
+    lam = [
+        0.0 if f.lo >= 0.0 and -linalg.CLIP_TOL * max(lam_max, 1.0) < x < 0.0 else float(x)
+        for x in spec.eig.values
+    ]
+    cut = 0.0 if f.support_tol is None else f.support_tol * lam_max
+    zero = [f.at_zero is not None and (x <= cut if f.support_tol is not None else x == 0.0)
+            for x in lam]
+    live = [x for x, z in zip(lam, zero) if not z]
+    if any(not f.lo < x < f.hi for x in live):
+        raise DomainViolation("outside the domain")
+    mapped = iter(np.asarray(f.fn(np.array(live)), dtype=float))
+    return np.array([f.at_zero if z else next(mapped) for z in zero])
+
+
+def route(spec, f):
+    """'fast' when f is handed the spectrum's own eigenvalues, else 'general'."""
+    seen = []
+
+    def spy(x):
+        seen.append(x is spec.eig.values)
+        return f.fn(x)
+
+    spectral_values(spec, ScalarFunction(spy, f.lo, f.hi, f.at_zero, f.support_tol))
+    return "fast" if seen == [True] else "general"
+
+
+# full-rank spectra, the last with a wide spread that stays above
+# RANK_TOL * lambda_max
+IN_DOMAIN = [rand_psd(d, seed) / 10.0 for d in (2, 3, 4) for seed in range(3)]
+IN_DOMAIN.append(np.diag([2e-9, 0.3, 1.0]))
+
+
+class TestSpectralFastPath:
+    @pytest.mark.parametrize("name", sorted(functions_in_use()))
+    def test_in_domain_spectra_agree_bitwise(self, name):
+        f = functions_in_use()[name]
+        for a in IN_DOMAIN:
+            spec = Spectrum(a)
+            assert route(spec, f) == "fast"
+            values = spectral_values(spec, f)
+            assert values.dtype == float
+            assert np.array_equal(values, documented_values(spec, f))
+
+    def test_fast_values_do_not_alias_the_spectrum(self):
+        spec = Spectrum(np.diag([0.25, 0.75]))
+        values = spectral_values(spec, IDENTITY)
+        values[0] = 9.0
+        assert spec.eig.values[0] == 0.25
+
+    @pytest.mark.parametrize(
+        "diag, f, expected",
+        [
+            # exactly at RANK_TOL * lambda_max: on the cut, so mapped to at_zero
+            ([1e-10, 0.5, 1.0], LOG_ON_SUPPORT, [0.0, math.log(0.5), 0.0]),
+            ([0.0, 0.5, 0.5], SQRT, [0.0, math.sqrt(0.5), math.sqrt(0.5)]),
+            ([0.0, 0.5, 0.5], LOG_ON_SUPPORT, [0.0, math.log(0.5), math.log(0.5)]),
+            # rounding noise below 0 is clipped to 0 first
+            ([-1e-14, 0.5, 0.5], SQRT, [0.0, math.sqrt(0.5), math.sqrt(0.5)]),
+        ],
+        ids=["at_cut", "zero_sqrt", "zero_log", "clipped"],
+    )
+    def test_edge_spectra_take_the_general_route(self, diag, f, expected):
+        spec = Spectrum(np.diag(diag))
+        assert list(spec.eig.values) == diag
+        assert route(spec, f) == "general"
+        values = spectral_values(spec, f)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(values, documented_values(spec, f))
+
+    @pytest.mark.parametrize("diag", [[0.0, 0.5, 0.5], [-1e-14, 0.5, 0.5]], ids=["at_lo", "clipped_to_lo"])
+    def test_eigenvalue_at_the_domain_end_still_raises(self, diag):
+        with pytest.raises(DomainViolation):
+            spectral_values(Spectrum(np.diag(diag)), LOG)
+
+    def test_pinv_maps_with_that_function(self):
+        spec = Spectrum(rand_psd(3, 5))
+        assert np.array_equal(pinv(spec), matrix_fn(spec, functions_in_use()["pinv"]))
+
+
+class TestLazyProperty:
+    class Counted:
+        reads = 0
+
+        def __init__(self, value):
+            self.value = value
+
+        @lazy_property
+        def double(self):
+            """Twice the value."""
+            type(self).reads += 1
+            return 2 * self.value
+
+    def test_computes_once_per_instance(self):
+        obj = self.Counted(3)
+        before = self.Counted.reads
+        assert obj.double == 6 and obj.double == 6
+        assert self.Counted.reads - before == 1
+        assert obj.__dict__["double"] == 6
+
+    def test_instances_do_not_share_a_value(self):
+        a, b = self.Counted(1), self.Counted(2)
+        assert (a.double, b.double) == (2, 4)
+
+    def test_class_access_returns_the_descriptor(self):
+        prop = self.Counted.double
+        assert isinstance(prop, lazy_property)
+        assert prop.__doc__ == "Twice the value."
+        assert isinstance(Spectrum.eig, lazy_property)
+
+    def test_spectrum_decomposes_on_first_read(self):
+        before = linalg.herm_eig_calls
+        spec = Spectrum(np.array([[0.5, 0.3], [0.0, 0.5]]))
+        assert linalg.herm_eig_calls == before
+        with pytest.raises(NotHermitian):
+            spec.eig
+        spec = Spectrum(rand_psd(3, 1))
+        assert spec.eig is spec.eig
+        assert linalg.herm_eig_calls - before == 2
+
+    def test_library_uses_no_functools_cached_property(self):
+        src = Path(linalg.__file__).parent
+        for path in src.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"^from functools import .*\bcached_property\b", text, re.M), path.name
+            assert "@functools.cached_property" not in text, path.name
 
 
 class TestNorms:

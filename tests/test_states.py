@@ -116,8 +116,9 @@ class TestStatesAreSpectra:
         before = linalg.herm_eig_calls
         sample_conditioned_pair(3, 8)
         sample_equal_support_pair(4, 3, 9)
-        # at least the two states of each pair and the two blocks
-        assert linalg.herm_eig_calls - before >= 6
+        # at least the two conditioned states and the two blocks; the
+        # embedded blocks are decomposed only when read
+        assert linalg.herm_eig_calls - before >= 4
 
 
 class TestRegularize:
