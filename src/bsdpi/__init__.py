@@ -3,6 +3,7 @@ and strengthened data-processing lower bounds."""
 
 from .bounds import (
     BoundReport,
+    InstanceAnalysis,
     bs_bound_channel,
     bs_bound_condexp,
     k_alpha,
@@ -78,6 +79,7 @@ from .recovery import (
     stinespring_residual,
 )
 from .states import (
+    StatePair,
     gamma,
     load_state,
     random_density,

@@ -90,10 +90,10 @@ class InstanceAnalysis:
     use.  The DPI gap, both bound forms, the bound of every maximal-f family
     and the equality residuals all read the same analysis, so a family costs
     one scalar function on the cached core spectra.  An analysis belongs to
-    one instance and is dropped with it.
+    one instance and is dropped with it.  sigma and rho are each a Spectrum
+    or a plain, possibly unnormalized, PSD array.
 
-    The evaluators of this module and of ``recovery`` accept an analysis in
-    place of their (sigma, rho, target) arguments, passing None for the rest.
+    The instance evaluators of this module and of ``recovery`` take an analysis.
     """
 
     def __init__(self, sigma, rho, target):
@@ -101,15 +101,6 @@ class InstanceAnalysis:
             raise TypeError("target must be a ConditionalExpectation or a KrausChannel")
         self.target = target
         self.inp = StatePair(sigma, rho)
-
-    @classmethod
-    def of(cls, sigma, rho, target) -> "InstanceAnalysis":
-        """``sigma`` itself when it is an analysis, else a new analysis."""
-        if isinstance(sigma, cls):
-            if rho is not None or target is not None:
-                raise TypeError("rho and the target must be None with an InstanceAnalysis")
-            return sigma
-        return cls(sigma, rho, target)
 
     @property
     def is_condexp(self) -> bool:
@@ -126,7 +117,7 @@ class InstanceAnalysis:
         return bs_entropy(self.inp) - bs_entropy(self.out)
 
     def gap_maximal(self, fam: FDivFamily) -> float:
-        return maximal_f(self.inp, None, fam) - maximal_f(self.out, None, fam)
+        return maximal_f(self.inp, fam) - maximal_f(self.out, fam)
 
     @property
     def gamma_sup(self) -> float:
@@ -200,19 +191,17 @@ def _bs_report(a: InstanceAnalysis) -> BoundReport:
     )
 
 
-def bs_bound_condexp(
-    sigma, rho=None, expectation: ConditionalExpectation | None = None
-) -> BoundReport:
+def bs_bound_condexp(a: InstanceAnalysis) -> BoundReport:
     """Strengthened BS-entropy DPI bound under a conditional expectation.
 
     rhs_k = (pi/4)^4 ||G||_inf^-2 r_strange^4 and
     rhs_l = (pi/8)^4 ||G||_inf^-4 ||sigma^-1||_inf^-2 r_recovery^4.
     Both hold unconditionally, so precondition_ok is always True.
     """
-    return _bs_report(InstanceAnalysis.of(sigma, rho, expectation))
+    return _bs_report(a)
 
 
-def bs_bound_channel(sigma, rho=None, channel: KrausChannel | None = None) -> BoundReport:
+def bs_bound_channel(a: InstanceAnalysis) -> BoundReport:
     """Strengthened BS-entropy DPI bound for a general channel.
 
     The K form uses the Stinespring-isometry residual; the L form uses the
@@ -220,22 +209,20 @@ def bs_bound_channel(sigma, rho=None, channel: KrausChannel | None = None) -> Bo
     equal supports; their gap is the BS-entropy on the common support, as for
     every input, and their residuals use Moore-Penrose inverses.
     """
-    a = InstanceAnalysis.of(sigma, rho, channel)
     a.inp.require_equal_supports()
     return _bs_report(a)
 
 
-def maxf_bound(sigma, rho, target, fam: FDivFamily) -> BoundReport:
+def maxf_bound(a: InstanceAnalysis, fam: FDivFamily) -> BoundReport:
     """Strengthened DPI bound for a maximal f-divergence with measure constants.
 
-    ``target`` is either a ConditionalExpectation or a KrausChannel.  The
-    precondition flag reflects the states-not-too-far condition; when it is
+    The analysis' target is either a ConditionalExpectation or a KrausChannel.
+    The precondition flag reflects the states-not-too-far condition; when it is
     False the right-hand sides are still reported but carry no guarantee.
     Every family evaluated on one analysis shares its residuals and spectra.
     """
     if fam.measure_c is None or fam.measure_alpha is None:
         raise MissingMeasureParams(f"family {fam.tag!r} has no (C, alpha)")
-    a = InstanceAnalysis.of(sigma, rho, target)
     alpha = fam.measure_alpha
     c = fam.measure_c
     residual_k = a.residual_k
@@ -279,16 +266,16 @@ def maxf_bound(sigma, rho, target, fam: FDivFamily) -> BoundReport:
     )
 
 
-def lemma_integrand_check(sigma, rho, expectation: ConditionalExpectation | None, t: float):
+def lemma_integrand_check(a: InstanceAnalysis, t: float):
     """Both sides of the resolvent integrand inequality at one t > 0.
 
     Returns (lhs, rhs) with lhs the pulled-back resolvent difference paired
     against sigma_N^{1/2} and rhs = t ||w_t||_2^2; lhs - rhs >= 0 up to
-    rounding for every t > 0.  ``sigma`` may be an InstanceAnalysis.
+    rounding for every t > 0.  The analysis' target must be a conditional
+    expectation.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    a = InstanceAnalysis.of(sigma, rho, expectation)
     if not a.is_condexp:
         raise TypeError("the integrand check needs a conditional expectation")
     if not (a.inp.s.full_rank and a.inp.r.full_rank):

@@ -318,7 +318,7 @@ class RegularizedOracleCheck(Check):
     def add(self, trial, a):
         if not trial.deficient:
             return
-        top, bottom = (regularized_divergence(p, None, xlogx(), "maximal") for p in (a.inp, a.out))
+        top, bottom = (regularized_divergence(p, xlogx(), "maximal") for p in (a.inp, a.out))
         increment = max(top.increment, bottom.increment)
         disagreement = abs(top.value - bottom.value - a.gap_bs)
         self.summary.total += 1
@@ -351,7 +351,7 @@ class MaxfCheck(Check):
     def add(self, trial, a):
         self.trials += 1
         for fam in self.fams:
-            report = maxf_bound(a, None, None, fam)
+            report = maxf_bound(a, fam)
             self.summary.total += 1
             self.rows.append(
                 Row(trial.seed, trial.d, fam.tag, report.gap, report.rhs_k, report.rhs_l,
@@ -393,7 +393,7 @@ class EqualityCheck(Check):
         if trial.index < self.constructed:
             sub = derive_seed(self.seed, 1000 + trial.index)
             sigma, rho, pinching = pinching_fixed_pair(trial.d, sub)
-            report = equality_residuals(sigma, rho, pinching.as_kraus())
+            report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
             self.summary.total += 1
             tol = self.residual_tol
             checks = {
@@ -409,7 +409,7 @@ class EqualityCheck(Check):
             else:
                 bad = ",".join(k for k, v in checks.items() if not v)
                 self.fail(sub, f"constructed pair fails: {bad}")
-        report = equality_residuals(a, None, None)
+        report = equality_residuals(a)
         self.summary.total += 1
         if report.residual_eq2 <= 1e-12 and report.gap_bs > 1e-8:
             self.fail(trial.seed, f"residual_eq2 tiny but gap {report.gap_bs:.3e}")
@@ -430,20 +430,20 @@ class OrderingCheck(Check):
         sub, d = trial.seed, trial.d
         self.summary.total += 1
         for fam in self.fams:
-            s_val = standard_f(a.inp, None, fam)
-            m_val = maximal_f(a.inp, None, fam)
+            s_val = standard_f(a.inp, fam)
+            m_val = maximal_f(a.inp, fam)
             if s_val > m_val + 1e-9:
                 self.fail(sub, f"ordering fails for {fam.tag}: {s_val} > {m_val}")
         # degree-2 identity at the absolute tolerance needs bounded condition
         # numbers (the value tr[s^2 r^-1] is unbounded); unconditioned pairs
         # are still checked at machine-relative level
-        s_sq = standard_f(a.inp, None, self.square)
-        m_sq = maximal_f(a.inp, None, self.square)
+        s_sq = standard_f(a.inp, self.square)
+        m_sq = maximal_f(a.inp, self.square)
         if abs(s_sq - m_sq) > 1e-11 * max(1.0, abs(s_sq)):
             self.fail(sub, f"degree-2 identity off relative scale by {s_sq - m_sq:.3e}")
-        sigma_c, rho_c = sample_conditioned_pair(d, sub)
-        s_sq = standard_f(sigma_c, rho_c, self.square)
-        m_sq = maximal_f(sigma_c, rho_c, self.square)
+        conditioned = StatePair(*sample_conditioned_pair(d, sub))
+        s_sq = standard_f(conditioned, self.square)
+        m_sq = maximal_f(conditioned, self.square)
         if abs(s_sq - m_sq) > 1e-10:
             self.fail(sub, f"degree-2 identity off by {s_sq - m_sq:.3e}")
 
@@ -458,8 +458,8 @@ class OrderingCheck(Check):
         classical = float(np.sum(mu * (lam / mu) * np.log(lam / mu)))
         fam = xlogx()
         for label, value in (
-            ("standard", standard_f(pair, None, fam)),
-            ("maximal", maximal_f(pair, None, fam)),
+            ("standard", standard_f(pair, fam)),
+            ("maximal", maximal_f(pair, fam)),
         ):
             if abs(value - classical) > 1e-10:
                 self.fail(sub, f"commuting {label} off classical by {value - classical:.3e}")
@@ -479,7 +479,7 @@ class OracleCheck(Check):
             self.fail(trial.seed, f"quadrature disagrees by {spectral - quad:.3e}")
         for x in (0.5, 2.0):
             for y in (0.5, 2.0):
-                scaled = bs_entropy(x * trial.sigma.mat, y * trial.rho.mat)
+                scaled = bs_entropy(StatePair(x * trial.sigma.mat, y * trial.rho.mat))
                 expected = x * spectral + x * math.log(x / y)
                 if abs(scaled - expected) > 1e-9:
                     self.fail(trial.seed, f"scaling identity off at a={x}, b={y}")
@@ -521,7 +521,7 @@ class StructuralCheck(Check):
             self.fail(sub, "U*U deviates from the expectation")
 
         for t in self.t_grid:
-            lhs, rhs = lemma_integrand_check(analysis, None, None, t)
+            lhs, rhs = lemma_integrand_check(analysis, t)
             if lhs - rhs < -1e-9:
                 self.fail(sub, f"integrand inequality fails at t={t}: {lhs - rhs:.3e}")
 

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import campaigns
+from .bounds import InstanceAnalysis
 from .channels import load_channel
 from .divergences import (
     bs_entropy,
@@ -120,12 +121,12 @@ def cmd_divergence(args) -> int:
     d = relative_entropy(pair)
     bs = bs_entropy(pair)
     try:
-        s_f = standard_f(pair, None, fam)
-        m_f = maximal_f(pair, None, fam)
+        s_f = standard_f(pair, fam)
+        m_f = maximal_f(pair, fam)
         route = "direct"
     except SingularState:
-        s_f = regularized_divergence(pair, None, fam, kind="standard").value
-        m_f = regularized_divergence(pair, None, fam, kind="maximal").value
+        s_f = regularized_divergence(pair, fam, kind="standard").value
+        m_f = regularized_divergence(pair, fam, kind="maximal").value
         route = "regularized"
     print(f"relative_entropy      = {d!r}")
     print(f"bs_entropy            = {bs!r}")
@@ -205,7 +206,7 @@ def cmd_certify(args) -> int:
     sigma = load_state(args.sigma)
     rho = load_state(args.rho)
     channel = load_channel(args.channel)
-    report = equality_residuals(sigma, rho, channel)
+    report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -11,13 +11,7 @@ import numpy as np
 
 from .errors import BadBeta, Diverging, NoConvergence
 from .linalg import LOG_ON_SUPPORT, ScalarFunction
-from .states import (
-    SUPPORT_EQ_TOL,
-    as_matrix,
-    as_pair,
-    as_spectrum,
-    support_leak,
-)
+from .states import SUPPORT_EQ_TOL, StatePair, as_matrix, as_spectrum, support_leak
 
 
 @dataclass(frozen=True)
@@ -98,14 +92,12 @@ def family_from_tag(tag: str) -> FDivFamily:
     raise ValueError(f"unknown divergence family tag {tag!r}")
 
 
-def standard_f(sigma, rho, fam: FDivFamily) -> float:
+def standard_f(pair: StatePair, fam: FDivFamily) -> float:
     """Double eigenpair sum  sum_ij mu_j f(lambda_i / mu_j) |<u_i, v_j>|^2.
 
-    Both arguments must be full rank; rank-deficient pairs go through
-    ``regularized_divergence``.  ``sigma`` may be a StatePair with ``rho``
-    None, whose cached spectra are then reused.
+    Both states must be full rank; rank-deficient pairs go through
+    ``regularized_divergence``.
     """
-    pair = as_pair(sigma, rho)
     pair.require_full_rank()
     es = pair.s.eig
     er = pair.r.eig
@@ -114,14 +106,12 @@ def standard_f(sigma, rho, fam: FDivFamily) -> float:
     return float(np.sum(overlap * fam.f(ratios) * er.values[None, :]))
 
 
-def relative_entropy(sigma, rho=None) -> float:
+def relative_entropy(pair: StatePair) -> float:
     """tr[sigma (log sigma - log rho)] on the joint support.
 
     Returns +inf when sigma has weight outside the support of rho: that is the
-    distinguished value of the divergence, not an error.  ``sigma`` may be a
-    StatePair with ``rho`` omitted.
+    distinguished value of the divergence, not an error.
     """
-    pair = as_pair(sigma, rho)
     if support_leak(pair.r, pair.sigma) > SUPPORT_EQ_TOL:
         return math.inf
     # sigma's weights in its own eigenbasis are its eigenvalues
@@ -130,26 +120,23 @@ def relative_entropy(sigma, rho=None) -> float:
     )
 
 
-def maximal_f(sigma, rho, fam: FDivFamily) -> float:
+def maximal_f(pair: StatePair, fam: FDivFamily) -> float:
     """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}] for full-rank pairs.
 
     The trace is tr[rho f(core)], a sum of f over the core's eigenvalues
-    weighted by rho.  ``sigma`` may be a StatePair with ``rho`` None; only
-    ``fam.f`` is then evaluated anew, on the pair's cached core spectrum.
+    weighted by rho; a further family evaluates only ``fam.f`` anew, on the
+    pair's cached core spectrum.
     """
-    pair = as_pair(sigma, rho)
     pair.require_full_rank()
     return pair.core.trace_fn(fam.f, pair.core_weights)
 
 
-def bs_entropy(sigma, rho=None) -> float:
+def bs_entropy(pair: StatePair) -> float:
     """-tr[sigma log(sigma^{-1/2} rho sigma^{-1/2})] on the common support.
 
-    Accepts unnormalized PSD inputs (needed for the scaling identity); the
-    supports of the two arguments must coincide.  ``sigma`` may be a
-    StatePair with ``rho`` omitted, whose cached spectra are then reused.
+    The states may be unnormalized (needed for the scaling identity); their
+    supports must coincide.
     """
-    pair = as_pair(sigma, rho)
     pair.require_equal_supports()
     return -pair.ratio.trace_fn(LOG_ON_SUPPORT, pair.ratio_weights)
 
@@ -165,21 +152,20 @@ class RegularizedValue(NamedTuple):
     increment: float
 
 
-def regularized_divergence(sigma, rho, fam: FDivFamily, kind: str = "maximal") -> RegularizedValue:
+def regularized_divergence(pair: StatePair, fam: FDivFamily, kind: str = "maximal") -> RegularizedValue:
     """Divergence of rank-deficient states via the epsilon-regularized limit.
 
     Evaluates at eps in EPS_GRID with both arguments regularized, Richardson
     extrapolates the last three values (first order in eps, then second), and
     reports the extrapolated value together with the increment of the
     extrapolated sequence.  Raises Diverging when the raw increments fail to
-    shrink, which signals a support-mismatched (infinite) limit.  ``sigma``
-    may be a StatePair with ``rho`` None, whose regularized pairs both kinds share.
+    shrink, which signals a support-mismatched (infinite) limit.  Both kinds
+    share the pair's regularized pairs.
     """
     evaluate = {"maximal": maximal_f, "standard": standard_f}.get(kind)
     if evaluate is None:
         raise ValueError("kind must be 'standard' or 'maximal'")
-    pair = as_pair(sigma, rho)
-    values = [evaluate(reg, None, fam) for reg in pair.regularized]
+    values = [evaluate(reg, fam) for reg in pair.regularized]
     d_prev = abs(values[2] - values[1])
     d_last = abs(values[3] - values[2])
     # analytic-in-eps values shrink ~10x per decade; anything slower than 2x
@@ -201,7 +187,7 @@ QUAD_END_SHARE = 1e-3
 QUAD_MAX_LEVELS = 6
 
 
-def bs_entropy_quadrature(sigma, rho=None, t_max: float | None = None, tol: float = 1e-8) -> float:
+def bs_entropy_quadrature(pair: StatePair, t_max: float | None = None, tol: float = 1e-8) -> float:
     """BS-entropy via the resolvent integral of the operator logarithm.
 
     Integrates f(t) = <sigma^{1/2}, ((G + t)^{-1} - (1 + t)^{-1}) sigma^{1/2}>
@@ -219,14 +205,12 @@ def bs_entropy_quadrature(sigma, rho=None, t_max: float | None = None, tol: floa
     lambda_min and [t_max, inf) at most tr(sigma) dev / t_max.  t_lo and the
     default t_max hold each to QUAD_END_SHARE * tol.  Resolvents are direct
     linear solves, independent of the spectral-logarithm path; G's extreme
-    eigenvalues only set the ends.  ``sigma`` may be a StatePair with ``rho``
-    omitted.
+    eigenvalues only set the ends.
 
     Raises NoConvergence when G is not numerically positive definite, the
     integrand is not finite at a node, or the levels still disagree after
     QUAD_MAX_LEVELS refinements.
     """
-    pair = as_pair(sigma, rho)
     pair.require_full_rank()
     g = pair.ratio.mat
     s_half = pair.s.sqrt

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,6 +15,9 @@ from .divergences import renyi2_trace
 from .errors import SingularState
 from .linalg import Spectrum, schatten_norm
 from .states import as_matrix, as_spectrum, state_to_json
+
+if TYPE_CHECKING:  # bounds imports this module
+    from .bounds import InstanceAnalysis
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,7 @@ def bs_recovery(channel: KrausChannel, sigma, x: np.ndarray) -> np.ndarray:
     return s @ channel.adjoint_apply(sigma_t.pinv @ np.asarray(x))
 
 
-def _analysis(sigma, rho, target):
-    from .bounds import InstanceAnalysis  # bounds imports this module
-
-    return InstanceAnalysis.of(sigma, rho, target)
-
-
-def stinespring_residual(sigma, rho=None, channel: KrausChannel | None = None) -> float:
+def stinespring_residual(a: InstanceAnalysis) -> float:
     """Residual of the isometry-form equality condition.
 
     || V s^(1/2) V* (X ⊗ I) - V G^(1/2) s^(1/2) V* ||_2 with
@@ -85,10 +83,8 @@ def stinespring_residual(sigma, rho=None, channel: KrausChannel | None = None) -
     G_T of the channel outputs, and V the Stinespring isometry constructed
     from the Kraus family.  V*V = I, so the left factor V leaves the norm
     unchanged and is dropped, and V*(X ⊗ I) is formed from the blocks K_a* X
-    without X ⊗ I.  ``sigma`` may be an InstanceAnalysis of the triple, whose
-    spectra are then reused.
+    without X ⊗ I.  The analysis' target must be a KrausChannel.
     """
-    a = _analysis(sigma, rho, channel)
     inp, out = a.inp, a.out
     dilation = a.target.stinespring()
     d_in, d_out, s = dilation.d_in, dilation.d_out, dilation.s
@@ -102,10 +98,9 @@ def stinespring_residual(sigma, rho=None, channel: KrausChannel | None = None) -
     return schatten_norm(lhs - rhs, 2)
 
 
-def equality_residuals(sigma, rho=None, channel: KrausChannel | None = None) -> RecoveryReport:
-    """Every equality-condition residual plus the BS gap for one instance.
-    ``sigma`` may be an InstanceAnalysis of the triple."""
-    a = _analysis(sigma, rho, channel)
+def equality_residuals(a: InstanceAnalysis) -> RecoveryReport:
+    """Every equality-condition residual plus the BS gap for one instance,
+    whose target must be a KrausChannel."""
     _nonvanishing(a.out.s)
     _nonvanishing(a.out.r)
     s, r = a.inp.sigma, a.inp.rho
@@ -133,17 +128,14 @@ def equality_residuals(sigma, rho=None, channel: KrausChannel | None = None) -> 
     )
 
 
-def condexp_equality_residuals(
-    sigma, rho=None, expectation: ConditionalExpectation | None = None
-):
+def condexp_equality_residuals(a: InstanceAnalysis) -> tuple[float, float]:
     """Residuals of the two conditional-expectation equality conditions.
 
     Returns (r_recovery, r_strange): the recovery-form residual
     ||rho - sigma sigma_N^{-1} rho_N||_2 and the square-root-form residual
-    ||s^(1/2) s_N^(-1/2) G_N^(1/2) s_N^(1/2) - G^(1/2) s^(1/2)||_2.
-    ``sigma`` may be an InstanceAnalysis of the triple.
+    ||s^(1/2) s_N^(-1/2) G_N^(1/2) s_N^(1/2) - G^(1/2) s^(1/2)||_2
+    with N the analysis' conditional expectation.
     """
-    a = _analysis(sigma, rho, expectation)
     inp = a.inp
     if not (inp.s.full_rank and inp.r.full_rank):
         raise SingularState("conditional-expectation residuals need full rank")

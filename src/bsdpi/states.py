@@ -118,8 +118,9 @@ class StatePair:
     core rho^{-1/2} sigma rho^{-1/2} = gamma(rho, sigma) are each decomposed
     at most once, on first use, and sigma's weights in G's eigenbasis and
     rho's in the core's are kept, so every divergence of the pair is a
-    weighted sum over a cached spectrum.  Arguments are anything as_spectrum
-    accepts.
+    weighted sum over a cached spectrum.  sigma and rho are each a Spectrum
+    or a plain, possibly unnormalized, PSD array.  The divergence evaluators
+    take a pair, so that several of them share its spectra.
     """
 
     def __init__(self, sigma, rho):
@@ -177,21 +178,6 @@ class StatePair:
         for name, spec in (("sigma", self.s), ("rho", self.r)):
             if not spec.full_rank:
                 raise SingularState(f"{name} is rank deficient; use the regularized route")
-
-
-def as_pair(sigma, rho=None) -> StatePair:
-    """StatePair(sigma, rho), or ``sigma`` itself when it is a StatePair.
-
-    Evaluators that take (sigma, rho) accept a StatePair in place of both, so
-    that several of them share one pair's spectra.
-    """
-    if isinstance(sigma, StatePair):
-        if rho is not None:
-            raise TypeError("rho must be omitted when sigma is a StatePair")
-        return sigma
-    if rho is None:
-        raise TypeError("rho is required")
-    return StatePair(sigma, rho)
 
 
 def matrix_to_entries(m: np.ndarray) -> list:

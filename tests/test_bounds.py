@@ -5,7 +5,6 @@ import pytest
 
 from bsdpi import (
     MissingMeasureParams,
-    PartialTraceFactor,
     SingularState,
     SupportMismatch,
     bs_bound_channel,
@@ -30,8 +29,9 @@ from bsdpi import (
     xlogx,
 )
 from bsdpi.bounds import InstanceAnalysis
-from bsdpi.campaigns import PARTIAL_TRACE_SHAPES, sample_equal_support_pair, sample_pair
+from bsdpi.campaigns import sample_equal_support_pair, sample_pair
 from bsdpi.errors import BadBeta
+from bsdpi.states import StatePair
 
 
 class TestKAlpha:
@@ -78,7 +78,7 @@ class TestLAlpha:
 class TestCondexpBound:
     def test_equal_states(self):
         rho = random_density(3, 3, 1)
-        report = bs_bound_condexp(rho, rho, random_pinching(3, seed=2))
+        report = bs_bound_condexp(InstanceAnalysis(rho, rho, random_pinching(3, seed=2)))
         assert abs(report.gap) <= 1e-10
         assert report.rhs_k <= 1e-10
         assert report.rhs_l <= 1e-10
@@ -87,7 +87,7 @@ class TestCondexpBound:
     def test_commuting_fixed_pair(self):
         sigma = np.diag([0.2, 0.3, 0.5]).astype(complex)
         rho = np.diag([0.4, 0.4, 0.2]).astype(complex)
-        report = bs_bound_condexp(sigma, rho, diagonal_pinching(3))
+        report = bs_bound_condexp(InstanceAnalysis(sigma, rho, diagonal_pinching(3)))
         assert abs(report.gap) <= 1e-10
         assert report.rhs <= 1e-10
 
@@ -96,7 +96,7 @@ class TestCondexpBound:
             d = 2 + seed % 3
             sigma, rho = sample_pair(d, seed)
             pinching = random_pinching(d, seed=1000 + seed)
-            report = bs_bound_condexp(sigma, rho, pinching)
+            report = bs_bound_condexp(InstanceAnalysis(sigma, rho, pinching))
             tol = 1e-8 * (1.0 + report.gap)
             assert report.slack_k >= -tol
             assert report.slack_l >= -tol
@@ -105,14 +105,14 @@ class TestCondexpBound:
 class TestChannelBound:
     def test_identity_channel(self):
         sigma, rho = sample_pair(3, 3)
-        report = bs_bound_channel(sigma, rho, identity_channel(3))
+        report = bs_bound_channel(InstanceAnalysis(sigma, rho, identity_channel(3)))
         assert abs(report.gap) <= 1e-9
         assert report.rhs <= 1e-9
 
     def test_depolarizing_gap_is_full_divergence(self):
         sigma, rho = sample_pair(3, 4)
-        report = bs_bound_channel(sigma, rho, depolarizing_channel(3))
-        assert report.gap == pytest.approx(bs_entropy(sigma, rho), abs=1e-10)
+        report = bs_bound_channel(InstanceAnalysis(sigma, rho, depolarizing_channel(3)))
+        assert report.gap == pytest.approx(bs_entropy(StatePair(sigma, rho)), abs=1e-10)
         assert report.slack >= -1e-8 * (1.0 + report.gap)
 
     def test_random_campaign(self):
@@ -120,7 +120,7 @@ class TestChannelBound:
             d = 2 + seed % 3
             sigma, rho = sample_pair(d, 2000 + seed)
             channel = random_cptp(d, d, 2 + seed % 2, seed=3000 + seed)
-            report = bs_bound_channel(sigma, rho, channel)
+            report = bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             tol = 1e-8 * (1.0 + report.gap)
             assert report.slack_k >= -tol
             assert report.slack_l >= -tol
@@ -130,13 +130,13 @@ class TestChannelBound:
         for seed in range(10):
             sigma, rho = sample_equal_support_pair(4, 3, 4000 + seed)
             channel = random_cptp(4, 4, 2, seed=5000 + seed)
-            report = bs_bound_channel(sigma, rho, channel)
+            report = bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             tol = 1e-8 * (1.0 + report.gap)
             assert report.slack_k >= -tol
             assert report.slack_l >= -tol
-            top = regularized_divergence(sigma, rho, xlogx(), kind="maximal")
+            top = regularized_divergence(StatePair(sigma, rho), xlogx(), kind="maximal")
             bottom = regularized_divergence(
-                channel.apply(sigma), channel.apply(rho), xlogx(), kind="maximal"
+                StatePair(channel.apply(sigma), channel.apply(rho)), xlogx(), kind="maximal"
             )
             assert top.increment < 1e-6
             assert bottom.increment < 1e-6
@@ -149,7 +149,7 @@ class TestChannelBound:
         calls = []
         for sigma, rho in (sample_equal_support_pair(4, 3, 4000), sample_pair(4, 4000)):
             before = linalg.herm_eig_calls
-            bs_bound_channel(sigma, rho, channel)
+            bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             calls.append(linalg.herm_eig_calls - before)
         assert calls == [6, 6]
 
@@ -157,19 +157,19 @@ class TestChannelBound:
         sigma = np.diag([1.0, 0.0]).astype(complex)
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(SupportMismatch):
-            bs_bound_channel(sigma, rho, identity_channel(2))
+            bs_bound_channel(InstanceAnalysis(sigma, rho, identity_channel(2)))
 
     def test_support_mismatch_with_full_rank_sigma(self):
         sigma = np.diag([0.5, 0.5]).astype(complex)
         rho = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(SupportMismatch):
-            bs_bound_channel(sigma, rho, identity_channel(2))
+            bs_bound_channel(InstanceAnalysis(sigma, rho, identity_channel(2)))
 
 
 class TestMaxfBound:
     def test_equal_states_xlogx(self):
         rho = random_density(3, 3, 6)
-        report = maxf_bound(rho, rho, random_pinching(3, seed=7), xlogx())
+        report = maxf_bound(InstanceAnalysis(rho, rho, random_pinching(3, seed=7)), xlogx())
         assert abs(report.gap) <= 1e-10
         assert report.rhs <= 1e-10
         assert report.precondition_ok
@@ -180,7 +180,7 @@ class TestMaxfBound:
             d = 2 + seed % 3
             sigma, rho = sample_pair(d, 6000 + seed)
             pinching = random_pinching(d, seed=7000 + seed)
-            report = maxf_bound(sigma, rho, pinching, neg_power(0.5))
+            report = maxf_bound(InstanceAnalysis(sigma, rho, pinching), neg_power(0.5))
             if report.precondition_ok:
                 asserted += 1
                 assert min(report.slack_k, report.slack_l) >= -1e-8
@@ -189,7 +189,7 @@ class TestMaxfBound:
     def test_channel_target(self):
         sigma, rho = sample_pair(3, 8)
         channel = random_cptp(3, 3, 2, seed=9)
-        report = maxf_bound(sigma, rho, channel, xlogx())
+        report = maxf_bound(InstanceAnalysis(sigma, rho, channel), xlogx())
         if report.precondition_ok:
             assert min(report.slack_k, report.slack_l) >= -1e-8
 
@@ -198,38 +198,39 @@ class TestMaxfBound:
         for seed in range(30):
             sigma, rho = sample_pair(3, 9000 + seed)
             pinching = random_pinching(3, seed=9100 + seed)
-            generic = maxf_bound(sigma, rho, pinching, xlogx())
-            dedicated = bs_bound_condexp(sigma, rho, pinching)
+            generic = maxf_bound(InstanceAnalysis(sigma, rho, pinching), xlogx())
+            dedicated = bs_bound_condexp(InstanceAnalysis(sigma, rho, pinching))
             assert generic.rhs_l <= dedicated.rhs_l + 1e-12
         for seed in range(20):
             sigma, rho = sample_pair(3, 9200 + seed)
             channel = random_cptp(3, 3, 2, seed=9300 + seed)
-            generic = maxf_bound(sigma, rho, channel, xlogx())
-            dedicated = bs_bound_channel(sigma, rho, channel)
+            generic = maxf_bound(InstanceAnalysis(sigma, rho, channel), xlogx())
+            dedicated = bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             assert generic.rhs_l <= dedicated.rhs_l + 1e-12
 
     def test_missing_measure_params(self):
         sigma, rho = sample_pair(2, 10)
         with pytest.raises(MissingMeasureParams):
-            maxf_bound(sigma, rho, diagonal_pinching(2), square_family())
+            maxf_bound(InstanceAnalysis(sigma, rho, diagonal_pinching(2)), square_family())
 
     def test_target_type_checked(self):
         sigma, rho = sample_pair(2, 11)
         with pytest.raises(TypeError):
-            maxf_bound(sigma, rho, "nope", xlogx())
+            maxf_bound(InstanceAnalysis(sigma, rho, "nope"), xlogx())
 
 
 class TestLemmaIntegrand:
     def test_equal_states_both_sides_vanish(self):
         rho = random_density(3, 3, 12)
-        lhs, rhs = lemma_integrand_check(rho, rho, random_pinching(3, seed=13), 1.0)
+        a = InstanceAnalysis(rho, rho, random_pinching(3, seed=13))
+        lhs, rhs = lemma_integrand_check(a, 1.0)
         assert abs(lhs) <= 1e-10
         assert abs(rhs) <= 1e-10
 
     def test_commuting_fixed_pair(self):
         sigma = np.diag([0.2, 0.3, 0.5]).astype(complex)
         rho = np.diag([0.4, 0.4, 0.2]).astype(complex)
-        lhs, rhs = lemma_integrand_check(sigma, rho, diagonal_pinching(3), 0.5)
+        lhs, rhs = lemma_integrand_check(InstanceAnalysis(sigma, rho, diagonal_pinching(3)), 0.5)
         assert abs(lhs) <= 1e-10
         assert abs(rhs) <= 1e-10
 
@@ -239,19 +240,8 @@ class TestLemmaIntegrand:
             sigma, rho = sample_pair(d, 10000 + seed)
             pinching = random_pinching(d, seed=11000 + seed)
             for t in (0.01, 0.1, 1.0, 10.0, 100.0):
-                lhs, rhs = lemma_integrand_check(sigma, rho, pinching, t)
+                lhs, rhs = lemma_integrand_check(InstanceAnalysis(sigma, rho, pinching), t)
                 assert lhs - rhs >= -1e-9
-
-    def test_analysis_form_is_bitwise_the_triple_form(self):
-        targets = [random_pinching(d, seed=12000 + d) for d in (2, 3, 4)]
-        targets += [PartialTraceFactor(d_keep, s) for d_keep, s in PARTIAL_TRACE_SHAPES]
-        for i, expectation in enumerate(targets):
-            sigma, rho = sample_pair(expectation.dim, 12100 + i)
-            a = InstanceAnalysis(sigma, rho, expectation)
-            for t in (0.01, 1.0, 100.0):
-                by_analysis = lemma_integrand_check(a, None, None, t)
-                by_triple = lemma_integrand_check(sigma, rho, expectation, t)
-                assert [v.hex() for v in by_analysis] == [v.hex() for v in by_triple]
 
     def test_analysis_contraction_is_the_kraus_contraction(self):
         for d in (2, 3, 4):
@@ -263,38 +253,32 @@ class TestLemmaIntegrand:
             assert np.linalg.norm(u.apply(x) - reference.apply(x)) <= 1e-12
             assert np.linalg.norm(u.adjoint(x) - reference.adjoint(x)) <= 1e-12
 
-    def test_analysis_takes_no_other_arguments(self):
-        sigma, rho = sample_pair(2, 14)
-        a = InstanceAnalysis(sigma, rho, diagonal_pinching(2))
-        with pytest.raises(TypeError):
-            lemma_integrand_check(a, rho, None, 1.0)
-
     def test_channel_is_refused(self):
         # the inequality is stated for conditional expectations only
         sigma, rho = sample_pair(2, 14)
         with pytest.raises(TypeError):
-            lemma_integrand_check(sigma, rho, identity_channel(2), 1.0)
+            lemma_integrand_check(InstanceAnalysis(sigma, rho, identity_channel(2)), 1.0)
 
     def test_bad_t(self):
         sigma, rho = sample_pair(2, 14)
         with pytest.raises(ValueError):
-            lemma_integrand_check(sigma, rho, diagonal_pinching(2), 0.0)
+            lemma_integrand_check(InstanceAnalysis(sigma, rho, diagonal_pinching(2)), 0.0)
 
     def test_singular_raises(self):
         pinching = diagonal_pinching(3)
         with pytest.raises(SingularState):
             lemma_integrand_check(
-                random_density(3, 2, 15), random_density(3, 3, 16), pinching, 1.0
+                InstanceAnalysis(random_density(3, 2, 15), random_density(3, 3, 16), pinching), 1.0
             )
 
 
 class TestZeroCharacterization:
     def test_rhs_zero_iff_residuals_zero(self):
         sigma, rho, pinching = pinching_fixed_pair(4, 17)
-        eq_report = bs_bound_condexp(sigma, rho, pinching)
+        eq_report = bs_bound_condexp(InstanceAnalysis(sigma, rho, pinching))
         assert eq_report.rhs_k <= 1e-20
         assert eq_report.rhs_l <= 1e-20
         sigma2, rho2 = sample_pair(4, 18)
-        generic = bs_bound_condexp(sigma2, rho2, random_pinching(4, seed=19))
+        generic = bs_bound_condexp(InstanceAnalysis(sigma2, rho2, random_pinching(4, seed=19)))
         assert generic.rhs_k > 0.0
         assert generic.rhs_l > 0.0

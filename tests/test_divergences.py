@@ -76,62 +76,63 @@ class TestFamilies:
 class TestStandardF:
     def test_equal_states(self):
         rho = random_density(3, 3, 1)
-        assert standard_f(rho, rho, xlogx()) == pytest.approx(0.0, abs=1e-12)
+        assert standard_f(StatePair(rho, rho), xlogx()) == pytest.approx(0.0, abs=1e-12)
 
     def test_classical_oracle(self):
-        assert standard_f(SIGMA_C, RHO_C, xlogx()) == pytest.approx(KL_CANONICAL, abs=1e-12)
+        assert standard_f(StatePair(SIGMA_C, RHO_C), xlogx()) == pytest.approx(KL_CANONICAL, abs=1e-12)
 
     def test_square_matches_direct_trace(self):
         for seed in range(20):
             sigma, rho = sample_pair(3, seed)
             direct = float(np.trace(sigma.mat @ sigma.mat @ np.linalg.inv(rho.mat)).real)
-            assert standard_f(sigma, rho, square_family()) == pytest.approx(direct, abs=1e-10 * max(1.0, direct))
+            value = standard_f(StatePair(sigma, rho), square_family())
+            assert value == pytest.approx(direct, abs=1e-10 * max(1.0, direct))
 
     def test_singular_raises(self):
         with pytest.raises(SingularState):
-            standard_f(random_density(3, 2, 0), random_density(3, 3, 1), xlogx())
+            standard_f(StatePair(random_density(3, 2, 0), random_density(3, 3, 1)), xlogx())
 
 
 class TestRelativeEntropy:
     def test_equal_states(self):
         rho = random_density(4, 4, 2)
-        assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
+        assert relative_entropy(StatePair(rho, rho)) == pytest.approx(0.0, abs=1e-12)
 
     def test_classical_oracle(self):
-        assert relative_entropy(SIGMA_C, RHO_C) == pytest.approx(KL_CANONICAL, abs=1e-12)
+        assert relative_entropy(StatePair(SIGMA_C, RHO_C)) == pytest.approx(KL_CANONICAL, abs=1e-12)
 
     def test_matches_standard_f(self):
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         sigma = 0.5 * plus + 0.5 * np.eye(2) / 2.0
         rho = np.diag([0.25, 0.75]).astype(complex)
-        assert relative_entropy(sigma, rho) == pytest.approx(
-            standard_f(sigma, rho, xlogx()), abs=1e-9
+        assert relative_entropy(StatePair(sigma, rho)) == pytest.approx(
+            standard_f(StatePair(sigma, rho), xlogx()), abs=1e-9
         )
 
     def test_support_violation_is_infinite(self):
         sigma = np.diag([0.5, 0.5]).astype(complex)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        assert relative_entropy(sigma, rho) == math.inf
+        assert relative_entropy(StatePair(sigma, rho)) == math.inf
 
     def test_singular_sigma_inside_support(self):
         sigma = np.diag([1.0, 0.0]).astype(complex)
         rho = np.diag([0.5, 0.5]).astype(complex)
-        assert relative_entropy(sigma, rho) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert relative_entropy(StatePair(sigma, rho)) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 class TestMaximalF:
     def test_equal_states_zero_for_xlogx(self):
         rho = random_density(3, 3, 3)
-        assert maximal_f(rho, rho, xlogx()) == pytest.approx(0.0, abs=1e-12)
+        assert maximal_f(StatePair(rho, rho), xlogx()) == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_classical(self):
-        assert maximal_f(SIGMA_C, RHO_C, xlogx()) == pytest.approx(KL_CANONICAL, abs=1e-12)
+        assert maximal_f(StatePair(SIGMA_C, RHO_C), xlogx()) == pytest.approx(KL_CANONICAL, abs=1e-12)
 
     def test_square_degree_two_identity(self):
         for seed in range(20):
             sigma, rho = sample_pair(3, 100 + seed)
-            s_val = standard_f(sigma, rho, square_family())
-            m_val = maximal_f(sigma, rho, square_family())
+            s_val = standard_f(StatePair(sigma, rho), square_family())
+            m_val = maximal_f(StatePair(sigma, rho), square_family())
             assert abs(s_val - m_val) <= 1e-10 * max(1.0, abs(s_val))
 
     def test_renyi2_trace_helper(self):
@@ -143,38 +144,39 @@ class TestMaximalF:
 class TestBsEntropy:
     def test_equal_states(self):
         rho = random_density(4, 4, 4)
-        assert bs_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
+        assert bs_entropy(StatePair(rho, rho)) == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_classical(self):
-        assert bs_entropy(SIGMA_C, RHO_C) == pytest.approx(KL_CANONICAL, abs=1e-12)
+        assert bs_entropy(StatePair(SIGMA_C, RHO_C)) == pytest.approx(KL_CANONICAL, abs=1e-12)
 
     def test_matches_maximal_xlogx(self):
         for seed in range(20):
             sigma, rho = sample_pair(3, 200 + seed)
-            assert bs_entropy(sigma, rho) == pytest.approx(
-                maximal_f(sigma, rho, xlogx()), abs=1e-9
+            assert bs_entropy(StatePair(sigma, rho)) == pytest.approx(
+                maximal_f(StatePair(sigma, rho), xlogx()), abs=1e-9
             )
 
     def test_dominates_relative_entropy(self):
         for seed in range(100):
             sigma, rho = sample_pair(2, 300 + seed)
-            assert bs_entropy(sigma, rho) >= relative_entropy(sigma, rho) - 1e-9
+            pair = StatePair(sigma, rho)
+            assert bs_entropy(pair) >= relative_entropy(pair) - 1e-9
 
     def test_support_mismatch(self):
         with pytest.raises(SupportMismatch):
-            bs_entropy(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
+            bs_entropy(StatePair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5])))
 
     def test_support_mismatch_with_full_rank_sigma(self):
         # the support comparison is skipped only when both states are full rank
         with pytest.raises(SupportMismatch):
-            bs_entropy(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
+            bs_entropy(StatePair(np.diag([0.5, 0.5]), np.diag([1.0, 0.0])))
 
     def test_scaling_identity(self):
         sigma, rho = sample_pair(3, 11)
-        base = bs_entropy(sigma, rho)
+        base = bs_entropy(StatePair(sigma, rho))
         for a in (0.5, 2.0):
             for b in (0.5, 2.0):
-                value = bs_entropy(a * sigma.mat, b * rho.mat)
+                value = bs_entropy(StatePair(a * sigma.mat, b * rho.mat))
                 assert value == pytest.approx(a * base + a * math.log(a / b), abs=1e-9)
 
 
@@ -182,21 +184,21 @@ class TestTransposeSymmetry:
     def test_standard(self):
         for seed in range(20):
             sigma, rho = sample_pair(3, 400 + seed)
-            lhs = standard_f(sigma, rho, xlogx())
-            rhs = standard_f(rho, sigma, neg_log())
+            lhs = standard_f(StatePair(sigma, rho), xlogx())
+            rhs = standard_f(StatePair(rho, sigma), neg_log())
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-            lhs = standard_f(sigma, rho, neg_power(0.3))
-            rhs = standard_f(rho, sigma, neg_power(0.7))
+            lhs = standard_f(StatePair(sigma, rho), neg_power(0.3))
+            rhs = standard_f(StatePair(rho, sigma), neg_power(0.7))
             assert abs(lhs - rhs) <= 1e-9
 
     def test_maximal(self):
         for seed in range(20):
             sigma, rho = sample_pair(3, 500 + seed)
-            lhs = maximal_f(sigma, rho, xlogx())
-            rhs = maximal_f(rho, sigma, neg_log())
+            lhs = maximal_f(StatePair(sigma, rho), xlogx())
+            rhs = maximal_f(StatePair(rho, sigma), neg_log())
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-            lhs = maximal_f(sigma, rho, neg_power(0.3))
-            rhs = maximal_f(rho, sigma, neg_power(0.7))
+            lhs = maximal_f(StatePair(sigma, rho), neg_power(0.3))
+            rhs = maximal_f(StatePair(rho, sigma), neg_power(0.7))
             assert abs(lhs - rhs) <= 1e-9
 
 
@@ -206,19 +208,20 @@ class TestOrdering:
         for seed in range(60):
             d = 2 + seed % 3
             sigma, rho = sample_pair(d, 600 + seed)
-            assert standard_f(sigma, rho, fam) <= maximal_f(sigma, rho, fam) + 1e-9
+            pair = StatePair(sigma, rho)
+            assert standard_f(pair, fam) <= maximal_f(pair, fam) + 1e-9
 
 
 class TestRegularizedDivergence:
     def test_full_rank_matches_direct(self):
         sigma, rho = sample_pair(3, 13)
-        direct = maximal_f(sigma, rho, xlogx())
-        reg = regularized_divergence(sigma, rho, xlogx(), kind="maximal")
+        direct = maximal_f(StatePair(sigma, rho), xlogx())
+        reg = regularized_divergence(StatePair(sigma, rho), xlogx(), kind="maximal")
         assert abs(reg.value - direct) <= 1e-6
 
     def test_equal_singular_states(self):
         sigma = np.diag([0.6, 0.4, 0.0]).astype(complex)
-        reg = regularized_divergence(sigma, sigma, xlogx(), kind="maximal")
+        reg = regularized_divergence(StatePair(sigma, sigma), xlogx(), kind="maximal")
         assert abs(reg.value) <= 1e-8
 
     def test_classical_on_support(self):
@@ -226,29 +229,31 @@ class TestRegularizedDivergence:
         rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
         expected = classical_f([0.3, 0.7], [0.5, 0.5], lambda x: x * math.log(x))
         for kind in ("maximal", "standard"):
-            reg = regularized_divergence(sigma, rho, xlogx(), kind=kind)
+            reg = regularized_divergence(StatePair(sigma, rho), xlogx(), kind=kind)
             assert abs(reg.value - expected) <= 1e-6
 
     def test_diverges_on_support_mismatch(self):
         sigma = np.diag([1.0, 0.0]).astype(complex)
         rho = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(Diverging):
-            regularized_divergence(sigma, rho, xlogx(), kind="maximal")
+            regularized_divergence(StatePair(sigma, rho), xlogx(), kind="maximal")
 
     def test_bad_kind(self):
         sigma, rho = sample_pair(2, 14)
         with pytest.raises(ValueError):
-            regularized_divergence(sigma, rho, xlogx(), kind="other")
+            regularized_divergence(StatePair(sigma, rho), xlogx(), kind="other")
 
     def test_kinds_share_the_regularized_pairs_of_a_state_pair(self):
         # sigma_eps, rho_eps and the maximal-f core: three decompositions per
         # eps for both kinds together, and the values of separate calls
         sigma, rho = sample_equal_support_pair(3, 2, 21)
         kinds = ("standard", "maximal")
-        separate = [regularized_divergence(sigma, rho, neg_power(0.5), kind=k) for k in kinds]
+        separate = [
+            regularized_divergence(StatePair(sigma, rho), neg_power(0.5), kind=k) for k in kinds
+        ]
         pair = StatePair(sigma, rho)
         before = linalg.herm_eig_calls
-        shared = [regularized_divergence(pair, None, neg_power(0.5), kind=k) for k in kinds]
+        shared = [regularized_divergence(pair, neg_power(0.5), kind=k) for k in kinds]
         assert linalg.herm_eig_calls - before == 3 * len(EPS_GRID)
         assert shared == separate
 
@@ -258,37 +263,37 @@ class TestQuadratureOracle:
 
     def test_equal_states(self):
         rho = random_density(3, 3, 15)
-        assert abs(bs_entropy_quadrature(rho, rho, tol=1e-8)) <= 1e-8
+        assert abs(bs_entropy_quadrature(StatePair(rho, rho), tol=1e-8)) <= 1e-8
 
     def test_commuting_classical(self):
-        value = bs_entropy_quadrature(SIGMA_C, RHO_C, tol=1e-7)
+        value = bs_entropy_quadrature(StatePair(SIGMA_C, RHO_C), tol=1e-7)
         assert value == pytest.approx(KL_CANONICAL, abs=1e-6)
 
     def test_cross_method_agreement(self):
         for seed in range(50):
             d = 2 + seed % 2
             sigma, rho = sample_pair(d, 700 + seed)
-            spectral = bs_entropy(sigma, rho)
-            quad = bs_entropy_quadrature(sigma, rho, tol=1e-7)
+            spectral = bs_entropy(StatePair(sigma, rho))
+            quad = bs_entropy_quadrature(StatePair(sigma, rho), tol=1e-7)
             assert abs(spectral - quad) <= 1e-10
 
     def test_explicit_t_max(self):
         sigma, rho = sample_pair(2, 16)
-        spectral = bs_entropy(sigma, rho)
-        quad = bs_entropy_quadrature(sigma, rho, t_max=1e9, tol=1e-8)
+        spectral = bs_entropy(StatePair(sigma, rho))
+        quad = bs_entropy_quadrature(StatePair(sigma, rho), t_max=1e9, tol=1e-8)
         assert abs(spectral - quad) <= 1e-10
 
     def test_returns_a_python_float(self):
         # divergence prints the value with repr, which must not read np.float64(...)
         sigma, rho = sample_pair(3, 5)
-        assert type(bs_entropy_quadrature(sigma, rho)) is float
-        assert type(bs_entropy_quadrature(sigma, rho, t_max=1e9)) is float
+        assert type(bs_entropy_quadrature(StatePair(sigma, rho))) is float
+        assert type(bs_entropy_quadrature(StatePair(sigma, rho), t_max=1e9)) is float
 
     def test_non_finite_integrand_raises(self, monkeypatch):
         sigma, rho = sample_pair(2, 16)
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(a.shape, np.nan))
         with pytest.raises(NoConvergence, match="not finite"):
-            bs_entropy_quadrature(sigma, rho)
+            bs_entropy_quadrature(StatePair(sigma, rho))
 
     def test_exhausted_level_budget_raises(self, monkeypatch):
         # this pair's levels agree bitwise from a step of 1/8 on, so two
@@ -296,7 +301,7 @@ class TestQuadratureOracle:
         sigma, rho = sample_pair(2, 16)
         monkeypatch.setattr(divergences, "QUAD_MAX_LEVELS", 2)
         with pytest.raises(NoConvergence, match="levels"):
-            bs_entropy_quadrature(sigma, rho, tol=1e-30)
+            bs_entropy_quadrature(StatePair(sigma, rho), tol=1e-30)
 
     def test_ratio_that_is_not_positive_definite_raises(self):
         # rounding can push the smallest eigenvalue of an ill-conditioned G
@@ -319,7 +324,7 @@ class TestQuadratureOracle:
             sigma, rho = sample_pair(int(row["d"]), int(row["seed"]))
             t_max = float(row["t_max"]) if row["t_max"] else None
             nodes.append(0)
-            bs_entropy_quadrature(sigma, rho, t_max=t_max, tol=1e-8)
+            bs_entropy_quadrature(StatePair(sigma, rho), t_max=t_max, tol=1e-8)
         assert len(nodes) == 49
         assert max(nodes) <= 400, nodes
 
@@ -335,20 +340,20 @@ class TestQuadratureOracle:
 
         monkeypatch.setattr(np.linalg, "solve", checked)
         rho = random_density(3, 3, 15)
-        assert abs(bs_entropy_quadrature(rho, rho)) <= 1e-8
+        assert abs(bs_entropy_quadrature(StatePair(rho, rho))) <= 1e-8
         sigma, rho = sample_pair(2, 16)
-        bs_entropy_quadrature(sigma, rho, t_max=1e-30)
-        spectral = bs_entropy(sigma, rho)
-        assert abs(bs_entropy_quadrature(sigma, rho) - spectral) <= 1e-10
+        bs_entropy_quadrature(StatePair(sigma, rho), t_max=1e-30)
+        spectral = bs_entropy(StatePair(sigma, rho))
+        assert abs(bs_entropy_quadrature(StatePair(sigma, rho)) - spectral) <= 1e-10
 
     def test_singular_raises(self):
         with pytest.raises(SingularState):
-            bs_entropy_quadrature(random_density(3, 2, 0), random_density(3, 3, 1))
+            bs_entropy_quadrature(StatePair(random_density(3, 2, 0), random_density(3, 3, 1)))
 
     def test_non_positive_t_max_raises(self):
         sigma, rho = sample_pair(2, 16)
         with pytest.raises(ValueError):
-            bs_entropy_quadrature(sigma, rho, t_max=-1.0)
+            bs_entropy_quadrature(StatePair(sigma, rho), t_max=-1.0)
 
 
 class TestDataProcessing:
@@ -359,8 +364,8 @@ class TestDataProcessing:
             d = 2 + seed % 3
             sigma, rho = sample_pair(d, 800 + seed)
             channel = random_cptp(d, d, 2, seed=900 + seed)
-            gap = bs_entropy(sigma, rho) - bs_entropy(
-                channel.apply(sigma), channel.apply(rho)
+            gap = bs_entropy(StatePair(sigma, rho)) - bs_entropy(
+                StatePair(channel.apply(sigma), channel.apply(rho))
             )
             assert gap >= -1e-9
 
@@ -382,7 +387,7 @@ class TestWeightedTraces:
             r_half = pair.r.sqrt
             for fam in self.FAMILIES:
                 reference = np.trace(r_half @ matrix_fn(pair.core, fam.f) @ r_half).real
-                self.assert_close(maximal_f(pair, None, fam), reference)
+                self.assert_close(maximal_f(pair, fam), reference)
             reference = -np.trace(pair.sigma @ matrix_fn(pair.ratio, LOG_ON_SUPPORT)).real
             self.assert_close(bs_entropy(pair), reference)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from bsdpi import bs_entropy, bs_entropy_quadrature
 from bsdpi.campaigns import sample_pair
+from bsdpi.states import StatePair
 
 GOLDEN = Path(__file__).parent / "golden" / "quadrature.csv"
 TOL = 1e-8
@@ -33,7 +34,7 @@ def compute() -> str:
     out = io.StringIO()
     out.write("d,seed,t_max,value\n")
     for d, seed, t_max in CASES:
-        value = bs_entropy_quadrature(*sample_pair(d, seed), t_max=t_max, tol=TOL)
+        value = bs_entropy_quadrature(StatePair(*sample_pair(d, seed)), t_max=t_max, tol=TOL)
         out.write(f"{d},{seed},{'' if t_max is None else repr(t_max)},{value!r}\n")
     return out.getvalue()
 
@@ -63,7 +64,7 @@ def test_golden_values_match_the_spectral_path():
     rows = list(csv.DictReader(io.StringIO(GOLDEN.read_text())))
     assert len(rows) == len(CASES)
     for row in rows:
-        spectral = bs_entropy(*sample_pair(int(row["d"]), int(row["seed"])))
+        spectral = bs_entropy(StatePair(*sample_pair(int(row["d"]), int(row["seed"]))))
         assert abs(float(row["value"]) - spectral) <= SPECTRAL_TOL, row
 
 

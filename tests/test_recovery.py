@@ -45,20 +45,23 @@ class TestStinespringResidual:
             channel = random_cptp(d, d, 2 + seed, seed=700 + 10 * d + seed)
             sigma, rho = sample_pair(d, 800 + 10 * d + seed)
             reference = dilation_residual(sigma, rho, channel)
-            assert stinespring_residual(sigma, rho, channel) == pytest.approx(reference, rel=1e-12)
+            residual = stinespring_residual(InstanceAnalysis(sigma, rho, channel))
+            assert residual == pytest.approx(reference, rel=1e-12)
 
     def test_matches_the_dilation_form_between_dimensions(self):
         channel = random_cptp(3, 2, 3, seed=71)
         sigma, rho = sample_pair(3, 72)
         reference = dilation_residual(sigma, rho, channel)
-        assert stinespring_residual(sigma, rho, channel) == pytest.approx(reference, rel=1e-12)
+        residual = stinespring_residual(InstanceAnalysis(sigma, rho, channel))
+        assert residual == pytest.approx(reference, rel=1e-12)
 
     def test_matches_the_dilation_form_on_the_depolarizing_channel(self):
         sigma, rho = sample_pair(3, 73)
         channel = depolarizing_channel(3)
         reference = dilation_residual(sigma, rho, channel)
         assert reference > 0.1
-        assert stinespring_residual(sigma, rho, channel) == pytest.approx(reference, rel=1e-12)
+        residual = stinespring_residual(InstanceAnalysis(sigma, rho, channel))
+        assert residual == pytest.approx(reference, rel=1e-12)
 
 
 class TestPetzRecovery:
@@ -107,20 +110,13 @@ class TestEqualityResiduals:
     def test_equal_states_all_vanish(self):
         rho = random_density(3, 3, 9)
         channel = random_cptp(3, 3, 2, seed=10)
-        report = equality_residuals(rho, rho, channel)
+        report = equality_residuals(InstanceAnalysis(rho, rho, channel))
         assert abs(report.gap_bs) <= 1e-9
         assert report.residual_eq2 <= 1e-9
         assert report.residual_eq3 <= 1e-9
         assert report.residual_bs_recovery <= 1e-9
         assert report.residual_petz <= 1e-9
         assert abs(report.renyi2_gap) <= 1e-9
-
-    def test_analysis_form_matches_the_triple_form(self):
-        sigma, rho = sample_pair(3, 14)
-        channel = random_cptp(3, 3, 2, seed=15)
-        triple = equality_residuals(sigma, rho, channel)
-        analysis = equality_residuals(InstanceAnalysis(sigma, rho, channel), None, None)
-        assert analysis == triple
 
     def test_partial_trace_fixed_pair(self):
         s = 2
@@ -129,7 +125,7 @@ class TestEqualityResiduals:
         sigma = np.kron(sigma1, np.eye(s) / s)
         rho = np.kron(rho1, np.eye(s) / s)
         channel = PartialTraceFactor(3, s).as_kraus()
-        report = equality_residuals(sigma, rho, channel)
+        report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
         assert abs(report.gap_bs) <= 1e-8
         assert report.residual_eq2 <= 1e-8
         assert report.residual_eq3 <= 1e-8
@@ -138,7 +134,7 @@ class TestEqualityResiduals:
 
     def test_constructed_pinching_pair(self):
         sigma, rho, pinching = pinching_fixed_pair(4, 13)
-        report = equality_residuals(sigma, rho, pinching.as_kraus())
+        report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
         assert abs(report.gap_bs) <= 1e-9
         assert max(
             report.residual_eq2,
@@ -153,7 +149,7 @@ class TestEqualityResiduals:
         for seed in range(trials):
             sigma, rho = sample_pair(3, 100 + seed)
             pinching = random_pinching(3, seed=200 + seed)
-            report = equality_residuals(sigma, rho, pinching.as_kraus())
+            report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
             assert report.gap_bs >= -1e-9
             if report.gap_bs > 1e-10 and report.residual_bs_recovery > 1e-10:
                 hits += 1
@@ -163,7 +159,7 @@ class TestEqualityResiduals:
     def test_report_serializes(self):
         sigma, rho = sample_pair(2, 14)
         channel = random_cptp(2, 2, 2, seed=15)
-        report = equality_residuals(sigma, rho, channel)
+        report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
         payload = json.loads(report.to_json())
         for key in (
             "gap_bs",
@@ -181,14 +177,15 @@ class TestCondexpResiduals:
     def test_equal_states(self):
         rho = random_density(4, 4, 16)
         pinching = random_pinching(4, seed=17)
-        r_rec, r_str = condexp_equality_residuals(rho, rho, pinching)
+        r_rec, r_str = condexp_equality_residuals(InstanceAnalysis(rho, rho, pinching))
         assert r_rec <= 1e-10
         assert r_str <= 1e-10
 
     def test_commuting_diagonal_with_diagonal_pinching(self):
         sigma = np.diag([0.2, 0.3, 0.5]).astype(complex)
         rho = np.diag([0.4, 0.4, 0.2]).astype(complex)
-        r_rec, r_str = condexp_equality_residuals(sigma, rho, diagonal_pinching(3))
+        a = InstanceAnalysis(sigma, rho, diagonal_pinching(3))
+        r_rec, r_str = condexp_equality_residuals(a)
         assert r_rec <= 1e-10
         assert r_str <= 1e-10
 
@@ -198,7 +195,7 @@ class TestCondexpResiduals:
         for seed in range(trials):
             sigma, rho = sample_pair(3, 300 + seed)
             pinching = random_pinching(3, seed=400 + seed)
-            r_rec, r_str = condexp_equality_residuals(sigma, rho, pinching)
+            r_rec, r_str = condexp_equality_residuals(InstanceAnalysis(sigma, rho, pinching))
             if r_rec > 1e-6 and r_str > 1e-6:
                 positive += 1
         assert positive == trials
@@ -207,7 +204,7 @@ class TestCondexpResiduals:
         pinching = random_pinching(3, seed=18)
         with pytest.raises(SingularState):
             condexp_equality_residuals(
-                random_density(3, 2, 19), random_density(3, 3, 20), pinching
+                InstanceAnalysis(random_density(3, 2, 19), random_density(3, 3, 20), pinching)
             )
 
 
@@ -216,7 +213,7 @@ class TestEqualityImplications:
         # tiny gap <=> tiny residuals, exercised where equality actually holds
         for seed in range(20):
             sigma, rho, pinching = pinching_fixed_pair(4, 500 + seed)
-            report = equality_residuals(sigma, rho, pinching.as_kraus())
+            report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
             scale = 1.0 + abs(report.gap_bs)
             if report.gap_bs <= 1e-12 * scale:
                 assert report.residual_eq2 <= 1e-6
@@ -228,7 +225,7 @@ class TestEqualityImplications:
         for seed in range(60):
             sigma, rho = sample_pair(3, 600 + seed)
             channel = random_cptp(3, 3, 2, seed=700 + seed)
-            report = equality_residuals(sigma, rho, channel)
+            report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
             if report.residual_eq2 <= 1e-12:
                 assert report.gap_bs <= 1e-8
             if report.gap_bs <= 1e-12:
@@ -237,20 +234,20 @@ class TestEqualityImplications:
     def test_renyi2_equivalence(self):
         for seed in range(20):
             sigma, rho, pinching = pinching_fixed_pair(4, 800 + seed)
-            report = equality_residuals(sigma, rho, pinching.as_kraus())
+            report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
             assert abs(report.gap_bs) <= 1e-10
             assert abs(report.renyi2_gap) <= 1e-8
         for seed in range(20):
             sigma, rho = sample_pair(3, 900 + seed)
             channel = random_cptp(3, 3, 2, seed=1000 + seed)
-            report = equality_residuals(sigma, rho, channel)
+            report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
             if abs(report.renyi2_gap) > 1e-8:
                 assert report.gap_bs > 1e-10
 
     def test_petz_recoverable_implies_bs_recoverable(self):
         for seed in range(20):
             sigma, rho, pinching = pinching_fixed_pair(4, 1100 + seed)
-            report = equality_residuals(sigma, rho, pinching.as_kraus())
+            report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
             if report.residual_petz <= 1e-10:
                 assert report.residual_bs_recovery <= 1e-7
 
@@ -258,13 +255,13 @@ class TestEqualityImplications:
         for seed in range(10):
             sigma, rho, pinching = pinching_fixed_pair(4, 1200 + seed)
             channel = pinching.as_kraus()
-            fwd = equality_residuals(sigma, rho, channel)
-            rev = equality_residuals(rho, sigma, channel)
+            fwd = equality_residuals(InstanceAnalysis(sigma, rho, channel))
+            rev = equality_residuals(InstanceAnalysis(rho, sigma, channel))
             assert abs(fwd.gap_bs) <= 1e-9 and abs(rev.gap_bs) <= 1e-9
             assert fwd.residual_bs_recovery <= 1e-7
             assert rev.residual_bs_recovery <= 1e-7
         sigma, rho = sample_pair(3, 1300)
         channel = random_cptp(3, 3, 2, seed=1301)
-        fwd = equality_residuals(sigma, rho, channel)
-        rev = equality_residuals(rho, sigma, channel)
+        fwd = equality_residuals(InstanceAnalysis(sigma, rho, channel))
+        rev = equality_residuals(InstanceAnalysis(rho, sigma, channel))
         assert (fwd.gap_bs > 1e-9) == (rev.gap_bs > 1e-9)
