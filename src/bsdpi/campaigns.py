@@ -49,7 +49,7 @@ from .divergences import (
 from .errors import ConfigError, NumericsError
 from .linalg import Spectrum, herm_eig, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
-from .states import StatePair, random_density
+from .states import StatePair, open_output, random_density
 
 # (d_keep, s) factorizations used for partial-trace conditional expectations
 PARTIAL_TRACE_SHAPES = ((2, 2), (3, 2), (2, 3))
@@ -93,7 +93,7 @@ class Row:
 
 
 def write_csv(path: str, rows: list[Row]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.render() + "\n")

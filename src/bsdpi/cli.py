@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -20,6 +21,7 @@ from . import campaigns
 from .bounds import InstanceAnalysis
 from .channels import load_channel
 from .divergences import (
+    FDivFamily,
     bs_entropy,
     bs_entropy_quadrature,
     family_from_tag,
@@ -31,7 +33,7 @@ from .divergences import (
 from .errors import ConfigError, NoConvergence, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
-from .states import StatePair, load_state, read_input
+from .states import StatePair, load_state, open_output, read_input
 
 # the tolerances cmd_bounds reads; a config may override these and no other
 TOLERANCE_KEYS = ("dpi_abs", "slack_rel", "slack_abs")
@@ -53,8 +55,8 @@ class CampaignConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _integer("seed", self.seed, 0)
+        _integer("trials", self.trials, 1)
         if self.channel_kind not in ("pinching", "partial_trace", "random_cptp"):
             raise ConfigError(f"unknown channel_kind {self.channel_kind!r}")
         if self.channel_kind == "partial_trace" and self.dims is not None:
@@ -64,25 +66,27 @@ class CampaignConfig:
             )
         if self.dims is None:
             self.dims = DEFAULT_DIMS
-        if not self.dims or any(d < 2 for d in self.dims):
+        if not self.dims:
             raise ConfigError("dims must all be >= 2")
+        for d in self.dims:
+            _integer("each of dims", d, 2)
         for tag in self.families:
-            try:
-                fam = family_from_tag(tag)
-            except ValueError as exc:
-                raise ConfigError(f"unknown family {tag!r}") from exc
+            if not isinstance(tag, str):
+                raise ConfigError(f"families must be tag strings, got {tag!r}")
+            fam = _family(tag)
             if fam.measure_c is None or fam.measure_alpha is None:
                 raise ConfigError(
                     f"family {tag!r} has no measure constants; bounds takes xlogx "
                     "and neg_power:<beta> with beta in (0, 1)"
                 )
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         for key, value in self.tolerances.items():
             if key not in TOLERANCE_KEYS:
                 raise ConfigError(f"unknown tolerance key {key!r}; bounds reads {TOLERANCE_KEYS}")
-            try:
-                float(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"tolerance {key!r} is not a number: {value!r}") from exc
+            _tolerance(key, value)
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignConfig":
@@ -95,15 +99,38 @@ class CampaignConfig:
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "dims" in obj:
-            obj["dims"] = _parse_dims(obj["dims"])
-        if "families" in obj:
-            obj["families"] = tuple(obj["families"])
+        for key in ("dims", "families"):
+            if key in obj:
+                if not isinstance(obj[key], list):
+                    raise ConfigError(f"{key} must be a list, got {obj[key]!r}")
+                obj[key] = tuple(obj[key])
         return cls(**obj)
 
     def tol(self, key: str) -> float:
         """The effective tolerance: the config's override or the default."""
         return float(self.tolerances.get(key, campaigns.DEFAULT_TOLERANCES[key]))
+
+
+def _integer(name: str, value, low: int) -> None:
+    """ConfigError unless ``value`` is an int, and not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _tolerance(key: str, value) -> float:
+    """A tolerance: a finite, nonnegative number.  NaN or inf would switch
+    every violation check off, a negative value would fail every row."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ConfigError(f"tolerance {key!r} must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def _family(tag: str) -> FDivFamily:
+    """family_from_tag, with an unknown or malformed tag a ConfigError."""
+    try:
+        return family_from_tag(tag)
+    except ValueError as exc:
+        raise ConfigError(f"unknown family {tag!r}") from exc
 
 
 def _parse_dims(items) -> tuple:
@@ -116,7 +143,7 @@ def _parse_dims(items) -> tuple:
 def cmd_divergence(args) -> int:
     sigma = load_state(args.sigma)
     rho = load_state(args.rho)
-    fam = family_from_tag(args.family)
+    fam = _family(args.family)
     pair = StatePair(sigma, rho)  # one decomposition per matrix for every value
     d = relative_entropy(pair)
     bs = bs_entropy(pair)
@@ -159,7 +186,7 @@ def cmd_bounds(args) -> int:
     if args.out:
         config.output_path = args.out
     if getattr(args, "tol", None) is not None:
-        config.tolerances["slack_rel"] = args.tol
+        config.tolerances["slack_rel"] = _tolerance("slack_rel", args.tol)
 
     kind = config.channel_kind
     include_standard_dpi = getattr(args, "include_standard_dpi", False)
@@ -209,7 +236,7 @@ def cmd_certify(args) -> int:
     report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
     print(text)
     threshold = 1e-8 * (1.0 + report.gamma_sup)
@@ -224,6 +251,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _integer("seed", args.seed, 0)
     started = time.time()
     failures = 0
     set_eig_corruption(1e-6 if args.inject_eig_corruption else 0.0)

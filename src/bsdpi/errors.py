@@ -60,7 +60,8 @@ class ParseError(NumericsError):
 
 
 class InputError(NumericsError):
-    """An input file is missing or cannot be read."""
+    """An input file is missing or cannot be read, or an output file cannot
+    be written."""
 
 
 class ConfigError(NumericsError):

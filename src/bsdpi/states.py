@@ -219,6 +219,14 @@ def read_input(path: str, what: str) -> str:
         raise InputError(f"{what} file {path!r} is not UTF-8 text") from exc
 
 
+def open_output(path: str):
+    """``path`` opened for writing; InputError when it cannot be."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
+
+
 def state_to_json(m) -> str:
     m = as_matrix(m)
     return json.dumps({"dim": m.shape[0], "entries": matrix_to_entries(m)})

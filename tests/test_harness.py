@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -32,6 +33,18 @@ from bsdpi.cli import CampaignConfig, main
 from bsdpi.errors import ConfigError, Diverging
 from bsdpi.recovery import pinching_fixed_pair
 from bsdpi.states import StatePair
+
+
+def shift_rhs_k(monkeypatch, name, by):
+    """Make campaigns.<name> report rhs_k = gap + by on every row, with the
+    precondition met, so each row falls short of its bound by ``by``."""
+    evaluate = getattr(campaigns, name)
+
+    def shifted(*args):
+        report = evaluate(*args)
+        return dataclasses.replace(report, rhs_k=report.gap + by, precondition_ok=True)
+
+    monkeypatch.setattr(campaigns, name, shifted)
 
 
 @pytest.fixture
@@ -81,6 +94,32 @@ class TestConfig:
     def test_unknown_tolerance_key(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_json(json.dumps({"tolerances": {"slack_rell": 1e-8}}))
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"trials": "5"}, "trials"),
+            ({"trials": 2.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"dims": [2.7]}, "dims"),
+            ({"tolerances": [1]}, "tolerances"),
+            ({"tolerances": {"slack_rel": "nan"}}, "slack_rel"),
+            ({"tolerances": {"slack_rel": -1.0}}, "slack_rel"),
+            ({"tolerances": {"slack_abs": True}}, "slack_abs"),
+            ({"families": "xlogx"}, "families"),
+            ({"families": [3]}, "families"),
+            ({"seed": -1}, "seed"),
+            ({"seed": "x"}, "seed"),
+            ({"output_path": 5}, "output_path"),
+        ],
+    )
+    def test_wrong_type_or_range_exits_2(self, config, named, tmp_path, capsys):
+        # exit 1 would read as a violation, so bad input must not reach a campaign
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "dims": [2], **config}))
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and named in err
 
     @pytest.mark.parametrize(
         "key", ["increment", "regularized_gap", "equality_gap", "equality_residual", "quadrature"]
@@ -283,6 +322,12 @@ class TestDivergenceCommand:
         assert main(["divergence", str(path), str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: DomainViolation")
 
+    @pytest.mark.parametrize("family", ["bogus", "neg_power:abc"])
+    def test_unknown_family_exits_2(self, family, state_files, capsys):
+        sp, rp, _ = state_files
+        assert main(["divergence", sp, rp, "--family", family]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: unknown family {family!r}\n"
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -413,7 +458,7 @@ class TestBoundsCommand:
         cfg.write_text(json.dumps({"seed": 5, "trials": 6, "dims": [2], "channel_kind": "pinching"}))
         assert main(["bounds", "--config", str(cfg)]) == 0
 
-    def test_config_refuses_campaign_flags(self, tmp_path, capsys):
+    def test_config_refuses_campaign_flags(self, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 2, "dims": [2]}))
         argv = ["bounds", "--config", str(cfg)]
@@ -423,12 +468,14 @@ class TestBoundsCommand:
         for flag, value in (("--seed", "3"), ("--family", "xlogx")):
             assert main(argv + [flag, value]) == 2
             assert flag in capsys.readouterr().err
-        # --out and --tol still apply on top of a config: a negative slack
-        # tolerance demands slack above the gap scale, which no bound row has
+        # --out and --tol still apply on top of a config: every bound row is
+        # made to fall short by 0.5, which only a tolerance of 1 forgives
+        shift_rhs_k(monkeypatch, "bs_bound_channel", 0.5)
         out = tmp_path / "rows.csv"
-        assert main(argv + ["--out", str(out), "--tol", "-1"]) == 1
+        assert main(argv + ["--out", str(out)]) == 1
         assert len(out.read_text().splitlines()) == 1 + 2 * 3
         assert "bs_channel slack" in capsys.readouterr().out
+        assert main(argv + ["--tol", "1"]) == 0
 
     def test_fixture_single_trial(self, capsys):
         # trials=1 with rho=sigma style fixture: slack cannot be negative
@@ -462,16 +509,33 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(cfg)]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
-    def test_slack_abs_reaches_maxf_rows(self, tmp_path, capsys):
-        # a negative tolerance demands slack >= 1, which no maxf row has
+    def test_slack_abs_reaches_maxf_rows(self, monkeypatch, tmp_path, capsys):
+        # every maxf row falls short by 0.5, which only a slack_abs of 1 forgives
+        shift_rhs_k(monkeypatch, "maxf_bound", 0.5)
+        config = {"trials": 2, "dims": [2], "families": ["xlogx"]}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"trials": 2, "dims": [2], "families": ["xlogx"],
-             "tolerances": {"slack_abs": -1.0}}
-        ))
+        cfg.write_text(json.dumps(config))
         assert main(["bounds", "--config", str(cfg)]) == 1
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "xlogx slack" in out
+        cfg.write_text(json.dumps({**config, "tolerances": {"slack_abs": 1.0}}))
+        assert main(["bounds", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_that_is_not_finite_and_nonnegative_exits_2(self, tol, capsys):
+        # NaN or inf would switch every check off, -1 would fail every row
+        assert main(["bounds", "--trials", "1", "--dims", "2", "--tol", tol]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["bounds", "--seed", "-1", "--trials", "1", "--dims", "2"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2_and_names_it(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "rows.csv")
+        assert main(["bounds", "--trials", "1", "--dims", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError: ") and out in err
 
     def test_partial_trace_refuses_dims(self, tmp_path, capsys):
         # the kind draws its own shapes, d = 4 and 6; a requested d is refused
@@ -548,6 +612,13 @@ class TestCertifyCommand:
         assert main(["certify", sigma, rho, chan, "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert "residual_eq2" in payload
+
+    def test_unwritable_out_exits_2_and_names_it(self, state_files, tmp_path, capsys):
+        sigma, rho, chan = state_files
+        out = str(tmp_path / "missing" / "report.json")
+        assert main(["certify", sigma, rho, chan, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError: ") and out in err
 
 
 def _unreadable(tmp_path, kind: str) -> str:
@@ -697,6 +768,11 @@ class TestSelftestCommand:
         assert main(["selftest", "--seed", "9"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
+
+    def test_negative_seed_exits_2(self, capsys):
+        # exit 1 would read as a failed criterion
+        assert main(["selftest", "--seed", "-1"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
 
     def test_detects_injected_corruption(self, capsys):
         assert main(["selftest", "--seed", "9", "--inject-eig-corruption"]) == 1
