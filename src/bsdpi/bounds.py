@@ -62,23 +62,17 @@ def k_alpha(alpha: float) -> float:
     )
 
 
-def l_alpha(beta: float) -> float:
-    """Prefactor of the recovery-form bound for the power family, beta in (0, 1)."""
-    if not 0.0 < beta < 1.0:
-        raise BadBeta(f"beta {beta} outside (0, 1)")
-    b = float(beta)
-    return (
-        0.25
-        * ((b + 1) / (b + 2)) ** (2 * b + 4)
-        * (b + 1) ** (-2.0)
-        * 8.0 ** (-2 * (b + 1))
-        * math.pi ** (2 * b + 4)
-    )
-
-
 def _l_from_alpha(alpha: float) -> float:
     # recovery form = square-root form with an extra (1/2)^{4(alpha+1)} factor
     return k_alpha(alpha) * 0.5 ** (4 * (alpha + 1))
+
+
+def l_alpha(beta: float) -> float:
+    """Prefactor of the recovery-form bound for the power family, beta in (0, 1):
+    the one maxf_bound uses at that family's measure exponent alpha = beta / 2."""
+    if not 0.0 < beta < 1.0:
+        raise BadBeta(f"beta {beta} outside (0, 1)")
+    return _l_from_alpha(beta / 2.0)
 
 
 class InstanceAnalysis:

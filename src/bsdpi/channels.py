@@ -323,7 +323,7 @@ class ContractionMap:
 def build_contraction(sigma, channel: KrausChannel | ConditionalExpectation) -> ContractionMap:
     s = as_spectrum(sigma)
     sigma_t = Spectrum(channel.apply(s.mat))
-    if float(sigma_t.eig.values[-1]) <= 0.0:
+    if sigma_t.rank == 0:
         raise SingularState("channel output state vanishes")
     return ContractionMap(channel=channel, sigma_half=s.sqrt, sigma_t_rsqrt=sigma_t.rsqrt)
 

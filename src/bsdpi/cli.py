@@ -211,6 +211,8 @@ def cmd_bounds(args) -> int:
     if config.families:
         maxf = campaigns.MaxfCheck(config.families, config.tol("slack_abs"))
         checks.append(maxf)
+    if config.output_path:
+        open_output(config.output_path).close()  # refuse it before the first trial
     campaigns.evaluate(config.seed, config.trials, config.dims, kind, checks)
     if maxf is not None:
         for tag, rate in maxf.pass_rates.items():

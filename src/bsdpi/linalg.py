@@ -22,10 +22,10 @@ from .errors import (
     SingularState,
 )
 
-# Numerical-rank threshold, relative to the largest eigenvalue.
+# Numerical-rank threshold relative to lambda_max, read by Spectrum.rank only.
 RANK_TOL = 1e-10
-# Negative eigenvalues inside (-CLIP_TOL * lambda_max, 0) are rounding noise
-# on PSD matrices and are clipped to zero before PSD-only functions.
+# Relative size of the rounding noise below 0 on PSD matrices, which is
+# clipped to zero before PSD-only functions; see Spectrum.noise_floor.
 CLIP_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
 
@@ -111,8 +111,8 @@ class ScalarFunction:
     """A real scalar function together with its admissible open domain.
 
     ``at_zero`` declares a finite limit at 0+, making (clipped) zero
-    eigenvalues admissible.  ``support_tol`` additionally maps every
-    eigenvalue below ``support_tol * lambda_max`` to ``at_zero``, which is the
+    eigenvalues admissible.  ``on_support`` (with ``at_zero``) instead maps
+    every eigenvalue off the support (Spectrum.rank) to ``at_zero``: the
     Moore-Penrose-style restriction of the function to the support.
     """
 
@@ -120,7 +120,7 @@ class ScalarFunction:
     lo: float = -np.inf
     hi: float = np.inf
     at_zero: float | None = None
-    support_tol: float | None = None
+    on_support: bool = False
 
     def __call__(self, x):
         return self.fn(x)
@@ -131,13 +131,10 @@ SQUARE = ScalarFunction(np.square)
 EXP = ScalarFunction(np.exp)
 SQRT = ScalarFunction(np.sqrt, lo=0.0, at_zero=0.0)
 LOG = ScalarFunction(np.log, lo=0.0)
-LOG_ON_SUPPORT = ScalarFunction(np.log, lo=0.0, at_zero=0.0, support_tol=RANK_TOL)
-RSQRT_ON_SUPPORT = ScalarFunction(
-    lambda x: 1.0 / np.sqrt(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
-)
-STEP_ON_SUPPORT = ScalarFunction(
-    lambda x: np.ones_like(x), lo=0.0, at_zero=0.0, support_tol=RANK_TOL
-)
+LOG_ON_SUPPORT = ScalarFunction(np.log, lo=0.0, at_zero=0.0, on_support=True)
+RSQRT_ON_SUPPORT = ScalarFunction(lambda x: 1.0 / np.sqrt(x), lo=0.0, at_zero=0.0, on_support=True)
+STEP_ON_SUPPORT = ScalarFunction(lambda x: np.ones_like(x), lo=0.0, at_zero=0.0, on_support=True)
+INVERSE_ON_SUPPORT = ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, on_support=True)
 
 
 class Spectrum:
@@ -179,7 +176,7 @@ class Spectrum:
 
     @lazy_property
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose inverse at the default RANK_TOL."""
+        """Moore-Penrose inverse, from the module-level pinv."""
         return pinv(self)
 
     @lazy_property
@@ -207,55 +204,57 @@ class Spectrum:
 
     @lazy_property
     def rank(self) -> int:
-        """Number of eigenvalues above RANK_TOL * lambda_max."""
-        return int(np.count_nonzero(self.eig.values > RANK_TOL * self.lam_max))
+        """Number of eigenvalues above RANK_TOL * lambda_max, the one support
+        cut; eigenvalues ascend, so the first ``dim - rank`` lie off the support."""
+        lam, cut = self.eig.values, RANK_TOL * self.lam_max
+        return self.dim if lam[0] > cut else int(np.count_nonzero(lam > cut))
 
     @property
     def full_rank(self) -> bool:
         return self.rank == self.dim
 
+    @property
+    def noise_floor(self) -> float:
+        """Negative eigenvalues above minus this are rounding noise on a PSD matrix."""
+        return CLIP_TOL * max(self.lam_max, 1.0)
+
     @lazy_property
     def min_positive(self) -> float:
-        """Smallest eigenvalue above RANK_TOL * lambda_max."""
-        w = self.eig.values
-        positive = w[w > RANK_TOL * self.lam_max]
-        if positive.size == 0:
+        """Smallest eigenvalue on the support."""
+        if self.rank == 0:
             raise SingularState("state has no positive spectrum")
-        return float(positive[0])
+        return float(self.eig.values[self.dim - self.rank])
 
 
 def spectral_values(spec: Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
     """f(lambda_i) for every eigenvalue of ``spec``, in its eigenvalue order.
 
-    Eigenvalues in (-CLIP_TOL * max(lambda_max, 1), 0) are clipped to 0 when
-    ``f`` lives on the nonnegative axis; with ``f.at_zero`` set, zero
-    eigenvalues, or with ``f.support_tol`` every eigenvalue at most
-    ``support_tol * lambda_max``, map to ``at_zero``.  Any other eigenvalue
-    outside the open domain of ``f`` raises DomainViolation.
+    Eigenvalues in (-spec.noise_floor, 0) are clipped to 0 when ``f`` lives
+    on the nonnegative axis.  With ``f.at_zero`` set, zero eigenvalues map to
+    it, or with ``f.on_support`` the first ``dim - rank`` eigenvalues, those
+    off the support.  Any other eigenvalue outside the open domain of ``f``
+    raises DomainViolation.
 
-    A spectrum wholly inside the open domain, and above the cut to
-    ``at_zero`` when that is set, has nothing to clip or mask: ``f`` maps it
-    as is, the same values the general route computes.
+    A spectrum wholly inside the open domain, with nothing off the support or
+    at 0 to map to ``at_zero``, has nothing to clip or mask: ``f`` maps it as
+    is, the same values the general route computes.
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
     lam = spec.eig.values
-    lam_max = spec.lam_max
-    lo = f.lo
-    if f.at_zero is not None:
-        lo = max(lo, 0.0 if f.support_tol is None else f.support_tol * lam_max)
-    if lam[0] > lo and lam[-1] < f.hi:
+    off = spec.dim - spec.rank if f.on_support else 0
+    lo = f.lo if f.at_zero is None else max(f.lo, 0.0)
+    if off == 0 and lam[0] > lo and lam[-1] < f.hi:
         return np.array(f.fn(lam), dtype=float)
     lam = lam.copy()
     if f.lo >= 0.0:
-        clip = CLIP_TOL * max(lam_max, 1.0)
-        lam[(lam < 0.0) & (lam > -clip)] = 0.0
-    if f.support_tol is not None:
-        zero = lam <= f.support_tol * lam_max
+        lam[(lam < 0.0) & (lam > -spec.noise_floor)] = 0.0
+    if f.at_zero is None:
+        zero = np.zeros(lam.shape, dtype=bool)
+    elif f.on_support:
+        zero = np.arange(lam.size) < off
     else:
         zero = lam == 0.0
-    if f.at_zero is None:
-        zero = np.zeros_like(zero)
     live = ~zero
     if np.any(lam[live] <= f.lo) or np.any(lam[live] >= f.hi):
         raise DomainViolation(
@@ -282,14 +281,13 @@ def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndar
     return 0.5 * (out + out.conj().T)
 
 
-def pinv(a: np.ndarray | Spectrum, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv(a: np.ndarray | Spectrum) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix (or of its Spectrum).
 
-    Eigenvalues below ``rank_tol * lambda_max`` map to 0, the rest to their
-    reciprocal.  The zero matrix maps to itself.
+    Eigenvalues off the support (see Spectrum.rank) map to 0, the rest to
+    their reciprocal.  The zero matrix maps to itself.
     """
-    f = ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=rank_tol)
-    return matrix_fn(a, f)
+    return matrix_fn(a, INVERSE_ON_SUPPORT)
 
 
 def schatten_norm(a: np.ndarray, p) -> float:

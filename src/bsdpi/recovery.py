@@ -52,7 +52,7 @@ def _hash_text(text: str) -> str:
 
 
 def _nonvanishing(out: Spectrum) -> Spectrum:
-    if float(out.eig.values[-1]) <= 0.0:
+    if out.rank == 0:
         raise SingularState("channel output state vanishes")
     return out
 
@@ -85,6 +85,8 @@ def stinespring_residual(a: InstanceAnalysis) -> float:
     unchanged and is dropped, and V*(X ⊗ I) is formed from the blocks K_a* X
     without X ⊗ I.  The analysis' target must be a KrausChannel.
     """
+    if not isinstance(a.target, KrausChannel):
+        raise TypeError("the Stinespring residual needs a KrausChannel target")
     inp, out = a.inp, a.out
     dilation = a.target.stinespring()
     d_in, d_out, s = dilation.d_in, dilation.d_out, dilation.s
@@ -101,6 +103,8 @@ def stinespring_residual(a: InstanceAnalysis) -> float:
 def equality_residuals(a: InstanceAnalysis) -> RecoveryReport:
     """Every equality-condition residual plus the BS gap for one instance,
     whose target must be a KrausChannel."""
+    if not isinstance(a.target, KrausChannel):
+        raise TypeError("the equality residuals need a KrausChannel target")
     _nonvanishing(a.out.s)
     _nonvanishing(a.out.r)
     s, r = a.inp.sigma, a.inp.rho

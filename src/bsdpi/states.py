@@ -17,7 +17,7 @@ from .errors import (
     SingularState,
     SupportMismatch,
 )
-from .linalg import CLIP_TOL, Spectrum, lazy_property, schatten_norm
+from .linalg import Spectrum, lazy_property, schatten_norm
 
 # Weight of rho outside the support of sigma tolerated by gamma().
 SUPPORT_LEAK_TOL = 1e-8
@@ -68,12 +68,13 @@ def regularize(rho, eps: float) -> Spectrum:
 
 
 def support_projector(rho) -> np.ndarray:
-    """Orthogonal projector onto eigenspaces with lambda >= RANK_TOL * lambda_max."""
+    """Orthogonal projector onto the support: the eigenspaces of the last
+    Spectrum.rank eigenvalues, those strictly above the rank cut."""
     return as_spectrum(rho).support_projector
 
 
 def numerical_rank(m) -> int:
-    """Number of eigenvalues above RANK_TOL * lambda_max."""
+    """Spectrum.rank of ``m``."""
     return as_spectrum(m).rank
 
 
@@ -255,7 +256,7 @@ def load_state(path: str) -> Spectrum:
 
     Every refusal names the file.  Malformed JSON and a matrix herm_eig
     refuses keep their error type; one without unit trace within TRACE_TOL or
-    with an eigenvalue below -CLIP_TOL * max(lambda_max, 1) is a DomainViolation.
+    with an eigenvalue below -Spectrum.noise_floor is a DomainViolation.
     """
     text = read_input(path, "state")
     try:
@@ -265,7 +266,7 @@ def load_state(path: str) -> Spectrum:
         raise type(exc)(f"{exc} (state file {path!r})") from exc
     tr = float(np.trace(spec.mat).real)
     low = float(spec.eig.values[0])
-    if abs(tr - 1.0) > TRACE_TOL or low < -CLIP_TOL * max(spec.lam_max, 1.0):
+    if abs(tr - 1.0) > TRACE_TOL or low < -spec.noise_floor:
         raise DomainViolation(
             f"state file {path!r} is not a density matrix (unit trace, PSD): "
             f"trace {tr!r}, smallest eigenvalue {low!r}"

@@ -74,6 +74,13 @@ class TestLAlpha:
         with pytest.raises(BadBeta):
             l_alpha(1.5)
 
+    # 0.3 and 0.7 tell apart closed forms that agree only in exact arithmetic
+    @pytest.mark.parametrize("beta", [0.25, 0.3, 0.5, 0.7, 0.75])
+    def test_is_the_prefactor_maxf_bound_uses(self, beta):
+        sigma, rho = sample_pair(3, 11)
+        a = InstanceAnalysis(sigma, rho, random_pinching(3, seed=12))
+        assert maxf_bound(a, neg_power(beta)).constants["l_alpha"] == l_alpha(beta)
+
 
 class TestCondexpBound:
     def test_equal_states(self):

@@ -533,7 +533,19 @@ class TestBoundsCommand:
 
     def test_unwritable_out_exits_2_and_names_it(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "rows.csv")
+        before = linalg.herm_eig_calls
         assert main(["bounds", "--trials", "1", "--dims", "2", "--out", out]) == 2
+        assert linalg.herm_eig_calls == before  # refused before the first trial
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError: ") and out in err
+
+    def test_unwritable_output_path_exits_2_before_the_first_trial(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "rows.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "dims": [2], "output_path": out}))
+        before = linalg.herm_eig_calls
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert linalg.herm_eig_calls == before
         err = capsys.readouterr().err
         assert err.startswith("error: InputError: ") and out in err
 

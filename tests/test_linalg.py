@@ -208,8 +208,8 @@ def functions_in_use():
         "LOG_ON_SUPPORT": LOG_ON_SUPPORT,
         "RSQRT_ON_SUPPORT": RSQRT_ON_SUPPORT,
         "STEP_ON_SUPPORT": STEP_ON_SUPPORT,
-        # the function pinv builds
-        "pinv": ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, support_tol=RANK_TOL),
+        # pinv's INVERSE_ON_SUPPORT, written out
+        "pinv": ScalarFunction(lambda x: 1.0 / x, lo=0.0, at_zero=0.0, on_support=True),
     }
     for fam in (xlogx(), neg_log(), *(neg_power(b) for b in (0.25, 0.5, 0.75)), square_family()):
         fns[f"{fam.tag}.f"] = fam.f
@@ -226,9 +226,8 @@ def documented_values(spec, f):
         0.0 if f.lo >= 0.0 and -linalg.CLIP_TOL * max(lam_max, 1.0) < x < 0.0 else float(x)
         for x in spec.eig.values
     ]
-    cut = 0.0 if f.support_tol is None else f.support_tol * lam_max
-    zero = [f.at_zero is not None and (x <= cut if f.support_tol is not None else x == 0.0)
-            for x in lam]
+    cut = RANK_TOL * lam_max
+    zero = [f.at_zero is not None and (x <= cut if f.on_support else x == 0.0) for x in lam]
     live = [x for x, z in zip(lam, zero) if not z]
     if any(not f.lo < x < f.hi for x in live):
         raise DomainViolation("outside the domain")
@@ -244,7 +243,7 @@ def route(spec, f):
         seen.append(x is spec.eig.values)
         return f.fn(x)
 
-    spectral_values(spec, ScalarFunction(spy, f.lo, f.hi, f.at_zero, f.support_tol))
+    spectral_values(spec, ScalarFunction(spy, f.lo, f.hi, f.at_zero, f.on_support))
     return "fast" if seen == [True] else "general"
 
 

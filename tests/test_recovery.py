@@ -64,6 +64,17 @@ class TestStinespringResidual:
         assert residual == pytest.approx(reference, rel=1e-12)
 
 
+class TestTargetType:
+    """The residuals of a Kraus channel refuse a conditional-expectation
+    analysis with TypeError, as lemma_integrand_check refuses a channel."""
+
+    @pytest.mark.parametrize("evaluator", [stinespring_residual, equality_residuals])
+    def test_conditional_expectation_is_refused(self, evaluator):
+        sigma, rho = sample_pair(3, 1)
+        with pytest.raises(TypeError, match="KrausChannel"):
+            evaluator(InstanceAnalysis(sigma, rho, random_pinching(3, seed=2)))
+
+
 class TestPetzRecovery:
     def test_recovers_channel_output_of_sigma(self):
         sigma = random_density(3, 3, 1)
