@@ -47,7 +47,7 @@ from .divergences import (
     xlogx,
 )
 from .errors import ConfigError, NumericsError
-from .linalg import Spectrum, herm_eig, schatten_norm
+from .linalg import Spectrum, apply_fn, decompose, herm_eig, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
 from .states import StatePair, open_output, random_density
 
@@ -214,31 +214,111 @@ def draw_trial(seed: int, i: int, dims, kind: str, deficient: bool = False) -> T
     return Trial(i, sub, d, sigma, rho, target, deficient)
 
 
+# Consecutive trials that evaluate draws, decomposes together and then
+# checks; at d = 32 a block's spectra and roots stay within a few MB.
+BLOCK_TRIALS = 64
+
+# The spectra of an analysis pair (``inp`` or ``out``) that a check may
+# declare, by level: the states, then G (``ratio``) and the maximal-f core,
+# each built from one state's inverse square root.
+SPECTRUM_LEVELS = (("s", "r"), ("ratio", "core"))
+BUILT_FROM = {"ratio": ("s", "rsqrt"), "core": ("r", "rsqrt")}
+
+
+def _priming_plan(checks) -> list:
+    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots) for every
+    spectrum the checks read, with the Spectrum.STACKED roots read off it,
+    those the next level is built from included."""
+    wanted: dict = {}
+    for name in (name for check in checks for name in check.reads):
+        pair, spec, *root = name.split(".")
+        wanted.setdefault((pair, spec), set()).update(root)
+        if spec in BUILT_FROM:
+            base, fn = BUILT_FROM[spec]
+            wanted.setdefault((pair, base), set()).add(fn)
+    return [
+        [(pair, spec, roots) for (pair, spec), roots in sorted(wanted.items()) if spec in level]
+        for level in SPECTRUM_LEVELS
+    ]
+
+
+def _prime(analyses, plan) -> None:
+    """Decompose the analyses' spectra that ``plan`` names, level by level,
+    by one stacked herm_eig call per dimension, and form their roots by one
+    batched product per root and dimension.
+
+    No numerics error leaves here: a spectrum that cannot be built,
+    decomposed or rooted is left lazy, for the trial's own read to raise.  A
+    spectrum is not built on an undecomposed base, which only the trial's
+    read decomposes.
+    """
+    for level in plan:
+        found = []
+        for pair, spec, roots in level:
+            base = BUILT_FROM.get(spec, (spec,))[0]
+            for a in analyses:
+                try:
+                    states = getattr(a, pair)
+                    if base == spec or "eig" in vars(getattr(states, base)):
+                        found.append((getattr(states, spec), roots))
+                except NumericsError:
+                    continue
+        decompose(spectrum for spectrum, _ in found)
+        for name in Spectrum.STACKED:
+            apply_fn((spectrum for spectrum, roots in found if name in roots), name)
+
+
 def evaluate(
     seed: int, trials: int, dims, kind: str, checks, n_rank_deficient: int = 0
 ) -> None:
     """Draw the trials in seed order, the last n_rank_deficient of them rank
     deficient, analyse each once and hand that analysis to every check.
 
-    An analysis lives for one trial; the checks keep only rows and summaries.
-    A numerics error from drawing or checking a trial leaves with
-    ``trial_seed`` set to that trial's seed.
+    Trials come in blocks of up to BLOCK_TRIALS.  Before any check runs on a
+    block, the spectra its checks declare in ``reads`` are decomposed for the
+    whole block by ``_prime``, to the values each trial alone computes, bit
+    for bit.  Then the checks run trial by trial.  An analysis lives for one
+    block; the checks keep only rows and summaries.  A numerics error from
+    drawing or checking a trial leaves with ``trial_seed`` set to that
+    trial's seed, after the checks of every earlier trial ran.
     """
-    for i in range(trials + n_rank_deficient):
-        try:
-            trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
-            analysis = InstanceAnalysis(trial.sigma, trial.rho, trial.target)
-            for check in checks:
-                check.add(trial, analysis)
-        except NumericsError as exc:
-            exc.trial_seed = derive_seed(seed, i)  # the sub-seed draw_trial gives trial i
-            raise
+    plan = _priming_plan(checks)
+    total = trials + n_rank_deficient
+    for start in range(0, total, BLOCK_TRIALS):
+        block, error = [], None
+        for i in range(start, min(start + BLOCK_TRIALS, total)):
+            try:
+                trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
+            except NumericsError as exc:
+                exc.trial_seed = derive_seed(seed, i)  # the sub-seed draw_trial gives trial i
+                error = exc
+                break
+            block.append((trial, InstanceAnalysis(trial.sigma, trial.rho, trial.target)))
+        _prime([analysis for _, analysis in block], plan)
+        for trial, analysis in block:
+            try:
+                for check in checks:
+                    check.add(trial, analysis)
+            except NumericsError as exc:
+                exc.trial_seed = trial.seed
+                raise
+        if error is not None:
+            raise error
 
 
 @dataclass
 class Check:
-    """One campaign's per-trial evaluation, with its summary and CSV rows."""
+    """One campaign's per-trial evaluation, with its summary and CSV rows.
 
+    ``reads`` names the spectra of the trial's analysis that ``add`` reads
+    on every trial: ``pair.spectrum``, with pair ``inp`` or ``out`` and the
+    spectrum from SPECTRUM_LEVELS, or ``pair.spectrum.root`` for a
+    Spectrum.STACKED root of it.  evaluate decomposes them for a block of
+    trials at once; a spectrum no check declares is decomposed on its first
+    read, if it has one.
+    """
+
+    reads = ()
     summary: CampaignSummary = field(default_factory=CampaignSummary, init=False)
     rows: list[Row] = field(default_factory=list, init=False)
 
@@ -250,10 +330,15 @@ class Check:
         self.summary.violations.append((seed, message))
 
 
+# what the BS gap, both bound forms and their residuals read
+BOUND_READS = ("inp.r", "out.r", "inp.s.sqrt", "out.s.sqrt", "inp.ratio.sqrt", "out.ratio.sqrt")
+
+
 @dataclass
 class DpiCheck(Check):
     """BS-entropy data processing: gap >= -tol_abs."""
 
+    reads = ("inp.r", "out.r", "inp.ratio", "out.ratio")
     tol_abs: float
 
     def add(self, trial, a):
@@ -277,6 +362,7 @@ class BoundCheck(Check):
     residual); those rows are never counted as violations.
     """
 
+    reads = BOUND_READS
     family: str
     slack_rel: float
     include_standard_row: bool = False
@@ -340,6 +426,7 @@ class MaxfCheck(Check):
     precondition; ``pass_rates`` records how often each family did.
     """
 
+    reads = BOUND_READS + ("inp.core", "out.core")
     families: tuple
     slack_abs: float
 
@@ -382,6 +469,7 @@ class EqualityCheck(Check):
     gap and BS-recovery residual are both positive.
     """
 
+    reads = BOUND_READS + ("inp.r.sqrt", "out.r.rsqrt")
     seed: int
     constructed: int
     gap_tol: float
@@ -423,6 +511,7 @@ class EqualityCheck(Check):
 class OrderingCheck(Check):
     """Standard <= maximal, commuting reductions, and the degree-2 identity."""
 
+    reads = ("inp.s", "inp.core")
     fams = (xlogx(), neg_power(0.5))
     square = square_family()
 
@@ -469,6 +558,7 @@ class OrderingCheck(Check):
 class OracleCheck(Check):
     """Quadrature agreement for the BS-entropy and the scaling identity."""
 
+    reads = ("inp.s.sqrt", "inp.r", "inp.ratio")
     quad_tol: float
 
     def add(self, trial, a):

@@ -70,6 +70,7 @@ class CampaignConfig:
             raise ConfigError("dims must all be >= 2")
         for d in self.dims:
             _integer("each of dims", d, 2)
+        seen = {}
         for tag in self.families:
             if not isinstance(tag, str):
                 raise ConfigError(f"families must be tag strings, got {tag!r}")
@@ -79,6 +80,9 @@ class CampaignConfig:
                     f"family {tag!r} has no measure constants; bounds takes xlogx "
                     "and neg_power:<beta> with beta in (0, 1)"
                 )
+            if fam.tag in seen:
+                raise ConfigError(f"families {seen[fam.tag]!r} and {tag!r} are both {fam.tag}")
+            seen[fam.tag] = tag
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         for key, value in self.tolerances.items():

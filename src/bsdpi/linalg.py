@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (
     DomainViolation,
     NoConvergence,
     NotHermitian,
+    NumericsError,
     SingularState,
 )
 
@@ -69,7 +70,8 @@ class lazy_property:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; of a
+    stack of them, values (k, d) and vectors (k, d, d)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -79,16 +81,21 @@ class EigenSystem:
 
 
 def herm_eig(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a (k, d, d) stack of them.
 
     Raises DomainViolation when ``a`` has a NaN or infinite entry,
     NotHermitian when ``a`` deviates from its adjoint by more than
     ``HERMITICITY_TOL * max(1, ||a||_2)`` in Frobenius norm, and NoConvergence
-    if the underlying solver fails.
+    if the underlying solver fails.  A stack is checked matrix by matrix and
+    raises the error of its first refused matrix; it is decomposed by one
+    call of the solver, which gives each matrix the values and vectors bit
+    for bit that a call on that matrix alone gives.
     """
     global herm_eig_calls
-    herm_eig_calls += 1
     a = np.asarray(a, dtype=complex)
+    if a.ndim == 3:
+        return _herm_eig_stack(a)
+    herm_eig_calls += 1
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     norm = float(np.linalg.norm(a))
@@ -103,6 +110,36 @@ def herm_eig(a: np.ndarray) -> EigenSystem:
         raise NoConvergence(str(exc)) from exc
     if _EIG_CORRUPTION:
         values = values + _EIG_CORRUPTION * max(1.0, float(np.abs(values).max()))
+    return EigenSystem(values=values, vectors=vectors)
+
+
+def _herm_eig_stack(a: np.ndarray) -> EigenSystem:
+    """herm_eig of a (k, d, d) stack; herm_eig_calls counts its k matrices.
+
+    The 2-D path keeps its own checks: with these axis-wise norms a single
+    3 x 3 matrix takes about 24 us instead of 16.
+    """
+    global herm_eig_calls
+    if a.shape[1] != a.shape[2]:
+        raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    herm_eig_calls += a.shape[0]
+    norms = np.linalg.norm(a, axis=(1, 2))
+    defects = np.linalg.norm(a - a.conj().transpose(0, 2, 1), axis=(1, 2))
+    infinite = ~np.isfinite(norms)
+    skew = defects > HERMITICITY_TOL * np.maximum(1.0, norms)
+    refused = np.flatnonzero(infinite | skew)
+    if refused.size:
+        i = int(refused[0])
+        if infinite[i]:
+            raise DomainViolation(f"matrix {i} of the stack has a NaN or infinite entry")
+        raise NotHermitian(f"matrix {i} of the stack is not Hermitian within tolerance")
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+    if _EIG_CORRUPTION:
+        shift = _EIG_CORRUPTION * np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
+        values = values + shift[:, None]
     return EigenSystem(values=values, vectors=vectors)
 
 
@@ -141,12 +178,16 @@ class Spectrum:
     """A Hermitian matrix together with its one eigendecomposition.
 
     The matrix is decomposed by one herm_eig call on the first read of
-    ``eig``, and every spectral quantity is read off that decomposition:
+    ``eig``, unless ``decompose`` stored its slice of a stacked call there
+    first, and every spectral quantity is read off that decomposition:
     functions of the matrix (matrix_fn and pinv accept a Spectrum), traces
     tr[X f(A)] as weighted eigenvalue sums, its support projector, numerical
     rank and smallest positive eigenvalue.  Derived matrices are computed on
     first use and kept for the life of the object.
     """
+
+    # the lazy matrix functions that apply_fn forms for a stack of spectra
+    STACKED = {"sqrt": SQRT, "rsqrt": RSQRT_ON_SUPPORT}
 
     def __init__(self, a: np.ndarray):
         self.mat = np.asarray(a, dtype=complex)
@@ -279,6 +320,56 @@ def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndar
     vectors = spec.eig.vectors
     out = (vectors * spectral_values(spec, f)) @ vectors.conj().T
     return 0.5 * (out + out.conj().T)
+
+
+def decompose(spectra: Iterable[Spectrum]) -> None:
+    """Decompose every spectrum of ``spectra`` whose ``eig`` is unread, by one
+    stacked herm_eig call per dimension, and store each matrix's slice as its
+    ``eig``: the values and vectors its own first read would give.
+
+    A stack that herm_eig refuses is left undecomposed, so each of its
+    spectra raises its own refusal, or none, on its own first read.
+    """
+    groups: dict = {}
+    for spec in spectra:
+        if "eig" not in vars(spec):
+            groups.setdefault(spec.mat.shape, {})[id(spec)] = spec
+    for group in groups.values():
+        group = list(group.values())
+        try:
+            eig = herm_eig(np.stack([spec.mat for spec in group]))
+        except NumericsError:
+            continue
+        for spec, values, vectors in zip(group, eig.values, eig.vectors):
+            vars(spec)["eig"] = EigenSystem(values=values, vectors=vectors)
+
+
+def apply_fn(spectra: Iterable[Spectrum], name: str) -> None:
+    """Store the matrix function ``name`` of Spectrum.STACKED (``sqrt`` or
+    ``rsqrt``) on every decomposed spectrum of ``spectra`` that lacks it, by
+    one batched product per dimension: the matrix matrix_fn would give.
+
+    A spectrum whose eigenvalues the function refuses is left without it, to
+    raise that refusal on its own first read.
+    """
+    f = Spectrum.STACKED[name]
+    groups: dict = {}
+    for spec in spectra:
+        if name in vars(spec) or "eig" not in vars(spec):
+            continue
+        try:
+            values = spectral_values(spec, f)
+        except NumericsError:
+            continue
+        groups.setdefault(spec.dim, {})[id(spec)] = (spec, values)
+    for group in groups.values():
+        group = list(group.values())
+        vectors = np.stack([spec.eig.vectors for spec, _ in group])
+        values = np.stack([values for _, values in group])
+        out = (vectors * values[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+        out = 0.5 * (out + out.conj().transpose(0, 2, 1))
+        for (spec, _), m in zip(group, out):
+            vars(spec)[name] = m
 
 
 def pinv(a: np.ndarray | Spectrum) -> np.ndarray:

@@ -194,10 +194,14 @@ def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"entry {i} is not an [re, im] pair")
+        real, imag = pair
+        # float() would take a JSON string or boolean too; a bool is no int here
+        if type(real) not in (int, float) or type(imag) not in (int, float):
+            raise ParseError(f"entry {i} is not a pair of numbers: {pair!r}")
         try:
-            flat[i] = float(pair[0]) + 1j * float(pair[1])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"entry {i} is not a pair of numbers") from exc
+            flat[i] = float(real) + 1j * float(imag)
+        except OverflowError as exc:
+            raise ParseError(f"entry {i} has an integer too large for a float") from exc
     return flat.reshape(rows, cols)
 
 

@@ -9,19 +9,26 @@ import numpy as np
 import pytest
 
 from bsdpi import campaigns, cli, linalg, random_cptp, random_density, save_state
+from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import (
+    BLOCK_TRIALS,
     CRITERIA,
     DEFAULT_TOLERANCES,
     MAXF_FAMILIES,
     SELFTEST_BUDGET_S,
     BoundCheck,
     CampaignSummary,
+    Check,
     DpiCheck,
+    EqualityCheck,
     MaxfCheck,
+    OracleCheck,
     OrderingCheck,
+    RegularizedOracleCheck,
     Row,
     StructuralCheck,
     derive_seed,
+    draw_trial,
     evaluate,
     run_condexp_bound_campaign,
     run_dpi_campaign,
@@ -256,6 +263,135 @@ class TestTrialCost:
         check = BoundCheck(f"bs_{kind}", 1e-8, include_standard_row=True)
         assert self.eig_calls(kind, (3,), check) == 6
         assert [row.family for row in check.rows] == [f"bs_{kind}", "std_relent_petz"]
+
+    def test_oracle_trial_decomposes_each_pair_once(self):
+        # the Gram matrix, the trial's sigma, rho and G, and those of the
+        # four scaled pairs of the scaling identity
+        counts = {d: self.eig_calls("random_cptp", (d,), OracleCheck(1e-9)) for d in (2, 3, 4)}
+        assert counts == {2: 16, 3: 16, 4: 16}
+
+    @pytest.mark.parametrize("criterion", [6, 7])
+    def test_a_block_decomposes_what_its_trials_read_alone(self, criterion):
+        # priming decomposes each declared spectrum once for the block: as
+        # many decompositions as trials checked one at a time, none extra
+        entry = CRITERIA[criterion - 1]
+        make = lambda: entry.check.args[0](entry.tolerances)  # the criterion's check factory
+        before = linalg.herm_eig_calls
+        evaluate(7, 9, (2, 3, 4), "random_cptp", [make()])
+        blocked = linalg.herm_eig_calls - before
+        before = linalg.herm_eig_calls
+        per_trial_loop(7, 9, (2, 3, 4), "random_cptp", [make()])
+        assert blocked == linalg.herm_eig_calls - before
+
+    def test_priming_decomposes_no_spectrum_that_nothing_reads(self):
+        # each trial decomposes only its channel's Gram matrix in sampling
+        assert StructuralCheck.reads == ()
+        for check in (SilentCheck(), RegularizedOracleCheck(1e-6, 1e-9)):
+            before = linalg.herm_eig_calls
+            evaluate(7, 9, (2, 3, 4), "random_cptp", [check])
+            assert linalg.herm_eig_calls - before == 9
+
+
+@dataclasses.dataclass
+class SilentCheck(Check):
+    """Reads nothing of a trial."""
+
+    def add(self, trial, a):
+        self.summary.total += 1
+
+
+def per_trial_loop(seed, trials, dims, kind, checks, n_rank_deficient=0):
+    """evaluate as one loop over the trials, each analysed and checked alone."""
+    for i in range(trials + n_rank_deficient):
+        trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
+        analysis = InstanceAnalysis(trial.sigma, trial.rho, trial.target)
+        for check in checks:
+            check.add(trial, analysis)
+
+
+def csv_text(path, checks) -> str:
+    write_csv(str(path), [row for check in checks for row in check.rows])
+    return path.read_text()
+
+
+class TestBlocks:
+    """evaluate draws blocks of BLOCK_TRIALS trials and decomposes their
+    spectra together; the rows, summaries and errors are those of one trial
+    at a time."""
+
+    CHECK_SETS = {
+        "bounds_cptp": ("random_cptp", (2, 3, 4), 0, lambda: [
+            DpiCheck(1e-9), BoundCheck("bs_channel", 1e-8), MaxfCheck(MAXF_FAMILIES, 1e-8)]),
+        "pinching_petz": ("pinching", (2, 3, 5), 0, lambda: [
+            BoundCheck("bs_pinching", 1e-8, include_standard_row=True),
+            MaxfCheck(MAXF_FAMILIES, 1e-8)]),
+        "channel_singular": ("random_cptp", (2, 3, 4), 10, lambda: [
+            BoundCheck("bs_channel", 1e-8), RegularizedOracleCheck(1e-6, 1e-9)]),
+        "equality": ("random_cptp", (2, 3, 4), 0, lambda: [EqualityCheck(7, 3, 1e-9, 1e-7)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECK_SETS))
+    def test_longer_than_a_block_matches_a_per_trial_loop(self, name, tmp_path):
+        kind, dims, deficient, make = self.CHECK_SETS[name]
+        trials = BLOCK_TRIALS + 6 - deficient  # the second block is partial
+        blocked, alone = make(), make()
+        before = linalg.herm_eig_calls
+        evaluate(20191904, trials, dims, kind, blocked, deficient)
+        decompositions = linalg.herm_eig_calls - before
+        before = linalg.herm_eig_calls
+        per_trial_loop(20191904, trials, dims, kind, alone, deficient)
+        assert decompositions == linalg.herm_eig_calls - before
+        text = csv_text(tmp_path / "blocked.csv", blocked)
+        assert text == csv_text(tmp_path / "alone.csv", alone)
+        tallies = ("summary", "pass_rates", "max_increment", "max_disagreement", "hits",
+                   "co_positive")
+        for b, a in zip(blocked, alone):
+            for tally in tallies:
+                assert getattr(b, tally, None) == getattr(a, tally, None), tally
+
+    def test_the_corrupted_eigensolver_reaches_the_stacked_spectra(self, tmp_path):
+        # the selftest's FAIL lines alone would not show a stacked path that
+        # skipped the corruption: other decompositions make them fail too
+        make = self.CHECK_SETS["bounds_cptp"][3]
+        clean, blocked, alone = make(), make(), make()
+        evaluate(7, 12, (2, 3, 4), "random_cptp", clean)
+        linalg.set_eig_corruption(1e-6)
+        try:
+            evaluate(7, 12, (2, 3, 4), "random_cptp", blocked)
+            per_trial_loop(7, 12, (2, 3, 4), "random_cptp", alone)
+        finally:
+            linalg.set_eig_corruption(0.0)
+        text = csv_text(tmp_path / "blocked.csv", blocked)
+        assert text == csv_text(tmp_path / "alone.csv", alone)
+        assert text != csv_text(tmp_path / "clean.csv", clean)
+
+    def test_draw_error_in_mid_block_follows_the_earlier_trials(self, monkeypatch):
+        draw = campaigns.draw_trial
+
+        def failing(seed, i, *args, **kwargs):
+            if i == 5:
+                raise Diverging("drawn trial 5 fails")
+            return draw(seed, i, *args, **kwargs)
+
+        monkeypatch.setattr(campaigns, "draw_trial", failing)
+        check = DpiCheck(1e-9)
+        with pytest.raises(Diverging) as info:
+            evaluate(11, 20, (2, 3, 4), "random_cptp", [check])
+        assert info.value.trial_seed == derive_seed(11, 5)
+        assert [row.seed for row in check.rows] == [derive_seed(11, i) for i in range(5)]
+
+    def test_check_error_in_mid_block_names_its_trial(self):
+        class FailsOnThird(DpiCheck):
+            def add(self, trial, a):
+                if trial.index == 2:
+                    raise Diverging("checked trial 2 fails")
+                super().add(trial, a)
+
+        check = FailsOnThird(1e-9)
+        with pytest.raises(Diverging) as info:
+            evaluate(11, 20, (2, 3, 4), "random_cptp", [check])
+        assert info.value.trial_seed == derive_seed(11, 2)
+        assert len(check.rows) == 2
 
 
 class TestSeedDerivation:
@@ -563,6 +699,18 @@ class TestBoundsCommand:
         assert main(["bounds", "--trials", "2", "--dims", "2", "--include-standard-dpi"]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "families", ["xlogx,neg_power:0.5,neg_power(0.5)", "neg_power:0.5,neg_power:0.50",
+                     "xlogx,xlogx"],
+    )
+    def test_a_family_named_twice_is_refused(self, families, tmp_path, capsys):
+        # a repeated family would write each of its rows twice and double its pass-rate
+        assert main(["bounds", "--trials", "2", "--dims", "2", "--family", families]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: families ")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "dims": [2], "families": families.split(",")}))
+        assert main(["bounds", "--config", str(cfg)]) == 2
+
     @pytest.mark.parametrize("family", ["square", "neg_log", "xlogx,square"])
     def test_family_without_measure_constants_is_refused(self, family, capsys):
         assert main(["bounds", "--trials", "2", "--dims", "2", "--family", family]) == 2
@@ -748,6 +896,36 @@ class TestBadInputFiles:
         assert main(["certify", sp, rp, str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ")
+        assert repr(str(bad)) in err
+
+    @pytest.mark.parametrize("command", ["divergence", "certify"])
+    @pytest.mark.parametrize(
+        "entry", [["0.5", "0"], [True, False], ["0.5", 0], [0.5, None], [10**400, 0]],
+        ids=["strings", "booleans", "one_string", "null", "huge_integer"],
+    )
+    def test_state_entry_that_is_no_number_names_its_index(
+        self, command, entry, state_files, tmp_path, capsys
+    ):
+        sp, rp, cp = state_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [0, 0], entry, [0.5, 0]]}))
+        assert main(self.argv(command, str(bad), rp, cp)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: entry 2 ")
+        assert repr(str(bad)) in err
+
+    @pytest.mark.parametrize("entry", [[True, 0.0], ["1", 0.0]], ids=["boolean", "string"])
+    def test_kraus_entry_that_is_no_number_names_its_index(
+        self, entry, state_files, tmp_path, capsys
+    ):
+        sp, rp, cp = state_files
+        obj = json.loads(Path(cp).read_text())
+        obj["kraus"][0][4] = entry
+        bad = tmp_path / "bad_channel.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["certify", sp, rp, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: entry 4 ")
         assert repr(str(bad)) in err
 
     def test_non_finite_kraus_entry(self, state_files, tmp_path, capsys):

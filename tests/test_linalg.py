@@ -94,6 +94,109 @@ class TestHermEig:
             herm_eig(np.zeros((2, 3)))
 
 
+def psd_stack(dim, k, seed):
+    return np.stack([rand_psd(dim, 1000 * seed + i) for i in range(k)])
+
+
+@pytest.fixture
+def corrupted_eig():
+    linalg.set_eig_corruption(1e-6)
+    yield
+    linalg.set_eig_corruption(0.0)
+
+
+class TestStackedEig:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+    def test_bitwise_equal_to_one_call_per_matrix(self, dim):
+        stack = psd_stack(dim, 7, dim)
+        before = linalg.herm_eig_calls
+        e = herm_eig(stack)
+        assert linalg.herm_eig_calls - before == 7  # it counts decompositions
+        assert e.values.shape == (7, dim) and e.vectors.shape == (7, dim, dim)
+        for a, values, vectors in zip(stack, e.values, e.vectors):
+            one = herm_eig(a)
+            assert np.array_equal(values, one.values)
+            assert np.array_equal(vectors, one.vectors)
+
+    def test_corruption_hook_applies_per_matrix(self, corrupted_eig):
+        # the shift scales with each matrix's own largest eigenvalue
+        stack = psd_stack(3, 4, 1) * np.array([1.0, 10.0, 0.1, 1000.0])[:, None, None]
+        e = herm_eig(stack)
+        for a, values in zip(stack, e.values):
+            assert np.array_equal(values, herm_eig(a).values)
+        linalg.set_eig_corruption(0.0)
+        assert not np.array_equal(e.values, herm_eig(stack).values)
+
+    @pytest.mark.parametrize(
+        "spoil, error",
+        [
+            (lambda a: a.__setitem__((1, 1), np.nan), DomainViolation),
+            (lambda a: a.__setitem__((0, 1), a[0, 1] + 1.0), NotHermitian),
+        ],
+    )
+    def test_one_refused_matrix_refuses_the_stack_with_its_error(self, spoil, error):
+        stack = psd_stack(3, 5, 2)
+        spoil(stack[3])
+        with pytest.raises(error, match="matrix 3 of the stack"):
+            herm_eig(stack)
+        with pytest.raises(error):
+            herm_eig(stack[3])
+
+    def test_stack_of_non_square_matrices(self):
+        with pytest.raises(DimMismatch):
+            herm_eig(np.zeros((2, 2, 3)))
+
+
+class TestDecompose:
+    def test_slices_are_each_spectrum_own_decomposition(self):
+        mats = [rand_psd(d, seed) for seed, d in enumerate((2, 3, 2, 4, 3, 2))]
+        spectra = [Spectrum(m) for m in mats]
+        before = linalg.herm_eig_calls
+        linalg.decompose(spectra + spectra[:2])  # a repeat is decomposed once
+        assert linalg.herm_eig_calls - before == len(mats)
+        for m, spec in zip(mats, spectra):
+            assert "eig" in vars(spec)
+            alone = herm_eig(m)
+            assert np.array_equal(spec.eig.values, alone.values)
+            assert np.array_equal(spec.eig.vectors, alone.vectors)
+        before = linalg.herm_eig_calls
+        linalg.decompose(spectra)
+        assert linalg.herm_eig_calls == before
+
+    def test_a_refused_group_stays_lazy(self):
+        good = [Spectrum(rand_psd(3, seed)) for seed in range(3)]
+        bad = Spectrum(np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]))
+        other = [Spectrum(rand_psd(2, seed)) for seed in range(2)]
+        linalg.decompose(good + [bad] + other)
+        assert all("eig" not in vars(spec) for spec in good + [bad])
+        assert all("eig" in vars(spec) for spec in other)
+        with pytest.raises(NotHermitian):
+            bad.eig
+        assert np.array_equal(good[0].eig.values, herm_eig(good[0].mat).values)
+
+    @pytest.mark.parametrize("name", ["sqrt", "rsqrt"])
+    def test_stacked_roots_equal_each_spectrum_own(self, name):
+        mats = [rand_psd(d, seed) for seed, d in enumerate((3, 3, 2, 3))]
+        mats[1][2, :] = mats[1][:, 2] = 0.0  # rank deficient: rsqrt takes the general route
+        spectra = [Spectrum(m) for m in mats]
+        linalg.decompose(spectra)
+        linalg.apply_fn(spectra, name)
+        for m, spec in zip(mats, spectra):
+            assert name in vars(spec)
+            assert np.array_equal(getattr(spec, name), getattr(Spectrum(m), name))
+
+    def test_root_refused_by_its_function_stays_lazy(self):
+        # sqrt refuses a clearly negative eigenvalue
+        spectra = [Spectrum(np.diag([1.0, -0.5])), Spectrum(np.diag([1.0, 0.5]))]
+        undecomposed = Spectrum(np.eye(2))
+        linalg.decompose(spectra)
+        linalg.apply_fn(spectra + [undecomposed], "sqrt")
+        assert "sqrt" not in vars(spectra[0]) and "sqrt" in vars(spectra[1])
+        assert vars(undecomposed).keys().isdisjoint({"eig", "sqrt"})
+        with pytest.raises(DomainViolation):
+            spectra[0].sqrt
+
+
 class TestMatrixFn:
     def test_identity(self):
         a = rand_psd(4, 0)
