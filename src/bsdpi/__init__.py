@@ -56,6 +56,7 @@ from .errors import (
     NotHermitian,
     NumericsError,
     ParseError,
+    RejectionExhausted,
     SingularState,
     SupportMismatch,
 )

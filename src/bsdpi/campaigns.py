@@ -25,15 +25,7 @@ from .bounds import (
     lemma_integrand_check,
     maxf_bound,
 )
-from .channels import (
-    ConditionalExpectation,
-    KrausChannel,
-    PartialTraceFactor,
-    random_cptp,
-    random_pinching,
-    superop_matrix,
-    _haar_isometry,
-)
+from .channels import _haar_isometry, superop_matrix
 from .divergences import (
     bs_entropy,
     bs_entropy_quadrature,
@@ -47,12 +39,21 @@ from .divergences import (
     xlogx,
 )
 from .errors import ConfigError, NumericsError
-from .linalg import Spectrum, apply_fn, decompose, herm_eig, schatten_norm
+from .linalg import Spectrum, apply_fn, decompose, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
-from .states import StatePair, open_output, random_density
-
-# (d_keep, s) factorizations used for partial-trace conditional expectations
-PARTIAL_TRACE_SHAPES = ((2, 2), (3, 2), (2, 3))
+from .sampling import (  # noqa: F401 - the samplers and trials are part of this module's interface
+    PARTIAL_TRACE_SHAPES,
+    Trial,
+    derive_seed,
+    draw_block,
+    draw_trial,
+    sample_channel,
+    sample_condexp,
+    sample_conditioned_pair,
+    sample_equal_support_pair,
+    sample_pair,
+)
+from .states import StatePair, ginibre, open_output, random_density
 
 CONDEXP_KINDS = ("pinching", "partial_trace")
 
@@ -97,121 +98,6 @@ def write_csv(path: str, rows: list[Row]) -> None:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.render() + "\n")
-
-
-def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit sub-seed from a tuple of indices."""
-    ss = np.random.SeedSequence(list(parts))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def sample_pair(dim: int, seed: int) -> tuple[Spectrum, Spectrum]:
-    return (
-        random_density(dim, dim, derive_seed(seed, 0)),
-        random_density(dim, dim, derive_seed(seed, 1)),
-    )
-
-
-def sample_conditioned_pair(
-    dim: int, seed: int, min_eig: float = 0.02
-) -> tuple[Spectrum, Spectrum]:
-    """Full-rank Ginibre pair with both smallest eigenvalues >= min_eig.
-
-    Identity checks with absolute tolerances need bounded condition numbers;
-    rejection stays inside seed-indexed streams, so sampling is deterministic.
-    """
-
-    def _draw(role: int) -> Spectrum:
-        for attempt in range(64):
-            state = random_density(dim, dim, derive_seed(seed, role, attempt))
-            if float(state.eig.values[0]) >= min_eig:
-                return state
-        raise RuntimeError("conditioned-state rejection budget exhausted")
-
-    return _draw(0), _draw(1)
-
-
-def sample_equal_support_pair(
-    dim: int, rank: int, seed: int, min_block_eig: float = 0.02
-) -> tuple[Spectrum, Spectrum]:
-    """Rank-deficient pair with exactly equal supports.
-
-    Blocks are Ginibre states on a shared Haar-random subspace; blocks with a
-    tiny smallest eigenvalue are resampled so the regularized route converges
-    at the documented rate.
-    """
-    rng = np.random.Generator(np.random.Philox(derive_seed(seed, 2)))
-    basis = _haar_isometry(dim, dim, rng)[:, :rank]
-
-    def _block() -> np.ndarray:
-        while True:
-            g = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal(
-                (rank, rank)
-            )
-            a = g @ g.conj().T
-            a = a / float(np.trace(a).real)
-            if float(herm_eig(a).values[0]) >= min_block_eig:
-                return a
-
-    def _embed(a: np.ndarray) -> Spectrum:
-        m = basis @ a @ basis.conj().T
-        return Spectrum(0.5 * (m + m.conj().T))
-
-    return _embed(_block()), _embed(_block())
-
-
-def sample_condexp(dim_index: int, kind: str, seed: int) -> ConditionalExpectation:
-    if kind == "pinching":
-        return random_pinching(dim_index, derive_seed(seed, 3))
-    if kind == "partial_trace":
-        d_keep, s = PARTIAL_TRACE_SHAPES[seed % len(PARTIAL_TRACE_SHAPES)]
-        return PartialTraceFactor(d_keep, s)
-    raise ConfigError(f"unknown conditional-expectation kind {kind!r}")
-
-
-def sample_channel(dim: int, seed: int, num_kraus: int | None = None) -> KrausChannel:
-    if num_kraus is None:
-        rng = np.random.Generator(np.random.Philox(derive_seed(seed, 4)))
-        num_kraus = int(rng.integers(2, 4))
-    return random_cptp(dim, dim, num_kraus, derive_seed(seed, 5))
-
-
-@dataclass
-class Trial:
-    """One drawn instance of a bound campaign."""
-
-    index: int  # i, the trial's position in its campaign
-    seed: int  # the trial's sub-seed, reported in rows and violations
-    d: int
-    sigma: Spectrum
-    rho: Spectrum
-    target: KrausChannel | ConditionalExpectation
-    deficient: bool = False  # an equal-support rank-deficient pair
-
-
-def draw_trial(seed: int, i: int, dims, kind: str, deficient: bool = False) -> Trial:
-    """Trial i of a campaign over ``kind`` targets.
-
-    Every campaign draws trial i from the same sub-seed, so the DPI, bound
-    and maximal-f campaigns of one seed see the same instances.
-    """
-    sub = derive_seed(seed, i)
-    if kind == "partial_trace":
-        target = sample_condexp(0, kind, i)
-        d = target.dim
-    elif kind == "pinching":
-        d = dims[i % len(dims)]
-        target = sample_condexp(d, kind, sub)
-    elif kind == "random_cptp":
-        d = dims[i % len(dims)]
-        target = sample_channel(d, sub)
-    else:
-        raise ConfigError(f"unknown channel kind {kind!r}")
-    if deficient:
-        sigma, rho = sample_equal_support_pair(d, max(1, d - 1), sub)
-    else:
-        sigma, rho = sample_pair(d, sub)
-    return Trial(i, sub, d, sigma, rho, target, deficient)
 
 
 # Consecutive trials that evaluate draws, decomposes together and then
@@ -274,10 +160,10 @@ def evaluate(
     """Draw the trials in seed order, the last n_rank_deficient of them rank
     deficient, analyse each once and hand that analysis to every check.
 
-    Trials come in blocks of up to BLOCK_TRIALS.  Before any check runs on a
-    block, the spectra its checks declare in ``reads`` are decomposed for the
-    whole block by ``_prime``, to the values each trial alone computes, bit
-    for bit.  Then the checks run trial by trial.  An analysis lives for one
+    Trials come in blocks of up to BLOCK_TRIALS, each drawn by draw_block.
+    Before any check runs on a block, the spectra its checks declare in
+    ``reads`` are decomposed for the whole block by ``_prime``, to the
+    values each trial alone computes, bit for bit.  Then the checks run trial by trial.  An analysis lives for one
     block; the checks keep only rows and summaries.  A numerics error from
     drawing or checking a trial leaves with ``trial_seed`` set to that
     trial's seed, after the checks of every earlier trial ran.
@@ -285,15 +171,8 @@ def evaluate(
     plan = _priming_plan(checks)
     total = trials + n_rank_deficient
     for start in range(0, total, BLOCK_TRIALS):
-        block, error = [], None
-        for i in range(start, min(start + BLOCK_TRIALS, total)):
-            try:
-                trial = draw_trial(seed, i, dims, kind, deficient=i >= trials)
-            except NumericsError as exc:
-                exc.trial_seed = derive_seed(seed, i)  # the sub-seed draw_trial gives trial i
-                error = exc
-                break
-            block.append((trial, InstanceAnalysis(trial.sigma, trial.rho, trial.target)))
+        drawn, error = draw_block(seed, start, min(start + BLOCK_TRIALS, total), dims, kind, trials)
+        block = [(trial, InstanceAnalysis(trial.sigma, trial.rho, trial.target)) for trial in drawn]
         _prime([analysis for _, analysis in block], plan)
         for trial, analysis in block:
             try:
@@ -547,7 +426,7 @@ class OrderingCheck(Check):
 
         # commuting reduction on a shared eigenbasis
         rng = np.random.Generator(np.random.Philox(derive_seed(sub, 8)))
-        u = _haar_isometry(d, d, rng)
+        u = _haar_isometry(ginibre(rng, d, d)[None])[0]
         lam = rng.uniform(0.1, 1.0, size=d)
         lam /= lam.sum()
         mu = rng.uniform(0.1, 1.0, size=d)
@@ -596,7 +475,7 @@ class StructuralCheck(Check):
         dilation = channel.stinespring()
         omega = random_density(d, d, derive_seed(sub, 6)).mat
         recon = schatten_norm(dilation.apply(omega) - channel.apply(omega), 2)
-        isometry = float(np.linalg.norm(dilation.v.conj().T @ dilation.v - np.eye(d)))
+        isometry = dilation.defect
         self.summary.total += 1
         if recon > 1e-12:
             self.fail(sub, f"stinespring reconstruction {recon:.3e}")

@@ -4,7 +4,7 @@ isometries, and the contraction map used by the strengthened bounds."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .states import (
     as_matrix,
     as_spectrum,
     entries_to_matrix,
+    ginibre,
     json_dim,
     matrix_to_entries,
     read_input,
@@ -52,9 +53,11 @@ class StinespringIsometry:
     d_in: int
     d_out: int
     s: int
+    defect: float = field(init=False)  # Frobenius norm of V*V - I
 
     def __post_init__(self):
         defect = float(np.linalg.norm(self.v.conj().T @ self.v - np.eye(self.d_in)))
+        object.__setattr__(self, "defect", defect)
         if defect > ISOMETRY_TOL * max(1.0, self.d_in**0.5):
             raise InvalidChannel("sum K*K = V*V deviates from the identity")
 
@@ -251,12 +254,22 @@ def diagonal_pinching(dim: int) -> Pinching:
     return Pinching(projectors)
 
 
-def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _haar_isometry(g: np.ndarray) -> np.ndarray:
+    """Haar-random isometries from a (k, rows, cols) stack of Ginibre
+    matrices: the Q of each QR decomposition, its columns phased so that R
+    has a positive diagonal.  One QR call decomposes the stack, each matrix
+    bit for bit as alone."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=1, axis2=2).copy()
     d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d)).conj()
+    return q * (d / np.abs(d)).conj()[:, None, :]
+
+
+def isometry_channel(v: np.ndarray, d_out: int, num_kraus: int) -> KrausChannel:
+    """The channel of the isometry V = sum_a K_a ⊗ e_a: its Kraus operators
+    are read off the environment slices in index order."""
+    blocks = v.reshape(d_out, num_kraus, v.shape[1])
+    return KrausChannel([blocks[:, a, :] for a in range(num_kraus)])
 
 
 def random_cptp(d_in: int, d_out: int, num_kraus: int, seed: int) -> KrausChannel:
@@ -265,23 +278,34 @@ def random_cptp(d_in: int, d_out: int, num_kraus: int, seed: int) -> KrausChanne
     if d_out * num_kraus < d_in:
         raise InvalidChannel("d_out * num_kraus must be at least d_in")
     rng = np.random.Generator(np.random.Philox(seed))
-    v = _haar_isometry(d_out * num_kraus, d_in, rng)
-    blocks = v.reshape(d_out, num_kraus, d_in)
-    return KrausChannel([blocks[:, a, :] for a in range(num_kraus)])
+    v = _haar_isometry(ginibre(rng, d_out * num_kraus, d_in)[None])[0]
+    return isometry_channel(v, d_out, num_kraus)
 
 
-def random_blocks(dim: int, rng: np.random.Generator, num_blocks: int | None = None):
-    """A Haar-random unitary U drawn from ``rng`` and the pinching onto >= 2
-    blocks of consecutive columns of U: (U, Pinching)."""
-    u = _haar_isometry(dim, dim, rng)
+def block_bounds(dim: int, rng: np.random.Generator, num_blocks: int | None = None) -> list:
+    """The column bounds of >= 2 blocks of consecutive columns out of dim,
+    drawn from ``rng`` unless num_blocks is given."""
     if num_blocks is None:
         num_blocks = int(rng.integers(2, dim + 1))
     if not 2 <= num_blocks <= dim:
         raise ValueError(f"num_blocks {num_blocks} outside [2, {dim}]")
     cuts = np.sort(rng.choice(np.arange(1, dim), size=num_blocks - 1, replace=False))
-    bounds = [0, *cuts.tolist(), dim]
+    return [0, *cuts.tolist(), dim]
+
+
+def block_pinching(u: np.ndarray, bounds: list) -> Pinching:
+    """The pinching onto the blocks of columns of the unitary u between bounds."""
     blocks = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return u, Pinching([w @ w.conj().T for w in blocks])
+    return Pinching([w @ w.conj().T for w in blocks])
+
+
+def random_blocks(dim: int, rng: np.random.Generator, num_blocks: int | None = None):
+    """A Haar-random unitary U drawn from ``rng`` and the pinching onto >= 2
+    blocks of consecutive columns of U: (U, Pinching)."""
+    g = ginibre(rng, dim, dim)
+    bounds = block_bounds(dim, rng, num_blocks)
+    u = _haar_isometry(g[None])[0]
+    return u, block_pinching(u, bounds)
 
 
 def random_pinching(dim: int, seed: int, num_blocks: int | None = None) -> Pinching:

@@ -43,6 +43,11 @@ class SingularState(NumericsError):
     """A full-rank state was required but a rank-deficient one was supplied."""
 
 
+class RejectionExhausted(NumericsError):
+    """A rejection sampler used its attempt budget without an accepted draw,
+    or was asked for a draw that no attempt can pass."""
+
+
 class InvalidChannel(NumericsError):
     """Kraus family is not trace preserving / completely positive."""
 

@@ -42,20 +42,40 @@ def as_spectrum(x) -> Spectrum:
     return Spectrum(as_matrix(x))
 
 
+def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A complex Ginibre matrix drawn from ``rng``: the real part first, then
+    the imaginary part, each as a single standard-normal block."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def normalized_grams(g: np.ndarray) -> np.ndarray:
+    """G G* / tr[G G*] for each G of a (k, rows, cols) stack."""
+    m = g @ g.conj().transpose(0, 2, 1)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def density_matrices(g: np.ndarray) -> np.ndarray:
+    """The Ginibre-induced states of a (k, dim, rank) stack of Ginibre factors."""
+    return hermitian_part(normalized_grams(g))
+
+
 def random_density(dim: int, rank: int, seed: int) -> Spectrum:
     """Ginibre-induced random state G G* / tr[G G*] with G of shape (dim, rank).
 
-    The stream is the counter-based Philox generator keyed by ``seed``; the
-    real part of G is drawn first, then the imaginary part, each as a single
-    standard-normal block.  Fixed seeds give bit-identical states.
+    G is the ``ginibre`` draw of the counter-based Philox generator keyed by
+    ``seed``, and the state is ``density_matrices`` of the stack of one G, so
+    a stack of a block's factors gives each the same state.  Fixed seeds give
+    bit-identical states.
     """
     if not 1 <= rank <= dim:
         raise BadRank(f"rank {rank} outside [1, {dim}]")
     rng = np.random.Generator(np.random.Philox(seed))
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m = m / float(np.trace(m).real)
-    return Spectrum(0.5 * (m + m.conj().T))
+    return Spectrum(density_matrices(ginibre(rng, dim, rank)[None])[0])
 
 
 def regularize(rho, eps: float) -> Spectrum:

@@ -374,6 +374,11 @@ class TestValidation:
         channel = random_cptp(3, 2, 3, seed=58)
         assert channel.stinespring() is channel.dilation
 
+    def test_the_isometry_keeps_its_defect(self):
+        for channel in (random_cptp(3, 2, 3, seed=58), sample_channel(4, seed=59)):
+            v = channel.dilation.v
+            assert channel.dilation.defect == float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+
     def test_pinching_refuses_overlapping_or_incomplete_projectors(self):
         p = random_pinching(6, seed=55, num_blocks=3).projectors
         with pytest.raises(InvalidChannel, match="orthogonal"):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsdpi import campaigns, cli, linalg, random_cptp, random_density, save_state
+from bsdpi import campaigns, cli, linalg, random_cptp, random_density, save_state, sampling
 from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import (
     BLOCK_TRIALS,
@@ -28,14 +28,19 @@ from bsdpi.campaigns import (
     Row,
     StructuralCheck,
     derive_seed,
+    draw_block,
     draw_trial,
     evaluate,
+    sample_channel,
+    sample_condexp,
+    sample_conditioned_pair,
     sample_equal_support_pair,
+    sample_pair,
     write_csv,
 )
-from bsdpi.channels import save_channel
+from bsdpi.channels import KrausChannel, PartialTraceFactor, save_channel
 from bsdpi.cli import CampaignConfig, main
-from bsdpi.errors import ConfigError, Diverging
+from bsdpi.errors import ConfigError, Diverging, RejectionExhausted
 from bsdpi.recovery import pinching_fixed_pair
 from bsdpi.states import StatePair
 
@@ -252,6 +257,22 @@ class TestTrialCost:
         evaluate(7, 1, dims, kind, [check])
         return linalg.herm_eig_calls - before
 
+    def test_a_channel_trial_validates_its_channel_once(self, monkeypatch):
+        calls = []
+        validate = KrausChannel.validate
+        monkeypatch.setattr(KrausChannel, "validate", lambda c: calls.append(validate(c)))
+        evaluate(7, 9, (2, 3, 4), "random_cptp", [SilentCheck()])
+        assert len(calls) == 9
+
+    def test_structural_check_reads_the_isometry_defect(self):
+        # criterion 8 compares the defect the isometry formed when it was built
+        trial = draw_trial(7, 0, (3,), "random_cptp")
+        dilation = trial.target.stinespring()
+        object.__setattr__(dilation, "defect", 2e-10)
+        check = StructuralCheck()
+        check.add(trial, InstanceAnalysis(trial.sigma, trial.rho, trial.target))
+        assert (trial.seed, "V*V residual 2.000e-10") in check.summary.violations
+
     def test_structural_trial_reads_one_analysis(self):
         # the expectation's sigma, rho, G, sigma_N and G_N; the lemma grid,
         # the contraction and the norm monotonicity reuse that analysis.  The
@@ -377,14 +398,15 @@ class TestBlocks:
         assert text != csv_text(tmp_path / "clean.csv", clean)
 
     def test_draw_error_in_mid_block_follows_the_earlier_trials(self, monkeypatch):
-        draw = campaigns.draw_trial
+        # the failure is injected at the per-trial phase of the block drawer
+        draw = sampling._draw_streams
 
-        def failing(seed, i, *args, **kwargs):
+        def failing(streams, j, i, *args, **kwargs):
             if i == 5:
                 raise Diverging("drawn trial 5 fails")
-            return draw(seed, i, *args, **kwargs)
+            return draw(streams, j, i, *args, **kwargs)
 
-        monkeypatch.setattr(campaigns, "draw_trial", failing)
+        monkeypatch.setattr(sampling, "_draw_streams", failing)
         check = DpiCheck(1e-9)
         with pytest.raises(Diverging) as info:
             evaluate(11, 20, (2, 3, 4), "random_cptp", [check])
@@ -403,6 +425,99 @@ class TestBlocks:
             evaluate(11, 20, (2, 3, 4), "random_cptp", [check])
         assert info.value.trial_seed == derive_seed(11, 2)
         assert len(check.rows) == 2
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlockDraws:
+    """draw_block's trials are, bit for bit, those that the public
+    single-item samplers draw from derive_seed(seed, i)."""
+
+    TOTAL = 2 * BLOCK_TRIALS + 2  # two blocks and a partial one
+    DEFICIENT = 6  # the last trials, across the second and the partial block
+
+    @staticmethod
+    def alone(seed, i, dims, kind, deficient):
+        sub = derive_seed(seed, i)
+        if kind == "partial_trace":
+            target = sample_condexp(0, kind, i)
+            d = target.dim
+        else:
+            d = dims[i % len(dims)]
+            target = sample_channel(d, sub) if kind == "random_cptp" else sample_condexp(d, kind, sub)
+        if deficient:
+            return sub, d, target, sample_equal_support_pair(d, max(1, d - 1), sub)
+        return sub, d, target, sample_pair(d, sub)
+
+    @pytest.mark.parametrize("kind", ["random_cptp", "pinching", "partial_trace"])
+    def test_blocks_match_the_single_item_samplers(self, kind):
+        seed, dims = 20191904, (2, 3, 4)
+        first_deficient = self.TOTAL - self.DEFICIENT
+        for start in range(0, self.TOTAL, BLOCK_TRIALS):
+            stop = min(start + BLOCK_TRIALS, self.TOTAL)
+            trials, error = draw_block(seed, start, stop, dims, kind, first_deficient)
+            assert error is None and [t.index for t in trials] == list(range(start, stop))
+            for trial in trials:
+                deficient = trial.index >= first_deficient
+                sub, d, target, pair = self.alone(seed, trial.index, dims, kind, deficient)
+                assert (trial.seed, trial.d, trial.deficient) == (sub, d, deficient)
+                assert same_bits(trial.sigma.mat, pair[0].mat)
+                assert same_bits(trial.rho.mat, pair[1].mat)
+                if isinstance(target, KrausChannel):
+                    ops, expected = trial.target.kraus, target.kraus
+                elif isinstance(target, PartialTraceFactor):
+                    ops, expected = [], []
+                    assert (trial.target.d_keep, trial.target.s) == (target.d_keep, target.s)
+                else:
+                    ops, expected = trial.target.projectors, target.projectors
+                assert len(ops) == len(expected)
+                assert all(same_bits(a, b) for a, b in zip(ops, expected))
+
+    def test_a_draw_error_keeps_the_trials_before_it(self, monkeypatch):
+        # a channel that fails validation in the last, per-trial step
+        validate = KrausChannel.validate
+
+        def failing(channel):
+            if channel.d_in == 4:
+                raise Diverging("the d = 4 channel fails")
+            validate(channel)
+
+        monkeypatch.setattr(KrausChannel, "validate", failing)
+        trials, error = draw_block(11, 0, 9, (2, 3, 4), "random_cptp", 9)
+        assert [t.index for t in trials] == [0, 1]
+        assert isinstance(error, Diverging) and error.trial_seed == derive_seed(11, 2)
+
+
+class TestRejectionBudgets:
+    def test_blocks_that_cannot_qualify_are_refused_at_once(self):
+        # a trace-1 block of rank 50 has mean eigenvalue 0.02
+        before = linalg.herm_eig_calls
+        with pytest.raises(RejectionExhausted, match=r"rank-50 block of a d = 60 .* = 0\.02"):
+            sample_equal_support_pair(60, 50, 1)
+        with pytest.raises(RejectionExhausted, match="3x3 state"):
+            sample_conditioned_pair(3, 1, min_eig=0.34)
+        assert linalg.herm_eig_calls == before
+
+    def test_the_equal_support_budget_ends_the_search(self, monkeypatch):
+        monkeypatch.setattr(sampling, "EQUAL_SUPPORT_ATTEMPTS", 5)
+        with pytest.raises(RejectionExhausted, match=r"rank-7 block of a d = 8 .* in 5 attempts"):
+            sample_equal_support_pair(8, 7, 3)
+
+    def test_the_conditioned_budget_ends_the_search(self):
+        with pytest.raises(RejectionExhausted, match="in 64 attempts"):
+            sample_conditioned_pair(3, 1, min_eig=0.3)
+
+    def test_exhaustion_in_a_check_names_its_trial(self, monkeypatch):
+        monkeypatch.setattr(sampling, "CONDITIONED_ATTEMPTS", 0)
+        check = OrderingCheck()
+        with pytest.raises(RejectionExhausted) as info:
+            evaluate(11, 3, (2, 3, 4), "random_cptp", [check])
+        assert info.value.trial_seed == derive_seed(11, 0)
+        ok, line = CRITERIA[5].run(7, reduced=True)
+        assert not ok and "RejectionExhausted on trial seed" in line
 
 
 class TestSeedDerivation:
