@@ -65,7 +65,6 @@ from .linalg import (
     ScalarFunction,
     herm_eig,
     hs_inner,
-    integrate_adaptive,
     matrix_fn,
     pinv,
     schatten_norm,
@@ -75,7 +74,6 @@ from .recovery import (
     bs_recovery,
     condexp_equality_residuals,
     equality_residuals,
-    petz_recovery,
     pinching_fixed_pair,
     stinespring_residual,
 )

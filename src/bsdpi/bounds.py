@@ -2,14 +2,15 @@
 
 Each evaluator returns a BoundReport carrying the divergence gap, the two
 right-hand-side variants (the square-root-condition form with the K-type
-prefactor and the recovery form with the L-type prefactor), the precondition
-flag, and the constants that entered the bound.
+prefactor and the recovery form with the L-type prefactor) and the
+precondition flag.  The constants that enter a bound are read off the
+InstanceAnalysis, the family and k_alpha / l_alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +25,12 @@ from .states import StatePair
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Gap, both bound values, precondition flag, and the entering constants."""
+    """Gap, both bound values and the precondition flag."""
 
     gap: float
     rhs_k: float
     rhs_l: float
     precondition_ok: bool
-    constants: dict = field(default_factory=dict)
 
     @property
     def rhs(self) -> float:
@@ -168,21 +168,9 @@ def _bs_report(a: InstanceAnalysis) -> BoundReport:
     residual_l = a.residual_l
     gamma_sup = a.gamma_sup
     sigma_inv_sup = a.sigma_inv_sup
-    pref_k = (math.pi / 4.0) ** 4
-    pref_l = (math.pi / 8.0) ** 4
-    rhs_k = pref_k * gamma_sup ** (-2.0) * residual_k**4
-    rhs_l = pref_l * gamma_sup ** (-4.0) * sigma_inv_sup ** (-2.0) * residual_l**4
-    constants = {
-        "gamma_sup": gamma_sup,
-        "sigma_inv_sup": sigma_inv_sup,
-        "prefactor_k": pref_k,
-        "prefactor_l": pref_l,
-        "residual_k": residual_k,
-        "residual_l": residual_l,
-    }
-    return BoundReport(
-        gap=gap, rhs_k=rhs_k, rhs_l=rhs_l, precondition_ok=True, constants=constants
-    )
+    rhs_k = (math.pi / 4.0) ** 4 * gamma_sup ** (-2.0) * residual_k**4
+    rhs_l = (math.pi / 8.0) ** 4 * gamma_sup ** (-4.0) * sigma_inv_sup ** (-2.0) * residual_l**4
+    return BoundReport(gap=gap, rhs_k=rhs_k, rhs_l=rhs_l, precondition_ok=True)
 
 
 def bs_bound_condexp(a: InstanceAnalysis) -> BoundReport:
@@ -241,23 +229,7 @@ def maxf_bound(a: InstanceAnalysis, fam: FDivFamily) -> BoundReport:
         * sigma_inv_sup ** (-(2 * alpha + 2))
         * residual_l ** (4 * (alpha + 1))
     )
-    return BoundReport(
-        gap=gap,
-        rhs_k=rhs_k,
-        rhs_l=rhs_l,
-        precondition_ok=precondition_ok,
-        constants={
-            "gamma_sup": gamma_sup,
-            "sigma_inv_sup": sigma_inv_sup,
-            "C": c,
-            "alpha": alpha,
-            "k_alpha": k,
-            "l_alpha": l,
-            "precondition_value": check,
-            "residual_k": residual_k,
-            "residual_l": residual_l,
-        },
-    )
+    return BoundReport(gap=gap, rhs_k=rhs_k, rhs_l=rhs_l, precondition_ok=precondition_ok)
 
 
 def lemma_integrand_check(a: InstanceAnalysis, t: float):

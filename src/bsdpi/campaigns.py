@@ -42,7 +42,11 @@ from .errors import ConfigError, NumericsError
 from .linalg import Spectrum, apply_fn, decompose, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
 from .sampling import (  # noqa: F401 - the samplers and trials are part of this module's interface
+    COMMUTING,
+    CONSTRUCTED,
+    OMEGA,
     PARTIAL_TRACE_SHAPES,
+    SIDE_PAIR,
     Trial,
     derive_seed,
     draw_block,
@@ -341,7 +345,7 @@ class EqualityCheck(Check):
     """Equality certification on constructed and random instances.
 
     Trial i < ``constructed`` also certifies the constructed pinching-fixed
-    pair i, drawn from ``derive_seed(seed, 1000 + i)``: its gap and every
+    pair i, drawn from ``derive_seed(seed, CONSTRUCTED + i)``: its gap and every
     residual must vanish, and ``hits`` counts those that do.  Each random
     trial is checked in both implication directions (a tiny recovery residual
     forces a tiny gap and conversely); ``co_positive`` counts the trials whose
@@ -358,7 +362,7 @@ class EqualityCheck(Check):
 
     def add(self, trial, a):
         if trial.index < self.constructed:
-            sub = derive_seed(self.seed, 1000 + trial.index)
+            sub = derive_seed(self.seed, CONSTRUCTED + trial.index)
             sigma, rho, pinching = pinching_fixed_pair(trial.d, sub)
             report = equality_residuals(InstanceAnalysis(sigma, rho, pinching.as_kraus()))
             self.summary.total += 1
@@ -425,7 +429,7 @@ class OrderingCheck(Check):
             self.fail(sub, f"degree-2 identity off by {s_sq - m_sq:.3e}")
 
         # commuting reduction on a shared eigenbasis
-        rng = np.random.Generator(np.random.Philox(derive_seed(sub, 8)))
+        rng = np.random.Generator(np.random.Philox(derive_seed(sub, COMMUTING)))
         u = _haar_isometry(ginibre(rng, d, d)[None])[0]
         lam = rng.uniform(0.1, 1.0, size=d)
         lam /= lam.sum()
@@ -473,7 +477,7 @@ class StructuralCheck(Check):
     def add(self, trial, a):
         sub, d, channel = trial.seed, trial.d, trial.target
         dilation = channel.stinespring()
-        omega = random_density(d, d, derive_seed(sub, 6)).mat
+        omega = random_density(d, d, derive_seed(sub, OMEGA)).mat
         recon = schatten_norm(dilation.apply(omega) - channel.apply(omega), 2)
         isometry = dilation.defect
         self.summary.total += 1
@@ -487,7 +491,7 @@ class StructuralCheck(Check):
         else:
             expectation = sample_condexp(d, "pinching", sub)
         de = expectation.dim
-        analysis = InstanceAnalysis(*sample_pair(de, derive_seed(sub, 7)), expectation)
+        analysis = InstanceAnalysis(*sample_pair(de, derive_seed(sub, SIDE_PAIR)), expectation)
         g_full, g_proj = analysis.gamma_sup, analysis.out.ratio.lam_max
         if g_proj > g_full + 1e-10:
             self.fail(sub, f"norm monotonicity {g_proj:.6f} > {g_full:.6f}")

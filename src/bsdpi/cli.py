@@ -33,6 +33,7 @@ from .divergences import (
 from .errors import ConfigError, NoConvergence, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
+from .sampling import CHANNEL_KINDS
 from .states import StatePair, load_state, open_output, read_input
 
 # the tolerances cmd_bounds reads; a config may override these and no other
@@ -57,7 +58,7 @@ class CampaignConfig:
     def __post_init__(self):
         _integer("seed", self.seed, 0)
         _integer("trials", self.trials, 1)
-        if self.channel_kind not in ("pinching", "partial_trace", "random_cptp"):
+        if self.channel_kind not in CHANNEL_KINDS:
             raise ConfigError(f"unknown channel_kind {self.channel_kind!r}")
         if self.channel_kind == "partial_trace" and self.dims is not None:
             drawn = sorted({d_keep * s for d_keep, s in campaigns.PARTIAL_TRACE_SHAPES})
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--dims",
                    help="comma-separated dimensions (default 2,3,4); not for partial_trace")
-    p.add_argument("--channel", choices=["pinching", "partial_trace", "random_cptp"])
+    p.add_argument("--channel", choices=CHANNEL_KINDS)
     p.add_argument("--family", help="comma-separated maximal-f families")
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=None,

@@ -153,13 +153,13 @@ def condexp_equality_residuals(a: InstanceAnalysis) -> tuple[float, float]:
     return r_recovery, r_strange
 
 
-def pinching_fixed_pair(dim: int, seed: int, num_blocks: int | None = None):
+def pinching_fixed_pair(dim: int, seed: int):
     """A nontrivial equality instance: a random pinching together with two
     commuting states diagonal in its block eigenbasis, so both are fixed
     points of the expectation and the DPI gap vanishes without rho = sigma.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    u, pinching = random_blocks(dim, rng, num_blocks)
+    u, pinching = random_blocks(dim, rng)
 
     def _state() -> Spectrum:
         diag = rng.uniform(0.1, 1.0, size=dim)

@@ -40,8 +40,11 @@ def derive_seed(*parts: int) -> int:
 
 
 # The stream roles of a trial: trial i with sub-seed sub draws each part of
-# its instance from the Philox stream keyed by derive_seed(sub, role).
-SIGMA, RHO, EQUAL_SUPPORT, PINCHING, NUM_KRAUS, ISOMETRY = range(6)
+# its instance, and the acceptance checks their extra states, from the
+# Philox stream keyed by derive_seed(sub, role).
+SIGMA, RHO, EQUAL_SUPPORT, PINCHING, NUM_KRAUS, ISOMETRY, OMEGA, SIDE_PAIR, COMMUTING = range(9)
+CONSTRUCTED = 1000  # equality pair i is drawn from derive_seed(seed, CONSTRUCTED + i)
+CHANNEL_KINDS = ("pinching", "partial_trace", "random_cptp")  # argparse errors list this order
 TARGET_ROLES = {"random_cptp": (NUM_KRAUS, ISOMETRY), "pinching": (PINCHING,), "partial_trace": ()}
 
 # Attempts per state of sample_conditioned_pair.
@@ -90,14 +93,14 @@ def sample_conditioned_pair(
             f"in {CONDITIONED_ATTEMPTS} attempts"
         )
 
-    return _draw(0), _draw(1)
+    return _draw(SIGMA), _draw(RHO)
 
 
-def _equal_support_draws(rng: np.random.Generator, dim: int, rank: int, min_block_eig: float):
+def _equal_support_draws(rng: np.random.Generator, dim: int, rank: int):
     """(G, blocks) of an equal-support pair, drawn from ``rng`` in this
     order: the Ginibre matrix G of the shared basis, then the two rank x rank
     blocks, each the first G G* / tr[G G*] whose smallest eigenvalue is at
-    least min_block_eig.
+    least MIN_BLOCK_EIG.
 
     Raises RejectionExhausted at once when no block can qualify (its mean
     eigenvalue is 1/rank), and when EQUAL_SUPPORT_ATTEMPTS draws of a block
@@ -105,21 +108,21 @@ def _equal_support_draws(rng: np.random.Generator, dim: int, rank: int, min_bloc
     """
     if not 1 <= rank <= dim:
         raise BadRank(f"rank {rank} outside [1, {dim}]")
-    if rank * min_block_eig >= 1.0:
+    if rank * MIN_BLOCK_EIG >= 1.0:
         raise RejectionExhausted(
             f"no rank-{rank} block of a d = {dim} equal-support pair has smallest "
-            f"eigenvalue >= min_block_eig = {min_block_eig}: its mean eigenvalue is 1/{rank}"
+            f"eigenvalue >= MIN_BLOCK_EIG = {MIN_BLOCK_EIG}: its mean eigenvalue is 1/{rank}"
         )
     g = ginibre(rng, dim, dim)
 
     def _block() -> np.ndarray:
         for _ in range(EQUAL_SUPPORT_ATTEMPTS):
             a = normalized_grams(ginibre(rng, rank, rank)[None])[0]
-            if float(herm_eig(a).values[0]) >= min_block_eig:
+            if float(herm_eig(a).values[0]) >= MIN_BLOCK_EIG:
                 return a
         raise RejectionExhausted(
             f"no rank-{rank} block of a d = {dim} equal-support pair with smallest "
-            f"eigenvalue >= min_block_eig = {min_block_eig} in {EQUAL_SUPPORT_ATTEMPTS} attempts"
+            f"eigenvalue >= MIN_BLOCK_EIG = {MIN_BLOCK_EIG} in {EQUAL_SUPPORT_ATTEMPTS} attempts"
         )
 
     return g, (_block(), _block())
@@ -130,9 +133,7 @@ def _embed(basis: np.ndarray, a: np.ndarray) -> Spectrum:
     return Spectrum(hermitian_part(basis @ a @ basis.conj().T))
 
 
-def sample_equal_support_pair(
-    dim: int, rank: int, seed: int, min_block_eig: float = MIN_BLOCK_EIG
-) -> tuple[Spectrum, Spectrum]:
+def sample_equal_support_pair(dim: int, rank: int, seed: int) -> tuple[Spectrum, Spectrum]:
     """Rank-deficient pair with exactly equal supports.
 
     Blocks are Ginibre states on a shared Haar-random subspace; blocks with a
@@ -140,7 +141,7 @@ def sample_equal_support_pair(
     at the documented rate.
     """
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, EQUAL_SUPPORT)))
-    g, blocks = _equal_support_draws(rng, dim, rank, min_block_eig)
+    g, blocks = _equal_support_draws(rng, dim, rank)
     basis = _haar_isometry(g[None])[0][:, :rank]
     return _embed(basis, blocks[0]), _embed(basis, blocks[1])
 
@@ -154,10 +155,9 @@ def sample_condexp(dim_index: int, kind: str, seed: int) -> ConditionalExpectati
     raise ConfigError(f"unknown conditional-expectation kind {kind!r}")
 
 
-def sample_channel(dim: int, seed: int, num_kraus: int | None = None) -> KrausChannel:
-    if num_kraus is None:
-        rng = np.random.Generator(np.random.Philox(derive_seed(seed, NUM_KRAUS)))
-        num_kraus = int(rng.integers(2, 4))
+def sample_channel(dim: int, seed: int) -> KrausChannel:
+    rng = np.random.Generator(np.random.Philox(derive_seed(seed, NUM_KRAUS)))
+    num_kraus = int(rng.integers(2, 4))
     return random_cptp(dim, dim, num_kraus, derive_seed(seed, ISOMETRY))
 
 
@@ -210,7 +210,7 @@ def _draw_streams(streams: Streams, j: int, i: int, dims, kind: str, deficient: 
         raise ConfigError(f"unknown channel kind {kind!r}")
     if deficient:
         rng = streams.rng(j, EQUAL_SUPPORT)
-        g, draws.blocks = _equal_support_draws(rng, d, max(1, d - 1), MIN_BLOCK_EIG)
+        g, draws.blocks = _equal_support_draws(rng, d, max(1, d - 1))
         draws.haar.append(g)
     else:
         draws.factors = [ginibre(streams.rng(j, role), d, d) for role in (SIGMA, RHO)]

@@ -37,17 +37,16 @@ def _multipliers(init: int, mult: int, n: int) -> list:
     return out
 
 
-def _mixing_steps(extra: int) -> list:
+def _mixing_steps() -> list:
     """The (xor, multiply) constants of each vectorised step of mix_entropy
-    for a pool of POOL_SIZE words and ``extra`` entropy words beyond it.
+    for a pool of POOL_SIZE words.
 
     A hashmix XORs its value with the current multiplier, advances it and
     multiplies by the new one, so the constants do not depend on the data.
     Step 0 hashes every pool word; step 1 + src hashes word src once for each
-    other word (the constants of word src itself are unused); the last
-    ``extra`` steps hash one extra entropy word for every pool word.
+    other word (the constants of word src itself are unused).
     """
-    c = _multipliers(INIT_A, MULT_A, POOL_SIZE * (POOL_SIZE + extra))
+    c = _multipliers(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
     steps = [(c[:POOL_SIZE], c[1:POOL_SIZE + 1])]
     k = POOL_SIZE
     for src in range(POOL_SIZE):
@@ -57,15 +56,12 @@ def _mixing_steps(extra: int) -> list:
                 xor[dst], mul[dst] = c[k], c[k + 1]
                 k += 1
         steps.append((xor, mul))
-    for _ in range(extra):
-        steps.append((c[k:k + POOL_SIZE], c[k + 1:k + POOL_SIZE + 1]))
-        k += POOL_SIZE
     return [(np.array(x, np.uint32), np.array(m, np.uint32)) for x, m in steps]
 
 
-_STEPS = _mixing_steps(0)
-# the multipliers of generate_state's first 8 output words
-_OUTPUT = np.array(_multipliers(INIT_B, MULT_B, 8), np.uint32)
+_STEPS = _mixing_steps()
+# the multipliers of generate_state's output words
+_OUTPUT = np.array(_multipliers(INIT_B, MULT_B, POOL_SIZE), np.uint32)
 
 
 def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -84,32 +80,25 @@ def _mix_into(pool: np.ndarray, hashed: np.ndarray) -> None:
 
 def seed_hash(entropy: np.ndarray, n_words: int) -> np.ndarray:
     """``SeedSequence(row).generate_state(n_words)`` of each row of an
-    (n, L) uint32 entropy array, as an (n, n_words) uint32 array.
+    (n, L) uint32 entropy array, as an (n, n_words) uint32 array, for L and
+    n_words up to POOL_SIZE.
 
     Each row is the entropy SeedSequence assembles from its integers: the
     32-bit words of each, least significant first, and one 0 word for a 0.
-    Up to POOL_SIZE words a row is hashed as if padded with 0 words, which is
-    what SeedSequence does; longer rows mix their extra words in afterwards.
+    A row is hashed as if padded with 0 words, which is what SeedSequence does.
     """
     n, length = entropy.shape
-    extra = max(0, length - POOL_SIZE)
-    steps = _mixing_steps(extra) if extra else _STEPS
     if length < POOL_SIZE:
         padded = np.zeros((n, POOL_SIZE), np.uint32)
         padded[:, :length] = entropy
         entropy = padded
-    pool = _hashmix(entropy[:, :POOL_SIZE], *steps[0])
+    pool = _hashmix(entropy, *_STEPS[0])
     for src in range(POOL_SIZE):
-        hashed = _hashmix(pool[:, src, None], *steps[1 + src])
+        hashed = _hashmix(pool[:, src, None], *_STEPS[1 + src])
         kept = pool[:, src].copy()
         _mix_into(pool, hashed)
         pool[:, src] = kept
-    for j in range(extra):
-        _mix_into(pool, _hashmix(entropy[:, POOL_SIZE + j, None], *steps[1 + POOL_SIZE + j]))
-    c = _OUTPUT
-    if n_words >= len(c):
-        c = np.array(_multipliers(INIT_B, MULT_B, n_words), np.uint32)
-    return _hashmix(pool[:, np.arange(n_words) % POOL_SIZE], c[:n_words], c[1:n_words + 1])
+    return _hashmix(pool[:, :n_words], _OUTPUT[:n_words], _OUTPUT[1:n_words + 1])
 
 
 def int_words(n: int) -> list:
@@ -139,8 +128,8 @@ class Streams:
 
     def __init__(self, seed: int, start: int, stop: int, roles):
         n = stop - start
-        if stop <= MASK32 + 1:  # every index is one entropy word
-            head = int_words(seed)
+        head = int_words(seed)
+        if len(head) < POOL_SIZE and stop <= MASK32 + 1:  # (seed, i) fills one pool
             entropy = np.empty((n, len(head) + 1), np.uint32)
             entropy[:, :-1] = head
             entropy[:, -1] = np.arange(start, stop)

@@ -79,7 +79,17 @@ class TestLAlpha:
     def test_is_the_prefactor_maxf_bound_uses(self, beta):
         sigma, rho = sample_pair(3, 11)
         a = InstanceAnalysis(sigma, rho, random_pinching(3, seed=12))
-        assert maxf_bound(a, neg_power(beta)).constants["l_alpha"] == l_alpha(beta)
+        fam = neg_power(beta)
+        alpha, g = fam.measure_alpha, a.gamma_sup
+        # maxf_bound's rhs_l, in its operation order, with l_alpha(beta)
+        expected = (
+            (l_alpha(beta) / fam.measure_c)
+            * (1.0 + g) ** (-(4 * alpha + 2))
+            * g ** (-(2 * alpha + 2))
+            * a.sigma_inv_sup ** (-(2 * alpha + 2))
+            * a.residual_l ** (4 * (alpha + 1))
+        )
+        assert maxf_bound(a, fam).rhs_l == expected
 
 
 class TestCondexpBound:

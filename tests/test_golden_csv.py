@@ -15,6 +15,10 @@ route.  Today's gap is the BS-entropy on the common support, so `gap` and
 the true gap is 0, where no relative gate applies.  `rhs_k` and `rhs_l` keep
 the DRIFT_TOL relative gate.
 
+bounds_seed_2_100.csv is what `bounds --seed 2**100 --trials 3 --dims 2,3`
+writes; CI compares it byte for byte, since such a seed takes the block
+drawer's SeedSequence fallback.
+
 The comparison also runs on its own:
 
     python tests/test_golden_csv.py NEW.csv GOLDEN.csv

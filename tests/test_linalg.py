@@ -12,7 +12,6 @@ from bsdpi import (
     NotHermitian,
     herm_eig,
     hs_inner,
-    integrate_adaptive,
     matrix_fn,
     pinv,
     schatten_norm,
@@ -31,6 +30,7 @@ from bsdpi.linalg import (
     STEP_ON_SUPPORT,
     ScalarFunction,
     Spectrum,
+    integrate_adaptive,
     lazy_property,
     spectral_values,
 )

@@ -12,7 +12,6 @@ from bsdpi import (
     diagonal_pinching,
     equality_residuals,
     identity_channel,
-    petz_recovery,
     pinching_fixed_pair,
     random_cptp,
     random_density,
@@ -22,6 +21,7 @@ from bsdpi import (
 from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import sample_pair
 from bsdpi.linalg import schatten_norm
+from bsdpi.recovery import petz_recovery
 
 
 def dilation_residual(sigma, rho, channel):

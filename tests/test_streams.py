@@ -1,5 +1,9 @@
 """The replica of np.random.SeedSequence's hash behind the block drawer's
-Philox streams, pinned against numpy itself."""
+Philox streams, pinned against numpy itself.
+
+The replica hashes rows of at most one pool (4 words); a block whose
+(seed, i) needs more words takes SeedSequence row by row.
+"""
 
 import itertools
 import random
@@ -8,7 +12,8 @@ import numpy as np
 import pytest
 
 from bsdpi.campaigns import derive_seed
-from bsdpi.streams import Streams, as_uint64, int_words, seed_hash
+from bsdpi import streams as streams_module
+from bsdpi.streams import POOL_SIZE, Streams, as_uint64, int_words, seed_hash
 
 EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100)
 
@@ -16,6 +21,10 @@ EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100)
 def entropy(parts) -> list:
     """The uint32 words SeedSequence(list(parts)) assembles."""
     return [word for part in parts for word in int_words(part)]
+
+
+def fits(parts) -> bool:
+    return len(entropy(parts)) <= POOL_SIZE
 
 
 def assert_replica(tuples, n_words=4):
@@ -32,19 +41,21 @@ def assert_replica(tuples, n_words=4):
 class TestSeedHash:
     def test_random_tuples(self):
         draw = random.Random(20191904)
-        tuples = [
-            tuple(draw.getrandbits(draw.choice((1, 8, 31, 32, 33, 63, 64, 65, 100)))
-                  for _ in range(draw.randint(1, 4)))
-            for _ in range(10_000)
-        ]
+        tuples = []
+        while len(tuples) < 10_000:
+            parts = tuple(draw.getrandbits(draw.choice((1, 8, 31, 32, 33, 63, 64, 65, 100)))
+                          for _ in range(draw.randint(1, 4)))
+            if fits(parts):
+                tuples.append(parts)
         assert_replica(tuples)
 
     def test_edge_parts(self):
-        # (seed, i) with seed >= 2^96 fills more entropy words than the pool
         tuples = [(p,) for p in EDGE_PARTS]
         tuples += list(itertools.product(EDGE_PARTS, repeat=2))
         tuples += [(a, b, c) for a, b in itertools.product(EDGE_PARTS, repeat=2) for c in (0, 5)]
-        assert_replica(tuples, n_words=8)
+        tuples = [parts for parts in tuples if fits(parts)]
+        for n_words in range(1, POOL_SIZE + 1):
+            assert_replica(tuples, n_words)
 
     def test_philox_keys(self):
         for s in (*EDGE_PARTS[:5], derive_seed(7, 3), derive_seed(2**100, 4)):
@@ -77,6 +88,32 @@ class TestStreams:
     def test_indices_beyond_one_word(self):
         streams = Streams(7, 2**32 - 2, 2**32 + 2, (4,))
         assert streams.subs == [derive_seed(7, i) for i in range(2**32 - 2, 2**32 + 2)]
+
+    # a block is hashed together only while (seed, i) fills one pool: seed
+    # below 2^96 and every index below 2^32
+    @pytest.mark.parametrize("seed, start, stop, together", [
+        (2**96 - 1, 2**32 - 3, 2**32, True),
+        (2**96 - 1, 2**32 - 1, 2**32 + 1, False),
+        (2**96, 0, 3, False),
+        (2**96, 2**32 - 1, 2**32 + 1, False),
+    ])
+    def test_the_pool_boundary(self, seed, start, stop, together, monkeypatch):
+        calls = []
+
+        def counted(entropy, n_words):
+            calls.append(entropy.shape)
+            return seed_hash(entropy, n_words)
+
+        monkeypatch.setattr(streams_module, "seed_hash", counted)
+        streams = Streams(seed, start, stop, self.ROLES)
+        # the sub-seeds, then the stream seeds, then their Philox keys
+        assert len(calls) == (3 if together else 2)
+        for j, i in enumerate(range(start, stop)):
+            sub = int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
+            assert streams.subs[j] == sub
+            for role in self.ROLES:
+                key = np.random.Philox(derive_seed(sub, role)).state["state"]["key"]
+                assert streams.rng(j, role).bit_generator.state["state"]["key"].tolist() == key.tolist()
 
     def test_a_rekeyed_stream_draws_what_a_fresh_one_draws(self):
         # integers leaves a buffered 32-bit half and a partly used buffer in
