@@ -28,13 +28,17 @@ from .states import (
     read_input,
 )
 
-PROJECTOR_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 
 
 def matrix_units(n: int) -> np.ndarray:
     """The n x n matrix units E_ij, stacked in row-major order of (i, j)."""
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
+def isometry_defect(v: np.ndarray) -> float:
+    """||V*V - I||_F: how far the columns of V are from orthonormal."""
+    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
 
 
 def partial_trace_env(x: np.ndarray, d_keep: int, s: int) -> np.ndarray:
@@ -56,7 +60,7 @@ class StinespringIsometry:
     defect: float = field(init=False)  # Frobenius norm of V*V - I
 
     def __post_init__(self):
-        defect = float(np.linalg.norm(self.v.conj().T @ self.v - np.eye(self.d_in)))
+        defect = isometry_defect(self.v)
         object.__setattr__(self, "defect", defect)
         if defect > ISOMETRY_TOL * max(1.0, self.d_in**0.5):
             raise InvalidChannel("sum K*K = V*V deviates from the identity")
@@ -180,30 +184,32 @@ class ConditionalExpectation:
 
 
 class Pinching(ConditionalExpectation):
-    """X -> sum_k P_k X P_k for orthogonal projectors summing to the identity."""
+    """X -> sum_k P_k X P_k with P_k = W_k W_k* for the column blocks
+    W_k = u[:, b_k:b_{k+1}] of a unitary u, 0 = b_0 < ... < b_K = d."""
 
-    def __init__(self, projectors: Sequence[np.ndarray]):
-        self.projectors = [np.asarray(p, dtype=complex) for p in projectors]
-        if not self.projectors:
-            raise InvalidChannel("empty projector family")
-        self.dim = self.projectors[0].shape[0]
+    def __init__(self, u: np.ndarray, bounds: Sequence[int]):
+        self.u = np.asarray(u, dtype=complex)
+        self.bounds = list(bounds)
         self.validate()
+        self.dim = len(self.u)
+        blocks = [self.u[:, lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
+        self.projectors = [w @ w.conj().T for w in blocks]
 
     def validate(self) -> None:
-        if any(p.shape != (self.dim, self.dim) for p in self.projectors):
-            raise InvalidChannel("projectors must be square and equal sized")
-        stack = np.array(self.projectors)
-        defect = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
-        if float(defect.max()) > PROJECTOR_TOL:
-            raise InvalidChannel("projectors are not Hermitian")
-        for j, pj in enumerate(self.projectors):
-            products = pj @ stack  # P_j P_k for every k
-            products[j] -= pj
-            if float(np.linalg.norm(products, axis=(1, 2)).max()) > PROJECTOR_TOL:
-                raise InvalidChannel("projectors are not mutually orthogonal")
-        total = stack.sum(axis=0)
-        if float(np.linalg.norm(total - np.eye(self.dim))) > PROJECTOR_TOL:
-            raise InvalidChannel("projectors do not sum to the identity")
+        """Refuse a u that is not square or bounds that do not rise strictly
+        from 0 to d, then a non-finite entry, then check ||u*u - I||_F.  For
+        a square u that equals ||uu* - I||_F = ||sum_k P_k - I||_F, and the
+        projectors are Hermitian and mutually orthogonal within the same
+        order, so one product checks the whole family."""
+        u, b = self.u, self.bounds
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise InvalidChannel(f"pinching unitary must be square, got shape {u.shape}")
+        if len(b) < 2 or b[0] != 0 or b[-1] != len(u) or any(lo >= hi for lo, hi in zip(b, b[1:])):
+            raise InvalidChannel(f"block bounds {b} do not rise strictly from 0 to {len(u)}")
+        if not np.isfinite(u).all():
+            raise DomainViolation("pinching unitary has a NaN or infinite entry")
+        if isometry_defect(u) > ISOMETRY_TOL:
+            raise InvalidChannel("pinching unitary u*u deviates from the identity")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(as_matrix(x), dtype=complex)
@@ -246,12 +252,7 @@ def depolarizing_channel(dim: int) -> KrausChannel:
 
 
 def diagonal_pinching(dim: int) -> Pinching:
-    projectors = []
-    for k in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[k, k] = 1.0
-        projectors.append(p)
-    return Pinching(projectors)
+    return Pinching(np.eye(dim), range(dim + 1))
 
 
 def _haar_isometry(g: np.ndarray) -> np.ndarray:
@@ -282,35 +283,25 @@ def random_cptp(d_in: int, d_out: int, num_kraus: int, seed: int) -> KrausChanne
     return isometry_channel(v, d_out, num_kraus)
 
 
-def block_bounds(dim: int, rng: np.random.Generator, num_blocks: int | None = None) -> list:
-    """The column bounds of >= 2 blocks of consecutive columns out of dim,
-    drawn from ``rng`` unless num_blocks is given."""
-    if num_blocks is None:
-        num_blocks = int(rng.integers(2, dim + 1))
-    if not 2 <= num_blocks <= dim:
-        raise ValueError(f"num_blocks {num_blocks} outside [2, {dim}]")
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=num_blocks - 1, replace=False))
+def block_bounds(dim: int, rng: np.random.Generator) -> list:
+    """The column bounds of 2 to dim blocks of consecutive columns out of
+    dim, the number of blocks and the cuts drawn from ``rng``."""
+    blocks = int(rng.integers(2, dim + 1))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=blocks - 1, replace=False))
     return [0, *cuts.tolist(), dim]
 
 
-def block_pinching(u: np.ndarray, bounds: list) -> Pinching:
-    """The pinching onto the blocks of columns of the unitary u between bounds."""
-    blocks = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return Pinching([w @ w.conj().T for w in blocks])
-
-
-def random_blocks(dim: int, rng: np.random.Generator, num_blocks: int | None = None):
-    """A Haar-random unitary U drawn from ``rng`` and the pinching onto >= 2
-    blocks of consecutive columns of U: (U, Pinching)."""
+def random_blocks(dim: int, rng: np.random.Generator) -> Pinching:
+    """The pinching onto >= 2 blocks of consecutive columns of a Haar-random
+    unitary, all drawn from ``rng``: the Ginibre matrix, then the bounds."""
     g = ginibre(rng, dim, dim)
-    bounds = block_bounds(dim, rng, num_blocks)
-    u = _haar_isometry(g[None])[0]
-    return u, block_pinching(u, bounds)
+    bounds = block_bounds(dim, rng)
+    return Pinching(_haar_isometry(g[None])[0], bounds)
 
 
-def random_pinching(dim: int, seed: int, num_blocks: int | None = None) -> Pinching:
+def random_pinching(dim: int, seed: int) -> Pinching:
     """Pinching onto a Haar-random block decomposition with >= 2 blocks."""
-    return random_blocks(dim, np.random.Generator(np.random.Philox(seed)), num_blocks)[1]
+    return random_blocks(dim, np.random.Generator(np.random.Philox(seed)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -159,12 +159,12 @@ def pinching_fixed_pair(dim: int, seed: int):
     points of the expectation and the DPI gap vanishes without rho = sigma.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    u, pinching = random_blocks(dim, rng)
+    pinching = random_blocks(dim, rng)
 
     def _state() -> Spectrum:
         diag = rng.uniform(0.1, 1.0, size=dim)
         diag = diag / diag.sum()
-        m = (u * diag) @ u.conj().T
+        m = (pinching.u * diag) @ pinching.u.conj().T
         return Spectrum(0.5 * (m + m.conj().T))
 
     return _state(), _state(), pinching

@@ -17,9 +17,9 @@ from .channels import (
     ConditionalExpectation,
     KrausChannel,
     PartialTraceFactor,
+    Pinching,
     _haar_isometry,
     block_bounds,
-    block_pinching,
     isometry_channel,
     random_cptp,
     random_pinching,
@@ -241,7 +241,7 @@ def _finish(draws: _Draws, kind: str, isometries: list, states: list) -> Trial:
     if kind == "random_cptp":
         target = isometry_channel(isometries[0], draws.d, draws.num_kraus)
     elif kind == "pinching":
-        target = block_pinching(isometries[0], draws.bounds)
+        target = Pinching(isometries[0], draws.bounds)
     else:
         target = draws.target
     if draws.deficient:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from bsdpi import (
     superop_matrix,
 )
 from bsdpi.campaigns import PARTIAL_TRACE_SHAPES, sample_channel
+from bsdpi.channels import isometry_defect
 from bsdpi.linalg import SQRT, ScalarFunction
 
 
@@ -93,7 +96,7 @@ class TestStinespring:
     def test_pinching_blocks(self):
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
-        dilation = Pinching([p0, p1]).as_kraus().stinespring()
+        dilation = Pinching(np.eye(2), [0, 1, 2]).as_kraus().stinespring()
         expected = np.kron(p0, [[1.0], [0.0]]) + np.kron(p1, [[0.0], [1.0]])
         assert np.allclose(dilation.v, expected)
         assert np.allclose(dilation.v.conj().T @ dilation.v, np.eye(2))
@@ -119,7 +122,7 @@ class TestStinespring:
 class TestConditionalExpectation:
     def test_trivial_pinching(self):
         x = rand_matrix(3, 2)
-        assert np.allclose(Pinching([np.eye(3)]).apply(x), x)
+        assert np.allclose(Pinching(np.eye(3), [0, 3]).apply(x), x)
 
     def test_diagonal_input_fixed(self):
         x = np.diag([0.3, 0.7, 0.1])
@@ -154,16 +157,16 @@ class TestConditionalExpectation:
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(lhs))
 
     def test_invalid_projectors(self):
-        tilted = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(InvalidChannel):
-            Pinching([tilted, np.eye(2) - tilted + 0.1])
+        # column 1 tilted 1e-6 toward column 0: the blocks' projectors overlap
+        u = random_pinching(4, seed=55).u.copy()
+        u[:, 1] += 1e-6 * u[:, 0]
+        with pytest.raises(InvalidChannel, match="pinching unitary u\\*u deviates from the identity"):
+            Pinching(u, [0, 1, 4])
 
 
 class TestAsKraus:
     def test_pinching_count(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        assert len(Pinching([p0, p1]).as_kraus().kraus) == 2
+        assert len(Pinching(np.eye(2), [0, 1, 2]).as_kraus().kraus) == 2
 
     def test_agreement_with_apply(self):
         for e in (random_pinching(4, seed=21), PartialTraceFactor(2, 3)):
@@ -380,21 +383,66 @@ class TestValidation:
             assert channel.dilation.defect == float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
 
     def test_pinching_refuses_overlapping_or_incomplete_projectors(self):
-        p = random_pinching(6, seed=55, num_blocks=3).projectors
-        with pytest.raises(InvalidChannel, match="orthogonal"):
-            Pinching([p[0], p[1] + 1e-6 * p[0], p[2]])
-        with pytest.raises(InvalidChannel, match="sum to the identity"):
-            Pinching(p[:2])
+        u = random_pinching(6, seed=55).u
+        for bounds in (
+            [0, 2, 4],  # incomplete: columns 4 and 5 are in no block
+            [1, 3, 6],  # incomplete: column 0 is in no block
+            [0, 4, 2, 6],  # overlapping: columns 2 and 3 are in two blocks
+            [0, 3, 3, 6],  # an empty block
+            [0, 6, 6],
+            [6],
+            [],
+        ):
+            message = re.escape(f"block bounds {bounds} do not rise strictly from 0 to 6")
+            with pytest.raises(InvalidChannel, match=message):
+                Pinching(u, bounds)
 
     def test_pinching_refuses_oblique_idempotents(self):
-        # P^2 = P, P(I - P) = 0 and the sum is I, but P is not Hermitian
-        p = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InvalidChannel, match="Hermitian"):
-            Pinching([p, np.eye(2) - p])
+        # P = u diag(1, 0) u^-1 = [[1, 1], [0, 0]] is an oblique idempotent
+        # along the columns of the upper-triangular u: no unitary's blocks
+        u = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(InvalidChannel, match="pinching unitary u\\*u deviates from the identity"):
+            Pinching(u, [0, 1, 2])
 
-    def test_pinching_checks_every_shape_before_any_product(self):
-        with pytest.raises(InvalidChannel, match="square and equal sized"):
-            Pinching([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+    def test_pinching_checks_every_shape_before_any_product(self, monkeypatch):
+        u = random_pinching(3, seed=56).u.copy()
+        u[2, 1] = np.nan
+        defects = []
+        monkeypatch.setattr(bsdpi.channels, "isometry_defect", lambda v: defects.append(v))
+        with pytest.raises(InvalidChannel, match="pinching unitary must be square, got shape \\(3, 2\\)"):
+            Pinching(np.eye(3)[:, :2], [0, 1, 2])
+        with pytest.raises(InvalidChannel, match="pinching unitary must be square, got shape \\(4,\\)"):
+            Pinching(np.ones(4), [0, 4])
+        with pytest.raises(InvalidChannel, match="block bounds"):
+            Pinching(np.full((3, 3), np.nan), [0, 2])
+        with pytest.raises(DomainViolation, match="pinching unitary has a NaN or infinite entry"):
+            Pinching(u, [0, 1, 3])
+        assert defects == []
+
+    def test_pinching_validate_makes_one_product_and_no_decomposition(self, monkeypatch):
+        pinching = random_pinching(8, seed=57)
+        checked = []
+        monkeypatch.setattr(bsdpi.channels, "isometry_defect", lambda v: checked.append(v) or 0.0)
+        before = linalg.herm_eig_calls
+        pinching.validate()
+        assert linalg.herm_eig_calls == before
+        assert len(checked) == 1 and checked[0] is pinching.u
+
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_pinching_projectors_keep_the_structure_of_u(self, d):
+        # what u*u = I gives the projectors: Hermitian, P_j P_k = delta_jk P_j
+        # and sum P = I, each within the flat 1e-10 of the checks it replaced
+        pinchings = [random_pinching(d, seed=1000 * d + k) for k in range(4)]
+        for pinching in [*pinchings, diagonal_pinching(d)]:
+            assert isometry_defect(pinching.u) <= 1e-10
+            stack = np.array(pinching.projectors)
+            assert len(stack) == len(pinching.bounds) - 1
+            assert np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2)).max() <= 1e-10
+            for j, pj in enumerate(stack):
+                products = pj @ stack
+                products[j] -= pj
+                assert np.linalg.norm(products, axis=(1, 2)).max() <= 1e-10
+            assert np.linalg.norm(stack.sum(axis=0) - np.eye(d)) <= 1e-10
 
 
 class TestChannelJson:

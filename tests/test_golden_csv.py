@@ -19,6 +19,12 @@ bounds_seed_2_100.csv is what `bounds --seed 2**100 --trials 3 --dims 2,3`
 writes; CI compares it byte for byte, since such a seed takes the block
 drawer's SeedSequence fallback.
 
+bounds_pinching_large.csv is what `bounds --channel pinching --dims
+16,24,32 --trials 6 --seed 7` with the four families writes: its pinchings
+were built from projector lists that validate re-checked one by one, before
+a pinching became a unitary cut into column blocks.  Tier-1 gates it by
+column drift; CI also compares its bytes, which depend on the BLAS build.
+
 The comparison also runs on its own:
 
     python tests/test_golden_csv.py NEW.csv GOLDEN.csv
@@ -72,6 +78,17 @@ def test_bounds_csv_matches_golden(kind, tmp_path, capsys):
     drift = column_drift(out.read_text(), (GOLDEN / f"bounds_{kind}.csv").read_text())
     with capsys.disabled():
         print(f"\n{kind} drift per column: {drift}")
+    assert max(drift.values()) <= DRIFT_TOL, drift
+
+
+def test_large_pinching_csv_matches_golden(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    argv = ["bounds", "--seed", "7", "--trials", "6", "--dims", "16,24,32",
+            "--family", FAMILIES, "--channel", "pinching", "--out", str(out)]
+    assert main(argv) == 0
+    drift = column_drift(out.read_text(), (GOLDEN / "bounds_pinching_large.csv").read_text())
+    with capsys.disabled():
+        print(f"\npinching d = 16, 24, 32 drift per column: {drift}")
     assert max(drift.values()) <= DRIFT_TOL, drift
 
 
