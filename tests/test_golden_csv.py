@@ -69,26 +69,19 @@ def column_drift(text: str, golden: str, absolute=()) -> dict:
     return drift
 
 
-@pytest.mark.parametrize("kind", ["random_cptp", "pinching"])
-def test_bounds_csv_matches_golden(kind, tmp_path, capsys):
+@pytest.mark.parametrize("kind, trials, dims, golden", [
+    pytest.param("random_cptp", "12", "2,3,4", "bounds_random_cptp.csv", id="random_cptp"),
+    pytest.param("pinching", "12", "2,3,4", "bounds_pinching.csv", id="pinching"),
+    pytest.param("pinching", "6", "16,24,32", "bounds_pinching_large.csv", id="pinching_large"),
+])
+def test_bounds_csv_matches_golden(kind, trials, dims, golden, tmp_path, capsys):
     out = tmp_path / "rows.csv"
-    argv = ["bounds", "--seed", "7", "--trials", "12", "--dims", "2,3,4",
+    argv = ["bounds", "--seed", "7", "--trials", trials, "--dims", dims,
             "--family", FAMILIES, "--channel", kind, "--out", str(out)]
     assert main(argv) == 0
-    drift = column_drift(out.read_text(), (GOLDEN / f"bounds_{kind}.csv").read_text())
+    drift = column_drift(out.read_text(), (GOLDEN / golden).read_text())
     with capsys.disabled():
-        print(f"\n{kind} drift per column: {drift}")
-    assert max(drift.values()) <= DRIFT_TOL, drift
-
-
-def test_large_pinching_csv_matches_golden(tmp_path, capsys):
-    out = tmp_path / "rows.csv"
-    argv = ["bounds", "--seed", "7", "--trials", "6", "--dims", "16,24,32",
-            "--family", FAMILIES, "--channel", "pinching", "--out", str(out)]
-    assert main(argv) == 0
-    drift = column_drift(out.read_text(), (GOLDEN / "bounds_pinching_large.csv").read_text())
-    with capsys.disabled():
-        print(f"\npinching d = 16, 24, 32 drift per column: {drift}")
+        print(f"\n{golden} drift per column: {drift}")
     assert max(drift.values()) <= DRIFT_TOL, drift
 
 
