@@ -73,17 +73,20 @@ class StinespringIsometry:
 
 
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """CPTP map given by one (s, d_out, d_in) stack of Kraus operators; its
+    Stinespring isometry V = sum_a K_a ⊗ e_a is a reshape of that stack."""
 
-    def __init__(self, kraus: Sequence[np.ndarray]):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray):
+        try:
+            ops = np.asarray(kraus, dtype=complex)
+        except ValueError as exc:  # a ragged family
+            raise InvalidChannel("Kraus operators must share one 2-d shape") from exc
+        if not len(ops):
             raise InvalidChannel("empty Kraus family")
-        shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
+        if ops.ndim != 3:
             raise InvalidChannel("Kraus operators must share one 2-d shape")
         self.kraus = ops
-        self.d_out, self.d_in = shape
+        self.d_out, self.d_in = ops.shape[1:]
         self.validate()
 
     def validate(self) -> None:
@@ -92,31 +95,28 @@ class KrausChannel:
         is sum_a v_a v_a* over the vectorised Kraus operators."""
         s = len(self.kraus)
         # row r*s + a of V is row r of K_a
-        v = np.stack(self.kraus, axis=1).reshape(self.d_out * s, self.d_in)
+        v = self.kraus.swapaxes(0, 1).reshape(self.d_out * s, self.d_in)
         if not np.isfinite(v).all():
             raise DomainViolation("Kraus operator has a NaN or infinite entry")
         self.dilation = StinespringIsometry(v=v, d_in=self.d_in, d_out=self.d_out, s=s)
 
     def choi(self) -> np.ndarray:
         """(Id otimes T) applied to the unnormalized maximally entangled state."""
-        n = self.d_in * self.d_out
-        c = np.zeros((n, n), dtype=complex)
-        for k in self.kraus:
-            v = k.T.reshape(-1)  # v[i*d_out + r] = K[r, i]
-            c += np.outer(v, v.conj())
-        return c
+        # vecs[a, i*d_out + r] = K_a[r, i]
+        vecs = self.kraus.swapaxes(1, 2).reshape(len(self.kraus), -1)
+        return vecs.T @ vecs.conj()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(as_matrix(x), dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise DimMismatch(f"expected shape {(self.d_in,) * 2}, got {x.shape}")
-        return sum(k @ x @ k.conj().T for k in self.kraus)
+        return (self.kraus @ x @ self.kraus.conj().swapaxes(1, 2)).sum(axis=0)
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(as_matrix(y), dtype=complex)
         if y.shape != (self.d_out, self.d_out):
             raise DimMismatch(f"expected shape {(self.d_out,) * 2}, got {y.shape}")
-        return sum(k.conj().T @ y @ k for k in self.kraus)
+        return (self.kraus.conj().swapaxes(1, 2) @ y @ self.kraus).sum(axis=0)
 
     def stinespring(self) -> StinespringIsometry:
         """V = sum_a K_a ⊗ e_a; the environment basis follows the Kraus order."""
@@ -127,7 +127,7 @@ class KrausChannel:
             {
                 "d_in": self.d_in,
                 "d_out": self.d_out,
-                "kraus": [matrix_to_entries(k) for k in self.kraus],
+                "kraus": list(map(matrix_to_entries, self.kraus)),
             }
         )
 
@@ -184,8 +184,8 @@ class ConditionalExpectation:
 
 
 class Pinching(ConditionalExpectation):
-    """X -> sum_k P_k X P_k with P_k = W_k W_k* for the column blocks
-    W_k = u[:, b_k:b_{k+1}] of a unitary u, 0 = b_0 < ... < b_K = d."""
+    """X -> sum_k P_k X P_k over the (K, d, d) stack of P_k = W_k W_k*, for the
+    column blocks W_k = u[:, b_k:b_{k+1}] of a unitary u, 0 = b_0 < ... < b_K = d."""
 
     def __init__(self, u: np.ndarray, bounds: Sequence[int]):
         self.u = np.asarray(u, dtype=complex)
@@ -193,7 +193,7 @@ class Pinching(ConditionalExpectation):
         self.validate()
         self.dim = len(self.u)
         blocks = [self.u[:, lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
-        self.projectors = [w @ w.conj().T for w in blocks]
+        self.projectors = np.stack([w @ w.conj().T for w in blocks])
 
     def validate(self) -> None:
         """Refuse a u that is not square or bounds that do not rise strictly
@@ -215,7 +215,7 @@ class Pinching(ConditionalExpectation):
         x = np.asarray(as_matrix(x), dtype=complex)
         if x.shape != (self.dim, self.dim):
             raise DimMismatch(f"expected shape {(self.dim,) * 2}, got {x.shape}")
-        return sum(p @ x @ p for p in self.projectors)
+        return (self.projectors @ x @ self.projectors).sum(axis=0)
 
     def as_kraus(self) -> KrausChannel:
         return KrausChannel(self.projectors)
@@ -248,7 +248,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def depolarizing_channel(dim: int) -> KrausChannel:
     """X -> tr[X] I/dim."""
-    return KrausChannel(list(matrix_units(dim) / np.sqrt(dim)))
+    return KrausChannel(matrix_units(dim) / np.sqrt(dim))
 
 
 def diagonal_pinching(dim: int) -> Pinching:
@@ -267,10 +267,9 @@ def _haar_isometry(g: np.ndarray) -> np.ndarray:
 
 
 def isometry_channel(v: np.ndarray, d_out: int, num_kraus: int) -> KrausChannel:
-    """The channel of the isometry V = sum_a K_a ⊗ e_a: its Kraus operators
-    are read off the environment slices in index order."""
-    blocks = v.reshape(d_out, num_kraus, v.shape[1])
-    return KrausChannel([blocks[:, a, :] for a in range(num_kraus)])
+    """The channel of the isometry V = sum_a K_a ⊗ e_a: its Kraus stack is
+    a view of V, the environment slices in index order."""
+    return KrausChannel(v.reshape(d_out, num_kraus, v.shape[1]).swapaxes(0, 1))
 
 
 def random_cptp(d_in: int, d_out: int, num_kraus: int, seed: int) -> KrausChannel:

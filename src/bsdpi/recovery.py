@@ -30,9 +30,9 @@ class RecoveryReport:
     residual_bs_recovery: float
     residual_petz: float
     renyi2_gap: float
-    input_hashes: dict | None = None
+    input_hashes: dict
     # ||G||_inf of (sigma, rho), which sets the certify threshold; not serialized
-    gamma_sup: float | None = None
+    gamma_sup: float
 
     def to_json(self) -> str:
         payload = {
@@ -42,7 +42,7 @@ class RecoveryReport:
             "residual_bs_recovery": self.residual_bs_recovery,
             "residual_petz": self.residual_petz,
             "renyi2_gap": self.renyi2_gap,
-            "input_hashes": self.input_hashes or {},
+            "input_hashes": self.input_hashes,
         }
         return json.dumps(payload)
 
@@ -88,13 +88,11 @@ def stinespring_residual(a: InstanceAnalysis) -> float:
     if not isinstance(a.target, KrausChannel):
         raise TypeError("the Stinespring residual needs a KrausChannel target")
     inp, out = a.inp, a.out
-    dilation = a.target.stinespring()
-    d_in, d_out, s = dilation.d_in, dilation.d_out, dilation.s
-    v_adj = dilation.v.conj().T
+    v_adj = a.target.stinespring().v.conj().T
     x = out.s.rsqrt @ out.ratio.sqrt @ out.s.sqrt
     # column r*s + a of V* is column r of K_a*, so that of V*(X ⊗ I) is column r of K_a* X
-    blocks = v_adj.reshape(d_in, d_out, s).transpose(2, 0, 1) @ x
-    v_adj_x = blocks.transpose(1, 2, 0).reshape(d_in, d_out * s)
+    blocks = a.target.kraus.conj().swapaxes(1, 2) @ x
+    v_adj_x = blocks.transpose(1, 2, 0).reshape(v_adj.shape)
     lhs = inp.s.sqrt @ v_adj_x
     rhs = inp.ratio.sqrt @ inp.s.sqrt @ v_adj
     return schatten_norm(lhs - rhs, 2)

@@ -25,8 +25,9 @@ from bsdpi import (
     superop_matrix,
 )
 from bsdpi.campaigns import PARTIAL_TRACE_SHAPES, sample_channel
-from bsdpi.channels import isometry_defect
+from bsdpi.channels import _haar_isometry, isometry_channel, isometry_defect, load_channel, save_channel
 from bsdpi.linalg import SQRT, ScalarFunction
+from bsdpi.states import ginibre
 
 
 def rand_matrix(dim, seed):
@@ -117,6 +118,57 @@ class TestStinespring:
         for seed in range(10):
             omega = random_density(2, 2, seed).mat
             assert np.linalg.norm(dilation.apply(omega) - channel.apply(omega)) <= 1e-12
+
+
+def eps_bound(x):
+    """4 eps ||x||_F: how far a stacked product may sit from its per-operator sum."""
+    return 4 * np.finfo(float).eps * np.linalg.norm(x)
+
+
+def per_operator_choi(kraus):
+    d_out, d_in = kraus[0].shape
+    c = np.zeros((d_in * d_out,) * 2, dtype=complex)
+    for k in kraus:
+        v = k.T.reshape(-1)  # v[i*d_out + r] = K[r, i]
+        c += np.outer(v, v.conj())
+    return c
+
+
+class TestKrausStack:
+    """The (s, d_out, d_in) stack against the per-operator sums it replaced."""
+
+    @pytest.mark.parametrize("d, s", [(2, 2), (3, 3), (4, 2), (7, 3)])
+    def test_a_drawn_isometry_is_never_copied(self, d, s):
+        v = _haar_isometry(ginibre(np.random.Generator(np.random.Philox(d)), d * s, d)[None])[0]
+        channel = isometry_channel(v, d, s)
+        assert np.shares_memory(channel.stinespring().v, v)
+        assert np.shares_memory(channel.kraus, v)
+
+    @staticmethod
+    def channels(tmp_path):
+        drawn = [random_cptp(d, d, 2 + d % 3, seed=300 + d) for d in range(2, 17)]
+        save_channel(str(tmp_path / "c.json"), random_cptp(3, 4, 3, seed=317))
+        return [*drawn, load_channel(str(tmp_path / "c.json")), depolarizing_channel(3)]
+
+    def test_apply_and_adjoint_are_the_per_operator_sums(self, tmp_path):
+        for n, channel in enumerate(self.channels(tmp_path)):
+            x, y = rand_matrix(channel.d_in, 2 * n), rand_matrix(channel.d_out, 2 * n + 1)
+            apply = sum(k @ x @ k.conj().T for k in channel.kraus)
+            adjoint = sum(k.conj().T @ y @ k for k in channel.kraus)
+            assert np.linalg.norm(channel.apply(x) - apply) <= eps_bound(x)
+            assert np.linalg.norm(channel.adjoint_apply(y) - adjoint) <= eps_bound(y)
+
+    def test_choi_is_the_sum_of_outer_products(self, tmp_path):
+        for channel in self.channels(tmp_path):
+            reference = per_operator_choi(channel.kraus)
+            assert np.linalg.norm(channel.choi() - reference) <= eps_bound(reference)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_pinching_apply_is_the_per_projector_sum(self, d):
+        for pinching in (random_pinching(d, seed=400 + d), diagonal_pinching(d)):
+            x = rand_matrix(d, d)
+            reference = sum(p @ x @ p for p in pinching.projectors)
+            assert np.linalg.norm(pinching.apply(x) - reference) <= eps_bound(x)
 
 
 class TestConditionalExpectation:
@@ -353,6 +405,16 @@ class TestValidation:
         for channel in channels:
             w = np.linalg.eigvalsh(channel.choi())
             assert w[0] >= -1e-12 * max(1.0, w[-1]), w[0]
+
+    @pytest.mark.parametrize("kraus, message", [
+        pytest.param([], "empty Kraus family", id="empty"),
+        pytest.param([np.eye(2), np.eye(3)], "Kraus operators must share one 2-d shape", id="ragged"),
+        pytest.param([np.ones(2), np.ones(2)], "Kraus operators must share one 2-d shape", id="1-d"),
+        pytest.param(np.eye(2), "Kraus operators must share one 2-d shape", id="bare-matrix"),
+    ])
+    def test_constructor_refuses_a_family_that_is_no_operator_stack(self, kraus, message):
+        with pytest.raises(InvalidChannel, match=f"^{message}$"):
+            KrausChannel(kraus)
 
     def test_non_trace_preserving_family_is_refused(self):
         channel = random_cptp(4, 4, 3, seed=53)

@@ -25,6 +25,12 @@ were built from projector lists that validate re-checked one by one, before
 a pinching became a unitary cut into column blocks.  Tier-1 gates it by
 column drift; CI also compares its bytes, which depend on the BLAS build.
 
+bounds_random_cptp_large.csv is what `bounds --channel random_cptp --dims
+8,12,16 --trials 6 --seed 7` with the four families writes: its channels
+held their Kraus operators as a list and a stacked copy of the Stinespring
+isometry, before a channel became one operator stack that V is a view of.
+Tier-1 gates it by column drift; CI also compares its bytes.
+
 The comparison also runs on its own:
 
     python tests/test_golden_csv.py NEW.csv GOLDEN.csv
@@ -73,6 +79,8 @@ def column_drift(text: str, golden: str, absolute=()) -> dict:
     pytest.param("random_cptp", "12", "2,3,4", "bounds_random_cptp.csv", id="random_cptp"),
     pytest.param("pinching", "12", "2,3,4", "bounds_pinching.csv", id="pinching"),
     pytest.param("pinching", "6", "16,24,32", "bounds_pinching_large.csv", id="pinching_large"),
+    pytest.param("random_cptp", "6", "8,12,16", "bounds_random_cptp_large.csv",
+                 id="random_cptp_large"),
 ])
 def test_bounds_csv_matches_golden(kind, trials, dims, golden, tmp_path, capsys):
     out = tmp_path / "rows.csv"
