@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ConditionalExpectation, ContractionMap, KrausChannel
+from .channels import ContractionMap, KrausChannel, SubalgebraExpectation
 from .divergences import FDivFamily, bs_entropy, maximal_f
 from .errors import BadBeta, MissingMeasureParams, SingularState
 # herm_eig stays bound here: bench/tests check that the tracer wraps this binding
@@ -78,7 +78,7 @@ def l_alpha(beta: float) -> float:
 class InstanceAnalysis:
     """The shared spectral analysis of one (sigma, rho, target) instance.
 
-    ``target`` is a KrausChannel or a ConditionalExpectation.  The input pair
+    ``target`` is a KrausChannel or a SubalgebraExpectation.  The input pair
     and the output pair decompose sigma, rho, G and the maximal-f core at most
     once each, and every quantity below is evaluated at most once, on first
     use.  The DPI gap, both bound forms, the bound of every maximal-f family
@@ -91,18 +91,22 @@ class InstanceAnalysis:
     """
 
     def __init__(self, sigma, rho, target):
-        if not isinstance(target, (ConditionalExpectation, KrausChannel)):
-            raise TypeError("target must be a ConditionalExpectation or a KrausChannel")
+        if not isinstance(target, (SubalgebraExpectation, KrausChannel)):
+            raise TypeError("target must be a SubalgebraExpectation or a KrausChannel")
         self.target = target
         self.inp = StatePair(sigma, rho)
 
     @property
     def is_condexp(self) -> bool:
-        return isinstance(self.target, ConditionalExpectation)
+        return isinstance(self.target, SubalgebraExpectation)
 
     @lazy_property
     def out(self) -> StatePair:
-        """The pair of outputs (sigma_T, rho_T)."""
+        """The pair of outputs (sigma_T, rho_T); a conditional expectation's
+        keeps them compressed, so their spectra, G_T and the core are formed
+        and decomposed block by block."""
+        if self.is_condexp:
+            return self.target.outputs(self.inp.sigma, self.inp.rho)
         return StatePair(self.target.apply(self.inp.sigma), self.target.apply(self.inp.rho))
 
     @lazy_property
@@ -198,7 +202,7 @@ def bs_bound_channel(a: InstanceAnalysis) -> BoundReport:
 def maxf_bound(a: InstanceAnalysis, fam: FDivFamily) -> BoundReport:
     """Strengthened DPI bound for a maximal f-divergence with measure constants.
 
-    The analysis' target is either a ConditionalExpectation or a KrausChannel.
+    The analysis' target is either a SubalgebraExpectation or a KrausChannel.
     The precondition flag reflects the states-not-too-far condition; when it is
     False the right-hand sides are still reported but carry no guarantee.
     Every family evaluated on one analysis shares its residuals and spectra.

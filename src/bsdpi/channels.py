@@ -17,8 +17,9 @@ from .errors import (
     ParseError,
     SingularState,
 )
-from .linalg import Spectrum
+from .linalg import BlockSpectrum, Spectrum
 from .states import (
+    BlockPair,
     as_matrix,
     as_spectrum,
     entries_to_matrix,
@@ -167,79 +168,159 @@ def load_channel(path: str) -> KrausChannel:
         raise type(exc)(f"{exc} (channel file {path!r})") from exc
 
 
-class ConditionalExpectation:
-    """Trace-preserving idempotent projection onto a unital subalgebra."""
+class SubalgebraExpectation:
+    """The trace-preserving conditional expectation onto the unital subalgebra
+    u (⊕_k M_{n_k} ⊗ I_{m_k}) u* of M_d, for a unitary u and blocks
+    [(n_k, m_k)] with sum_k n_k m_k = d:
 
-    dim: int
+        E(X) = u [⊕_k tr_{m_k}(Y_kk) ⊗ I_{m_k}/m_k] u*,   Y = u* X u,
+
+    where Y_kk is the k-th diagonal block of Y, on the next n_k m_k columns of
+    u, and tr_{m_k} traces out its trailing factor.  Every unital *-subalgebra
+    of M_d has this form.  In u's basis an output is fixed by its compressed
+    matrix ⊕_k tr_{m_k}(Y_kk)/m_k, of size N = sum_k n_k: ``compress`` forms
+    it, ``expand`` copies each block m_k times and ``lift`` maps it back, so
+    ``apply`` is four products.  ``outputs`` keeps a pair of outputs
+    compressed, for their spectra to be decomposed block by block.
+    """
+
+    kind = "subalgebra"
+
+    def __init__(self, u: np.ndarray, blocks):
+        self.u = np.asarray(u, dtype=complex)
+        self.blocks = list(blocks)
+        self.validate()
+        self.dim = len(self.u)
+        self.blocks = [(int(n), int(m)) for n, m in self.blocks]
+        sizes = [n for n, _ in self.blocks]
+        starts: dict = {}  # block size n -> the compressed starts of its blocks
+        self.size = 0  # N, of the compressed matrices
+        for n in sizes:
+            starts.setdefault(n, []).append(self.size)
+            self.size += n
+        # the compressed indices of the blocks of each size n, as (k, n) arrays
+        self.groups = [np.array(lo)[:, None] + np.arange(n) for n, lo in starts.items()]
+        self.plain = self.size == self.dim  # a pinching: every m_k = 1
+        if self.plain:
+            self.index = np.arange(self.dim)
+            block = np.repeat(np.arange(len(sizes)), sizes)
+            self._keep = block[:, None] == block[None, :]
+        else:
+            # index a * m + i of block k holds its compressed index a and copy i
+            self.index = np.repeat(np.arange(self.size), np.repeat([m for _, m in self.blocks], sizes))
+            copy = np.concatenate([np.tile(np.arange(m), n) for n, m in self.blocks])
+            self._keep = copy[:, None] == copy[None, :]
+
+    def validate(self) -> None:
+        """Refuse a u that is not square or blocks that do not tile d, then a
+        non-finite entry, then check ||u*u - I||_F: one product."""
+        u = self.u
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise InvalidChannel(f"{self.kind} unitary must be square, got shape {u.shape}")
+        self._check_blocks()
+        if not np.isfinite(u).all():
+            raise DomainViolation(f"{self.kind} unitary has a NaN or infinite entry")
+        if isometry_defect(u) > ISOMETRY_TOL:
+            raise InvalidChannel(f"{self.kind} unitary u*u deviates from the identity")
+
+    def _check_blocks(self) -> None:
+        d, blocks = len(self.u), self.blocks
+        for block in blocks:
+            if (
+                not isinstance(block, (tuple, list)) or len(block) != 2
+                or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
+                       for v in block)
+            ):
+                raise InvalidChannel(f"block {block!r} is not a pair (n, m) of positive integers")
+        if not blocks or sum(n * m for n, m in blocks) != d:
+            raise InvalidChannel(f"blocks {blocks} do not tile dimension {d}: sum n*m != {d}")
+
+    def compress(self, x) -> np.ndarray:
+        """The compressed matrix ⊕_k tr_{m_k}(Y_kk)/m_k of E(X), Y = u* X u."""
+        x = np.asarray(as_matrix(x), dtype=complex)
+        if x.shape != (self.dim, self.dim):
+            raise DimMismatch(f"expected shape {(self.dim,) * 2}, got {x.shape}")
+        y = self.u.conj().T @ x @ self.u
+        if self.plain:
+            return y * self._keep
+        comp = np.zeros((self.size, self.size), dtype=complex)
+        lo = c_lo = 0
+        for n, m in self.blocks:
+            hi, c_hi = lo + n * m, c_lo + n
+            comp[c_lo:c_hi, c_lo:c_hi] = np.trace(
+                y[lo:hi, lo:hi].reshape(n, m, n, m), axis1=1, axis2=3) / m
+            lo, c_lo = hi, c_hi
+        return comp
+
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        """⊕_k Z_k ⊗ I_{m_k} in u's basis, for a compressed block-diagonal Z."""
+        if self.plain:
+            return z
+        return z[np.ix_(self.index, self.index)] * self._keep
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """u (⊕_k Z_k ⊗ I_{m_k}) u*: the full matrix of a compressed one."""
+        return self.u @ self.expand(z) @ self.u.conj().T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.lift(self.compress(x))
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """E itself: E is self-adjoint for the trace inner product tr[X* Y]."""
         return self.apply(y)
 
+    def outputs(self, sigma, rho) -> BlockPair:
+        """The pair (E(sigma), E(rho)), each held as its compressed matrix."""
+        return BlockPair(*(BlockSpectrum(self.compress(x), self) for x in (sigma, rho)))
+
     def as_kraus(self) -> KrausChannel:
-        raise NotImplementedError
+        """The Kraus operators W_k (I_{n_k} ⊗ |i><j|) W_k* / sqrt(m_k), i, j < m_k,
+        for the column blocks W_k of u: a pinching's projectors W_k W_k*."""
+        ops, lo = [], 0
+        for n, m in self.blocks:
+            w = self.u[:, lo:lo + n * m]
+            lo += n * m
+            ops += [w[:, i::m] @ w[:, j::m].conj().T / np.sqrt(m) for i in range(m) for j in range(m)]
+        return KrausChannel(ops)
 
 
-class Pinching(ConditionalExpectation):
-    """X -> sum_k P_k X P_k over the (K, d, d) stack of P_k = W_k W_k*, for the
-    column blocks W_k = u[:, b_k:b_{k+1}] of a unitary u, 0 = b_0 < ... < b_K = d."""
+# every conditional expectation of M_d onto a unital subalgebra is one
+ConditionalExpectation = SubalgebraExpectation
+
+
+class Pinching(SubalgebraExpectation):
+    """X -> sum_k P_k X P_k with P_k = W_k W_k* for the column blocks
+    W_k = u[:, b_k:b_{k+1}] of a unitary u, 0 = b_0 < ... < b_K = d: the
+    subalgebra of the blocks (b_{k+1} - b_k, 1).  The one check ||u*u - I||_F
+    equals ||sum_k P_k - I||_F for a square u, and the projectors are then
+    Hermitian and mutually orthogonal within the same order."""
+
+    kind = "pinching"
 
     def __init__(self, u: np.ndarray, bounds: Sequence[int]):
-        self.u = np.asarray(u, dtype=complex)
         self.bounds = list(bounds)
-        self.validate()
-        self.dim = len(self.u)
-        blocks = [self.u[:, lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
-        self.projectors = np.stack([w @ w.conj().T for w in blocks])
+        super().__init__(u, [(hi - lo, 1) for lo, hi in zip(self.bounds, self.bounds[1:])])
 
-    def validate(self) -> None:
-        """Refuse a u that is not square or bounds that do not rise strictly
-        from 0 to d, then a non-finite entry, then check ||u*u - I||_F.  For
-        a square u that equals ||uu* - I||_F = ||sum_k P_k - I||_F, and the
-        projectors are Hermitian and mutually orthogonal within the same
-        order, so one product checks the whole family."""
-        u, b = self.u, self.bounds
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise InvalidChannel(f"pinching unitary must be square, got shape {u.shape}")
-        if len(b) < 2 or b[0] != 0 or b[-1] != len(u) or any(lo >= hi for lo, hi in zip(b, b[1:])):
-            raise InvalidChannel(f"block bounds {b} do not rise strictly from 0 to {len(u)}")
-        if not np.isfinite(u).all():
-            raise DomainViolation("pinching unitary has a NaN or infinite entry")
-        if isometry_defect(u) > ISOMETRY_TOL:
-            raise InvalidChannel("pinching unitary u*u deviates from the identity")
+    def _check_blocks(self) -> None:
+        b, d = self.bounds, len(self.u)
+        if len(b) < 2 or b[0] != 0 or b[-1] != d or any(lo >= hi for lo, hi in zip(b, b[1:])):
+            raise InvalidChannel(f"block bounds {b} do not rise strictly from 0 to {d}")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(as_matrix(x), dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise DimMismatch(f"expected shape {(self.dim,) * 2}, got {x.shape}")
-        return (self.projectors @ x @ self.projectors).sum(axis=0)
-
-    def as_kraus(self) -> KrausChannel:
-        return KrausChannel(self.projectors)
+    # bound on this class by name, for bench/tracing.py to wrap
+    validate = SubalgebraExpectation.validate
+    apply = SubalgebraExpectation.apply
 
 
-class PartialTraceFactor(ConditionalExpectation):
-    """X -> tr_env[X] ⊗ I/s on a d_keep * s dimensional space."""
+class PartialTraceFactor(SubalgebraExpectation):
+    """X -> tr_env[X] ⊗ I/s on a d_keep * s dimensional space: u = I and the
+    one block (d_keep, s)."""
 
     def __init__(self, d_keep: int, s: int):
         if d_keep < 1 or s < 1:
             raise InvalidChannel("factor dimensions must be positive")
         self.d_keep = d_keep
         self.s = s
-        self.dim = d_keep * s
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(as_matrix(x), dtype=complex)
-        reduced = partial_trace_env(x, self.d_keep, self.s)
-        return np.kron(reduced, np.eye(self.s) / self.s)
-
-    def as_kraus(self) -> KrausChannel:
-        # K_{ij} = (I ⊗ |i><j|)/sqrt(s); their action equals apply() exactly.
-        eye = np.eye(self.d_keep)
-        return KrausChannel([np.kron(eye, e) / np.sqrt(self.s) for e in matrix_units(self.s)])
+        super().__init__(np.eye(d_keep * s), [(d_keep, s)])
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -303,6 +384,29 @@ def random_pinching(dim: int, seed: int) -> Pinching:
     return random_blocks(dim, np.random.Generator(np.random.Philox(seed)))
 
 
+def subalgebra_blocks(dim: int, rng: np.random.Generator) -> list:
+    """(n_k, m_k) of 2 to dim blocks drawn from ``rng``: the consecutive cuts
+    of block_bounds, each of size b split as n * m, with m drawn among the
+    divisors of b."""
+    bounds = block_bounds(dim, rng)
+    blocks = []
+    for size in np.diff(bounds).tolist():
+        divisors = [m for m in range(1, size + 1) if size % m == 0]
+        m = divisors[int(rng.integers(len(divisors)))]
+        blocks.append((size // m, m))
+    return blocks
+
+
+def random_subalgebra(dim: int, seed: int) -> SubalgebraExpectation:
+    """The expectation onto u (⊕_k M_{n_k} ⊗ I_{m_k}) u* for a Haar-random
+    unitary u and subalgebra_blocks, all drawn from the Philox stream of
+    ``seed``: the Ginibre matrix, then the blocks."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = ginibre(rng, dim, dim)
+    blocks = subalgebra_blocks(dim, rng)
+    return SubalgebraExpectation(_haar_isometry(g[None])[0], blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class ContractionMap:
     """The pair (U, U*) with U(X) = sigma^{1/2} T*(sigma_T^{-1/2} X).
@@ -311,7 +415,7 @@ class ContractionMap:
     contraction; for conditional expectations U*U is the expectation itself.
     """
 
-    channel: KrausChannel | ConditionalExpectation
+    channel: KrausChannel | SubalgebraExpectation
     sigma_half: np.ndarray
     sigma_t_rsqrt: np.ndarray
 
@@ -322,7 +426,7 @@ class ContractionMap:
         return self.sigma_t_rsqrt @ self.channel.apply(self.sigma_half @ y)
 
 
-def build_contraction(sigma, channel: KrausChannel | ConditionalExpectation) -> ContractionMap:
+def build_contraction(sigma, channel: KrausChannel | SubalgebraExpectation) -> ContractionMap:
     s = as_spectrum(sigma)
     sigma_t = Spectrum(channel.apply(s.mat))
     if sigma_t.rank == 0:

@@ -199,7 +199,7 @@ def cmd_bounds(args) -> int:
         if include_standard_dpi:
             raise ConfigError(
                 "--include-standard-dpi compares against conditional expectations; "
-                "use it with --channel pinching or partial_trace"
+                "use it with --channel pinching, partial_trace or subalgebra"
             )
         checks = [
             campaigns.DpiCheck(config.tol("dpi_abs")),

@@ -322,26 +322,111 @@ def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndar
     return 0.5 * (out + out.conj().T)
 
 
+class BlockSpectrum(Spectrum):
+    """The Hermitian matrix u (⊕_k A_k ⊗ I_{m_k}) u* of a subalgebra, held as
+    its compressed matrix ⊕_k A_k, with exact zeros off the n_k x n_k blocks.
+
+    ``algebra`` is the SubalgebraExpectation that gives u, the blocks
+    (n_k, m_k) and the maps between the compressed matrix and the full one.
+    The full matrix is formed only when ``mat`` is read.  ``eig`` decomposes
+    the blocks, one stacked herm_eig call per block size, and expands each
+    eigenpair with multiplicity m_k: ascending values and the vectors
+    u (⊕_k V_k ⊗ I_{m_k}), so every reader of a Spectrum reads it unchanged.
+    """
+
+    def __init__(self, comp: np.ndarray, algebra):
+        self.comp = comp
+        self.algebra = algebra
+
+    @lazy_property
+    def mat(self) -> np.ndarray:
+        return self.algebra.lift(self.comp)
+
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
+
+    @lazy_property
+    def eig(self) -> EigenSystem:
+        """The blocks' herm_eig, one stacked call per block size, expanded."""
+        return self.assemble([herm_eig(part) for part in self.parts()])
+
+    def parts(self) -> list:
+        """The blocks, one (k, n, n) stack per block size n."""
+        return [self.comp[at[:, :, None], at[:, None, :]] for at in self.algebra.groups]
+
+    def assemble(self, eigs: list) -> EigenSystem:
+        """The blocks' eigenpairs, kept in compressed order as
+        ``compressed_eig``, expanded with their multiplicities and sorted;
+        ``order`` maps the sorted eigenpairs back to the expanded ones."""
+        algebra = self.algebra
+        values = np.empty(algebra.size)
+        vectors = np.zeros_like(self.comp)
+        for at, eig in zip(algebra.groups, eigs):
+            values[at] = eig.values
+            vectors[at[:, :, None], at[:, None, :]] = eig.vectors
+        vars(self)["compressed_eig"] = EigenSystem(values=values, vectors=vectors)
+        full = values[algebra.index]
+        order = vars(self)["order"] = np.argsort(full, kind="stable")
+        return EigenSystem(values=full[order], vectors=algebra.u @ algebra.expand(vectors)[:, order])
+
+    @lazy_property
+    def compressed_eig(self) -> EigenSystem:
+        """The blocks' eigenpairs in compressed order: values (N,) and the
+        block-diagonal N x N vectors."""
+        self.eig
+        return vars(self)["compressed_eig"]
+
+    def compressed_fn(self, f: ScalarFunction) -> np.ndarray:
+        """The compressed matrix of matrix_fn(self, f): each block's f, with
+        the values spectral_values gives the expanded spectrum."""
+        eig = self.compressed_eig
+        mapped = np.empty_like(eig.values)
+        mapped[self.algebra.index[self.order]] = spectral_values(self, f)
+        out = (eig.vectors * mapped) @ eig.vectors.conj().T
+        return 0.5 * (out + out.conj().T)
+
+
 def decompose(spectra: Iterable[Spectrum]) -> None:
     """Decompose every spectrum of ``spectra`` whose ``eig`` is unread, by one
-    stacked herm_eig call per dimension, and store each matrix's slice as its
-    ``eig``: the values and vectors its own first read would give.
+    stacked herm_eig call per matrix size over their matrices and the blocks
+    of the BlockSpectra among them, and store each matrix's slice, or each
+    BlockSpectrum's ``assemble``d slices, as its ``eig``: the values and
+    vectors its own first read would give.
 
-    A stack that herm_eig refuses is left undecomposed, so each of its
-    spectra raises its own refusal, or none, on its own first read.
+    A stack that herm_eig refuses is left undecomposed, so each spectrum with
+    a matrix in it raises its own refusal, or none, on its own first read.
     """
-    groups: dict = {}
+    groups: dict = {}  # size -> {id: (spectrum, index of its block stack or None, stack)}
+    blocked: dict = {}  # id -> the BlockSpectrum and the eigs of its block stacks
     for spec in spectra:
-        if "eig" not in vars(spec):
-            groups.setdefault(spec.mat.shape, {})[id(spec)] = spec
+        if "eig" in vars(spec) or id(spec) in blocked:
+            continue
+        if isinstance(spec, BlockSpectrum):
+            parts = spec.parts()
+            blocked[id(spec)] = (spec, [None] * len(parts))
+            for j, stack in enumerate(parts):
+                groups.setdefault(stack.shape[1:], {})[(id(spec), j)] = (spec, j, stack)
+        else:
+            groups.setdefault(spec.mat.shape, {})[id(spec)] = (spec, None, spec.mat[None])
     for group in groups.values():
         group = list(group.values())
         try:
-            eig = herm_eig(np.stack([spec.mat for spec in group]))
+            eig = herm_eig(np.concatenate([stack for _, _, stack in group]))
         except NumericsError:
             continue
-        for spec, values, vectors in zip(group, eig.values, eig.vectors):
-            vars(spec)["eig"] = EigenSystem(values=values, vectors=vectors)
+        lo = 0
+        for spec, j, stack in group:
+            if j is None:
+                vars(spec)["eig"] = EigenSystem(values=eig.values[lo], vectors=eig.vectors[lo])
+                lo += 1
+            else:
+                hi = lo + len(stack)
+                blocked[id(spec)][1][j] = EigenSystem(values=eig.values[lo:hi], vectors=eig.vectors[lo:hi])
+                lo = hi
+    for spec, eigs in blocked.values():
+        if all(eig is not None for eig in eigs):
+            vars(spec)["eig"] = spec.assemble(eigs)
 
 
 def apply_fn(spectra: Iterable[Spectrum], name: str) -> None:

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ConditionalExpectation, KrausChannel, random_blocks
+from .channels import KrausChannel, SubalgebraExpectation, random_blocks
 from .divergences import renyi2_trace
 from .errors import SingularState
 from .linalg import Spectrum, schatten_norm
@@ -57,7 +57,7 @@ def _nonvanishing(out: Spectrum) -> Spectrum:
     return out
 
 
-def _petz(channel: KrausChannel | ConditionalExpectation, s: Spectrum, sigma_t: Spectrum, x):
+def _petz(channel: KrausChannel | SubalgebraExpectation, s: Spectrum, sigma_t: Spectrum, x):
     st_rsqrt = sigma_t.rsqrt
     return s.sqrt @ channel.adjoint_apply(st_rsqrt @ np.asarray(x) @ st_rsqrt) @ s.sqrt
 

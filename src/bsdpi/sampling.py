@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    ConditionalExpectation,
     KrausChannel,
     PartialTraceFactor,
     Pinching,
+    SubalgebraExpectation,
     _haar_isometry,
     block_bounds,
     isometry_channel,
     random_cptp,
     random_pinching,
+    random_subalgebra,
+    subalgebra_blocks,
 )
 from .errors import BadRank, ConfigError, NumericsError, RejectionExhausted
 from .linalg import Spectrum, herm_eig
@@ -42,10 +44,13 @@ def derive_seed(*parts: int) -> int:
 # The stream roles of a trial: trial i with sub-seed sub draws each part of
 # its instance, and the acceptance checks their extra states, from the
 # Philox stream keyed by derive_seed(sub, role).
-SIGMA, RHO, EQUAL_SUPPORT, PINCHING, NUM_KRAUS, ISOMETRY, OMEGA, SIDE_PAIR, COMMUTING = range(9)
+(SIGMA, RHO, EQUAL_SUPPORT, PINCHING, NUM_KRAUS, ISOMETRY, OMEGA, SIDE_PAIR, COMMUTING,
+ SUBALGEBRA) = range(10)
 CONSTRUCTED = 1000  # equality pair i is drawn from derive_seed(seed, CONSTRUCTED + i)
-CHANNEL_KINDS = ("pinching", "partial_trace", "random_cptp")  # argparse errors list this order
-TARGET_ROLES = {"random_cptp": (NUM_KRAUS, ISOMETRY), "pinching": (PINCHING,), "partial_trace": ()}
+# argparse errors list this order
+CHANNEL_KINDS = ("pinching", "partial_trace", "random_cptp", "subalgebra")
+TARGET_ROLES = {"random_cptp": (NUM_KRAUS, ISOMETRY), "pinching": (PINCHING,), "partial_trace": (),
+                "subalgebra": (SUBALGEBRA,)}
 
 # Attempts per state of sample_conditioned_pair.
 CONDITIONED_ATTEMPTS = 64
@@ -146,12 +151,14 @@ def sample_equal_support_pair(dim: int, rank: int, seed: int) -> tuple[Spectrum,
     return _embed(basis, blocks[0]), _embed(basis, blocks[1])
 
 
-def sample_condexp(dim_index: int, kind: str, seed: int) -> ConditionalExpectation:
+def sample_condexp(dim_index: int, kind: str, seed: int) -> SubalgebraExpectation:
     if kind == "pinching":
         return random_pinching(dim_index, derive_seed(seed, PINCHING))
     if kind == "partial_trace":
         d_keep, s = PARTIAL_TRACE_SHAPES[seed % len(PARTIAL_TRACE_SHAPES)]
         return PartialTraceFactor(d_keep, s)
+    if kind == "subalgebra":
+        return random_subalgebra(dim_index, derive_seed(seed, SUBALGEBRA))
     raise ConfigError(f"unknown conditional-expectation kind {kind!r}")
 
 
@@ -170,7 +177,7 @@ class Trial:
     d: int
     sigma: Spectrum
     rho: Spectrum
-    target: KrausChannel | ConditionalExpectation
+    target: KrausChannel | SubalgebraExpectation
     deficient: bool = False  # an equal-support rank-deficient pair
 
 
@@ -182,9 +189,9 @@ class _Draws:
     seed: int
     deficient: bool
     d: int = 0
-    target: ConditionalExpectation | None = None  # a partial trace, drawn whole
+    target: SubalgebraExpectation | None = None  # a partial trace, drawn whole
     num_kraus: int = 0  # of a channel
-    bounds: list = field(default_factory=list)  # of a pinching's blocks
+    layout: list = field(default_factory=list)  # a pinching's bounds, a subalgebra's blocks
     haar: list = field(default_factory=list)  # Ginibre matrices: the target's, the basis's
     factors: list = field(default_factory=list)  # Ginibre factors of sigma and rho
     blocks: tuple = ()  # the blocks of a deficient pair
@@ -197,11 +204,11 @@ def _draw_streams(streams: Streams, j: int, i: int, dims, kind: str, deficient: 
     if kind == "partial_trace":
         draws.target = sample_condexp(0, kind, i)
         d = draws.d = draws.target.dim
-    elif kind == "pinching":
+    elif kind in ("pinching", "subalgebra"):
         d = draws.d = dims[i % len(dims)]
-        rng = streams.rng(j, PINCHING)
+        rng = streams.rng(j, TARGET_ROLES[kind][0])
         draws.haar.append(ginibre(rng, d, d))
-        draws.bounds = block_bounds(d, rng)
+        draws.layout = (block_bounds if kind == "pinching" else subalgebra_blocks)(d, rng)
     elif kind == "random_cptp":
         d = draws.d = dims[i % len(dims)]
         draws.num_kraus = int(streams.rng(j, NUM_KRAUS).integers(2, 4))
@@ -241,7 +248,9 @@ def _finish(draws: _Draws, kind: str, isometries: list, states: list) -> Trial:
     if kind == "random_cptp":
         target = isometry_channel(isometries[0], draws.d, draws.num_kraus)
     elif kind == "pinching":
-        target = Pinching(isometries[0], draws.bounds)
+        target = Pinching(isometries[0], draws.layout)
+    elif kind == "subalgebra":
+        target = SubalgebraExpectation(isometries[0], draws.layout)
     else:
         target = draws.target
     if draws.deficient:

@@ -17,7 +17,14 @@ from .errors import (
     SingularState,
     SupportMismatch,
 )
-from .linalg import Spectrum, lazy_property, schatten_norm
+from .linalg import (
+    RSQRT_ON_SUPPORT,
+    STEP_ON_SUPPORT,
+    BlockSpectrum,
+    Spectrum,
+    lazy_property,
+    schatten_norm,
+)
 
 # Weight of rho outside the support of sigma tolerated by gamma().
 SUPPORT_LEAK_TOL = 1e-8
@@ -132,6 +139,21 @@ def gamma(sigma, rho) -> Spectrum:
     return Spectrum(0.5 * (g + g.conj().T))
 
 
+def block_gamma(sigma: BlockSpectrum, rho: BlockSpectrum) -> BlockSpectrum:
+    """gamma of two outputs of one subalgebra, formed on their compressed
+    matrices: each block is sigma_k^{-1/2} rho_k sigma_k^{-1/2}, with sigma's
+    support cut on its whole expanded spectrum.  The leak is the same norm,
+    since ||⊕_k X_k ⊗ I_{m_k}||_inf = max_k ||X_k||_inf."""
+    rs = sigma.compressed_fn(RSQRT_ON_SUPPORT)
+    if not sigma.full_rank:
+        comp = np.eye(len(rs)) - sigma.compressed_fn(STEP_ON_SUPPORT)
+        leak = schatten_norm(comp @ rho.comp @ comp, np.inf)
+        if leak > SUPPORT_LEAK_TOL:
+            raise SupportMismatch(f"rho has weight {leak:.3e} outside the support of sigma")
+    g = rs @ rho.comp @ rs
+    return BlockSpectrum(hermitian_part(g), sigma.algebra)
+
+
 class StatePair:
     """A pair (sigma, rho) with the spectra its divergences share.
 
@@ -199,6 +221,20 @@ class StatePair:
         for name, spec in (("sigma", self.s), ("rho", self.r)):
             if not spec.full_rank:
                 raise SingularState(f"{name} is rank deficient; use the regularized route")
+
+
+class BlockPair(StatePair):
+    """The outputs (sigma_T, rho_T) of a subalgebra expectation as two
+    BlockSpectra: G and the core are formed by block_gamma, so all four are
+    decomposed block by block."""
+
+    @lazy_property
+    def ratio(self) -> BlockSpectrum:
+        return block_gamma(self.s, self.r)
+
+    @lazy_property
+    def core(self) -> BlockSpectrum:
+        return block_gamma(self.r, self.s)
 
 
 def matrix_to_entries(m: np.ndarray) -> list:

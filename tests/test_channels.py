@@ -167,7 +167,7 @@ class TestKrausStack:
     def test_pinching_apply_is_the_per_projector_sum(self, d):
         for pinching in (random_pinching(d, seed=400 + d), diagonal_pinching(d)):
             x = rand_matrix(d, d)
-            reference = sum(p @ x @ p for p in pinching.projectors)
+            reference = sum(p @ x @ p for p in pinching.as_kraus().kraus)
             assert np.linalg.norm(pinching.apply(x) - reference) <= eps_bound(x)
 
 
@@ -368,9 +368,9 @@ class TestRandomEnsembles:
 
     def test_pinching_blocks_partition(self):
         pinching = random_pinching(5, seed=9)
-        total = sum(pinching.projectors)
+        total = sum(pinching.as_kraus().kraus)
         assert np.linalg.norm(total - np.eye(5)) <= 1e-10
-        assert len(pinching.projectors) >= 2
+        assert len(pinching.as_kraus().kraus) >= 2
 
 
 def dependent_family(seed):
@@ -497,7 +497,7 @@ class TestValidation:
         pinchings = [random_pinching(d, seed=1000 * d + k) for k in range(4)]
         for pinching in [*pinchings, diagonal_pinching(d)]:
             assert isometry_defect(pinching.u) <= 1e-10
-            stack = np.array(pinching.projectors)
+            stack = np.array(pinching.as_kraus().kraus)
             assert len(stack) == len(pinching.bounds) - 1
             assert np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2)).max() <= 1e-10
             for j, pj in enumerate(stack):

@@ -31,6 +31,17 @@ held their Kraus operators as a list and a stacked copy of the Stinespring
 isometry, before a channel became one operator stack that V is a view of.
 Tier-1 gates it by column drift; CI also compares its bytes.
 
+bounds_partial_trace.csv is what `bounds --channel partial_trace --trials 12
+--seed 7` with the four families writes (partial traces draw their own
+dimensions and take no --dims): its expectations were applied as dense
+matrices, before a conditional expectation became one subalgebra whose
+outputs are decomposed block by block with their multiplicities.  The
+pinching goldens above also predate that block route; all three keep the
+DRIFT_TOL gate.
+
+bounds_pinching_large_blocks.csv is what the command of
+bounds_pinching_large.csv writes on the block route; CI compares its bytes.
+
 The comparison also runs on its own:
 
     python tests/test_golden_csv.py NEW.csv GOLDEN.csv
@@ -81,11 +92,14 @@ def column_drift(text: str, golden: str, absolute=()) -> dict:
     pytest.param("pinching", "6", "16,24,32", "bounds_pinching_large.csv", id="pinching_large"),
     pytest.param("random_cptp", "6", "8,12,16", "bounds_random_cptp_large.csv",
                  id="random_cptp_large"),
+    pytest.param("partial_trace", "12", None, "bounds_partial_trace.csv", id="partial_trace"),
 ])
 def test_bounds_csv_matches_golden(kind, trials, dims, golden, tmp_path, capsys):
     out = tmp_path / "rows.csv"
-    argv = ["bounds", "--seed", "7", "--trials", trials, "--dims", dims,
-            "--family", FAMILIES, "--channel", kind, "--out", str(out)]
+    argv = ["bounds", "--seed", "7", "--trials", trials, "--family", FAMILIES,
+            "--channel", kind, "--out", str(out)]
+    if dims is not None:
+        argv += ["--dims", dims]
     assert main(argv) == 0
     drift = column_drift(out.read_text(), (GOLDEN / golden).read_text())
     with capsys.disabled():

@@ -291,9 +291,11 @@ class TestTrialCost:
 
     @pytest.mark.parametrize("kind", ["pinching", "partial_trace"])
     def test_petz_row_adds_no_decomposition(self, kind):
-        # the Petz map reads the expectation itself, not a validated Kraus form
+        # the Petz map reads the expectation itself, not a validated Kraus form:
+        # sigma, rho and G once each, and sigma_N, rho_N and G_N once per block
         check = BoundCheck(f"bs_{kind}", 1e-8, include_standard_row=True)
-        assert self.eig_calls(kind, (3,), check) == 6
+        blocks = len(draw_trial(7, 0, (3,), kind).target.blocks)
+        assert self.eig_calls(kind, (3,), check) == 3 + 3 * blocks
         assert [row.family for row in check.rows] == [f"bs_{kind}", "std_relent_petz"]
 
     def test_oracle_trial_decomposes_each_pair_once(self):
@@ -360,6 +362,9 @@ class TestBlocks:
         "channel_singular": ("random_cptp", (2, 3, 4), 10, lambda: [
             BoundCheck("bs_channel", 1e-8), RegularizedOracleCheck(1e-6, 1e-9)]),
         "equality": ("random_cptp", (2, 3, 4), 0, lambda: [EqualityCheck(7, 3, 1e-9, 1e-7)]),
+        "subalgebra_petz": ("subalgebra", (2, 4, 6, 9), 0, lambda: [
+            BoundCheck("bs_subalgebra", 1e-8, include_standard_row=True),
+            MaxfCheck(MAXF_FAMILIES, 1e-8)]),
     }
 
     @pytest.mark.parametrize("name", sorted(CHECK_SETS))
@@ -452,7 +457,7 @@ class TestBlockDraws:
             return sub, d, target, sample_equal_support_pair(d, max(1, d - 1), sub)
         return sub, d, target, sample_pair(d, sub)
 
-    @pytest.mark.parametrize("kind", ["random_cptp", "pinching", "partial_trace"])
+    @pytest.mark.parametrize("kind", ["random_cptp", "pinching", "partial_trace", "subalgebra"])
     def test_blocks_match_the_single_item_samplers(self, kind):
         seed, dims = 20191904, (2, 3, 4)
         first_deficient = self.TOTAL - self.DEFICIENT
@@ -472,7 +477,7 @@ class TestBlockDraws:
                     ops, expected = [], []
                     assert (trial.target.d_keep, trial.target.s) == (target.d_keep, target.s)
                 else:
-                    ops, expected = trial.target.projectors, target.projectors
+                    ops, expected = trial.target.as_kraus().kraus, target.as_kraus().kraus
                 assert len(ops) == len(expected)
                 assert all(same_bits(a, b) for a, b in zip(ops, expected))
 
@@ -716,6 +721,16 @@ class TestBoundsCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
         assert len(lines) > 8
+
+    def test_subalgebra_campaign(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(
+            ["bounds", "--seed", "4", "--trials", "8", "--dims", "2,4,6",
+             "--channel", "subalgebra", "--out", str(out)]
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["bs_subalgebra"] * 8 + ["xlogx"] * 8
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
