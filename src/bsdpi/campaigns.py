@@ -57,7 +57,7 @@ from .sampling import (  # noqa: F401 - the samplers and trials are part of this
     sample_equal_support_pair,
     sample_pair,
 )
-from .states import StatePair, ginibre, open_output, random_density
+from .states import BlockPair, StatePair, ginibre, open_output, random_density
 
 CONDEXP_KINDS = ("pinching", "partial_trace")
 
@@ -110,24 +110,25 @@ BLOCK_TRIALS = 64
 
 # The spectra of an analysis pair (``inp`` or ``out``) that a check may
 # declare, by level: the states, then G (``ratio``) and the maximal-f core,
-# each built from one state's inverse square root.
+# each built from one state's inverse square root: its dense one, or on a
+# BlockPair the compressed one that block_gamma forms itself.
 SPECTRUM_LEVELS = (("s", "r"), ("ratio", "core"))
 BUILT_FROM = {"ratio": ("s", "rsqrt"), "core": ("r", "rsqrt")}
 
 
 def _priming_plan(checks) -> list:
-    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots) for every
-    spectrum the checks read, with the Spectrum.STACKED roots read off it,
-    those the next level is built from included."""
+    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots, build roots)
+    for every spectrum the checks read: the Spectrum.STACKED roots read off
+    it, and those the next level of a dense pair is built from."""
     wanted: dict = {}
     for name in (name for check in checks for name in check.reads):
         pair, spec, *root = name.split(".")
-        wanted.setdefault((pair, spec), set()).update(root)
+        wanted.setdefault((pair, spec), (set(), set()))[0].update(root)
         if spec in BUILT_FROM:
             base, fn = BUILT_FROM[spec]
-            wanted.setdefault((pair, base), set()).add(fn)
+            wanted.setdefault((pair, base), (set(), set()))[1].add(fn)
     return [
-        [(pair, spec, roots) for (pair, spec), roots in sorted(wanted.items()) if spec in level]
+        [(pair, spec, *roots) for (pair, spec), roots in sorted(wanted.items()) if spec in level]
         for level in SPECTRUM_LEVELS
     ]
 
@@ -144,13 +145,14 @@ def _prime(analyses, plan) -> None:
     """
     for level in plan:
         found = []
-        for pair, spec, roots in level:
+        for pair, spec, roots, build in level:
             base = BUILT_FROM.get(spec, (spec,))[0]
             for a in analyses:
                 try:
                     states = getattr(a, pair)
                     if base == spec or "eig" in vars(getattr(states, base)):
-                        found.append((getattr(states, spec), roots))
+                        dense = not isinstance(states, BlockPair)
+                        found.append((getattr(states, spec), roots | build if dense else roots))
                 except NumericsError:
                     continue
         decompose(spectrum for spectrum, _ in found)
@@ -214,7 +216,8 @@ class Check:
 
 
 # what the BS gap, both bound forms and their residuals read
-BOUND_READS = ("inp.r", "out.r", "inp.s.sqrt", "out.s.sqrt", "inp.ratio.sqrt", "out.ratio.sqrt")
+BOUND_READS = ("inp.r", "out.r", "inp.s.sqrt", "out.s.sqrt", "out.s.rsqrt", "inp.ratio.sqrt",
+               "out.ratio.sqrt")
 
 
 @dataclass

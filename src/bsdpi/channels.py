@@ -198,8 +198,12 @@ class SubalgebraExpectation:
         for n in sizes:
             starts.setdefault(n, []).append(self.size)
             self.size += n
-        # the compressed indices of the blocks of each size n, as (k, n) arrays
-        self.groups = [np.array(lo)[:, None] + np.arange(n) for n, lo in starts.items()]
+        # per block size n: the compressed indices of its k blocks, (k, n), and
+        # the flat indices of their entries in a compressed matrix, (k, n, n)
+        self.groups = []
+        for n, lo in starts.items():
+            at = np.array(lo)[:, None] + np.arange(n)
+            self.groups.append((at, at[:, :, None] * self.size + at[:, None, :]))
         self.plain = self.size == self.dim  # a pinching: every m_k = 1
         if self.plain:
             self.index = np.arange(self.dim)

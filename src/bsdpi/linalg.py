@@ -116,17 +116,21 @@ def herm_eig(a: np.ndarray) -> EigenSystem:
 def _herm_eig_stack(a: np.ndarray) -> EigenSystem:
     """herm_eig of a (k, d, d) stack; herm_eig_calls counts its k matrices.
 
-    The 2-D path keeps its own checks: with these axis-wise norms a single
-    3 x 3 matrix takes about 24 us instead of 16.
+    The 2-D path keeps its own checks: with these stacked norms a single
+    3 x 3 matrix takes about 24 us instead of 16.  The stack compares
+    squared Frobenius norms, summed over each matrix's real and imaginary
+    parts, which saves two square roots and the axis-wise norm calls.
     """
     global herm_eig_calls
-    if a.shape[1] != a.shape[2]:
+    k, d = a.shape[:2]
+    if a.shape[2] != d:
         raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
-    herm_eig_calls += a.shape[0]
-    norms = np.linalg.norm(a, axis=(1, 2))
-    defects = np.linalg.norm(a - a.conj().transpose(0, 2, 1), axis=(1, 2))
-    infinite = ~np.isfinite(norms)
-    skew = defects > HERMITICITY_TOL * np.maximum(1.0, norms)
+    herm_eig_calls += k
+    parts = a.reshape(k, d * d).view(float)
+    skew_parts = (a - a.conj().transpose(0, 2, 1)).reshape(k, d * d).view(float)
+    squares = (parts * parts).sum(axis=1)
+    infinite = ~np.isfinite(squares)
+    skew = (skew_parts * skew_parts).sum(axis=1) > HERMITICITY_TOL**2 * np.maximum(1.0, squares)
     refused = np.flatnonzero(infinite | skew)
     if refused.size:
         i = int(refused[0])
@@ -353,7 +357,7 @@ class BlockSpectrum(Spectrum):
 
     def parts(self) -> list:
         """The blocks, one (k, n, n) stack per block size n."""
-        return [self.comp[at[:, :, None], at[:, None, :]] for at in self.algebra.groups]
+        return [self.comp.take(cells) for _, cells in self.algebra.groups]
 
     def assemble(self, eigs: list) -> EigenSystem:
         """The blocks' eigenpairs, kept in compressed order as
@@ -362,9 +366,9 @@ class BlockSpectrum(Spectrum):
         algebra = self.algebra
         values = np.empty(algebra.size)
         vectors = np.zeros_like(self.comp)
-        for at, eig in zip(algebra.groups, eigs):
+        for (at, cells), eig in zip(algebra.groups, eigs):
             values[at] = eig.values
-            vectors[at[:, :, None], at[:, None, :]] = eig.vectors
+            vectors.put(cells, eig.vectors)
         vars(self)["compressed_eig"] = EigenSystem(values=values, vectors=vectors)
         full = values[algebra.index]
         order = vars(self)["order"] = np.argsort(full, kind="stable")

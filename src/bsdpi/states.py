@@ -226,7 +226,19 @@ class StatePair:
 class BlockPair(StatePair):
     """The outputs (sigma_T, rho_T) of a subalgebra expectation as two
     BlockSpectra: G and the core are formed by block_gamma, so all four are
-    decomposed block by block."""
+    decomposed block by block, and the full matrices are formed only when
+    ``sigma`` or ``rho`` is read."""
+
+    def __init__(self, sigma: BlockSpectrum, rho: BlockSpectrum):
+        self._sigma, self._rho = sigma, rho
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._sigma.mat
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._rho.mat
 
     @lazy_property
     def ratio(self) -> BlockSpectrum:
