@@ -12,12 +12,12 @@ from .bounds import (
     maxf_bound,
 )
 from .channels import (
-    ConditionalExpectation,
     ContractionMap,
     KrausChannel,
     PartialTraceFactor,
     Pinching,
     StinespringIsometry,
+    SubalgebraExpectation,
     build_contraction,
     depolarizing_channel,
     diagonal_pinching,
@@ -25,6 +25,7 @@ from .channels import (
     partial_trace_env,
     random_cptp,
     random_pinching,
+    random_subalgebra,
     superop_matrix,
 )
 from .divergences import (

@@ -135,8 +135,8 @@ def _priming_plan(checks) -> list:
 
 def _prime(analyses, plan) -> None:
     """Decompose the analyses' spectra that ``plan`` names, level by level,
-    by one stacked herm_eig call per dimension, and form their roots by one
-    batched product per root and dimension.
+    by one stacked herm_eig call per matrix or block size, and form their
+    roots by one batched product per root and dimension.
 
     No numerics error leaves here: a spectrum that cannot be built,
     decomposed or rooted is left lazy, for the trial's own read to raise.  A

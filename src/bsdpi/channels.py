@@ -288,10 +288,6 @@ class SubalgebraExpectation:
         return KrausChannel(ops)
 
 
-# every conditional expectation of M_d onto a unital subalgebra is one
-ConditionalExpectation = SubalgebraExpectation
-
-
 class Pinching(SubalgebraExpectation):
     """X -> sum_k P_k X P_k with P_k = W_k W_k* for the column blocks
     W_k = u[:, b_k:b_{k+1}] of a unitary u, 0 = b_0 < ... < b_K = d: the
