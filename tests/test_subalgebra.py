@@ -18,6 +18,7 @@ from bsdpi import (
     Pinching,
     SingularState,
     StatePair,
+    SupportMismatch,
     bs_entropy,
     linalg,
     neg_power,
@@ -82,6 +83,24 @@ class TestBlockRoute:
             dense = values(dense_analysis(sigma.mat, rho.mat, e))
             for key, x in dense.items():
                 assert abs(block[key] - x) <= BLOCK_BUDGET * max(1.0, abs(x)), (e.blocks, key)
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_singular_outputs_cut_the_support_as_the_dense_route(self, d):
+        # states on the first two blocks of a pinching: sigma_T is singular,
+        # and its support cut, G_T's pseudo-inverse roots and the leak check
+        # are taken on the whole expanded spectrum
+        u = haar_unitary(d, d)
+        e = Pinching(u, [0, 1, d - 1, d])
+        inside = u[:, :d - 1]
+        sigma, rho = (inside @ x.mat @ inside.conj().T for x in sample_pair(d - 1, 40 + d))
+        block, dense = InstanceAnalysis(sigma, rho, e), dense_analysis(sigma, rho, e)
+        assert block.out.s.rank == dense.out.s.rank == d - 1
+        assert abs(bs_entropy(block.out) - bs_entropy(dense.out)) <= BLOCK_BUDGET
+        assert abs(block.out.ratio.lam_max - dense.out.ratio.lam_max) <= BLOCK_BUDGET * dense.out.ratio.lam_max
+        leaking = rho + 1e-3 * np.outer(u[:, -1], u[:, -1].conj())
+        for a in (InstanceAnalysis(sigma, leaking, e), dense_analysis(sigma, leaking, e)):
+            with pytest.raises(SupportMismatch):
+                a.out.ratio
 
     @pytest.mark.parametrize("sizes", [(1, 1), (2, 1, 3), (4, 4), (1, 2, 3, 4, 5), (6,)])
     def test_direct_sum_identity(self, sizes):
