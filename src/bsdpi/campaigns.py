@@ -117,9 +117,10 @@ BUILT_FROM = {"ratio": ("s", "rsqrt"), "core": ("r", "rsqrt")}
 
 
 def _priming_plan(checks) -> list:
-    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots, build roots)
+    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots, dense roots)
     for every spectrum the checks read: the Spectrum.STACKED roots read off
-    it, and those the next level of a dense pair is built from."""
+    it, and those together with the roots the next level of a dense pair is
+    built from."""
     wanted: dict = {}
     for name in (name for check in checks for name in check.reads):
         pair, spec, *root = name.split(".")
@@ -128,7 +129,8 @@ def _priming_plan(checks) -> list:
             base, fn = BUILT_FROM[spec]
             wanted.setdefault((pair, base), (set(), set()))[1].add(fn)
     return [
-        [(pair, spec, *roots) for (pair, spec), roots in sorted(wanted.items()) if spec in level]
+        [(pair, spec, read, read | build)
+         for (pair, spec), (read, build) in sorted(wanted.items()) if spec in level]
         for level in SPECTRUM_LEVELS
     ]
 
@@ -145,14 +147,14 @@ def _prime(analyses, plan) -> None:
     """
     for level in plan:
         found = []
-        for pair, spec, roots, build in level:
+        for pair, spec, roots, dense_roots in level:
             base = BUILT_FROM.get(spec, (spec,))[0]
             for a in analyses:
                 try:
                     states = getattr(a, pair)
                     if base == spec or "eig" in vars(getattr(states, base)):
-                        dense = not isinstance(states, BlockPair)
-                        found.append((getattr(states, spec), roots | build if dense else roots))
+                        blocked = isinstance(states, BlockPair)
+                        found.append((getattr(states, spec), roots if blocked else dense_roots))
                 except NumericsError:
                     continue
         decompose(spectrum for spectrum, _ in found)

@@ -207,13 +207,14 @@ class SubalgebraExpectation:
         self.plain = self.size == self.dim  # a pinching: every m_k = 1
         if self.plain:
             self.index = np.arange(self.dim)
-            block = np.repeat(np.arange(len(sizes)), sizes)
-            self._keep = block[:, None] == block[None, :]
+            # compress keeps the entries of Y in its diagonal blocks
+            label = np.repeat(np.arange(len(sizes)), sizes)
         else:
-            # index a * m + i of block k holds its compressed index a and copy i
+            # index a * m + i of block k holds its compressed index a and copy
+            # i; expand keeps the entries that pair a copy with itself
             self.index = np.repeat(np.arange(self.size), np.repeat([m for _, m in self.blocks], sizes))
-            copy = np.concatenate([np.tile(np.arange(m), n) for n, m in self.blocks])
-            self._keep = copy[:, None] == copy[None, :]
+            label = np.concatenate([np.tile(np.arange(m), n) for n, m in self.blocks])
+        self._keep = label[:, None] == label[None, :]
 
     def validate(self) -> None:
         """Refuse a u that is not square or blocks that do not tile d, then a

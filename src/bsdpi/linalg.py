@@ -401,7 +401,8 @@ def decompose(spectra: Iterable[Spectrum]) -> None:
     A stack that herm_eig refuses is left undecomposed, so each spectrum with
     a matrix in it raises its own refusal, or none, on its own first read.
     """
-    groups: dict = {}  # size -> {id: (spectrum, index of its block stack or None, stack)}
+    dense: dict = {}  # size -> {id: spectrum}
+    stacks: dict = {}  # size -> [(BlockSpectrum, index of its block stack, stack)]
     blocked: dict = {}  # id -> the BlockSpectrum and the eigs of its block stacks
     for spec in spectra:
         if "eig" in vars(spec) or id(spec) in blocked:
@@ -410,24 +411,24 @@ def decompose(spectra: Iterable[Spectrum]) -> None:
             parts = spec.parts()
             blocked[id(spec)] = (spec, [None] * len(parts))
             for j, stack in enumerate(parts):
-                groups.setdefault(stack.shape[1:], {})[(id(spec), j)] = (spec, j, stack)
+                stacks.setdefault(stack.shape[1:], []).append((spec, j, stack))
         else:
-            groups.setdefault(spec.mat.shape, {})[id(spec)] = (spec, None, spec.mat[None])
-    for group in groups.values():
-        group = list(group.values())
+            dense.setdefault(spec.mat.shape, {})[id(spec)] = spec
+    for shape in {**dense, **stacks}:
+        group, blocks = list(dense.get(shape, {}).values()), stacks.get(shape, [])
+        arrays = [np.stack([spec.mat for spec in group])] if group else []
+        arrays += [stack for _, _, stack in blocks]
         try:
-            eig = herm_eig(np.concatenate([stack for _, _, stack in group]))
+            eig = herm_eig(arrays[0] if len(arrays) == 1 else np.concatenate(arrays))
         except NumericsError:
             continue
-        lo = 0
-        for spec, j, stack in group:
-            if j is None:
-                vars(spec)["eig"] = EigenSystem(values=eig.values[lo], vectors=eig.vectors[lo])
-                lo += 1
-            else:
-                hi = lo + len(stack)
-                blocked[id(spec)][1][j] = EigenSystem(values=eig.values[lo:hi], vectors=eig.vectors[lo:hi])
-                lo = hi
+        for spec, values, vectors in zip(group, eig.values, eig.vectors):
+            vars(spec)["eig"] = EigenSystem(values=values, vectors=vectors)
+        lo = len(group)
+        for spec, j, stack in blocks:
+            hi = lo + len(stack)
+            blocked[id(spec)][1][j] = EigenSystem(values=eig.values[lo:hi], vectors=eig.vectors[lo:hi])
+            lo = hi
     for spec, eigs in blocked.values():
         if all(eig is not None for eig in eigs):
             vars(spec)["eig"] = spec.assemble(eigs)
