@@ -102,12 +102,9 @@ class InstanceAnalysis:
 
     @lazy_property
     def out(self) -> StatePair:
-        """The pair of outputs (sigma_T, rho_T); a conditional expectation's
-        keeps them compressed, so their spectra, G_T and the core are formed
-        and decomposed block by block."""
-        if self.is_condexp:
-            return self.target.outputs(self.inp.sigma, self.inp.rho)
-        return StatePair(self.target.apply(self.inp.sigma), self.target.apply(self.inp.rho))
+        """The pair of outputs (sigma_T, rho_T) as the target holds them: a
+        conditional expectation's compressed, so G_T and the core go block by block."""
+        return self.target.outputs(self.inp.sigma, self.inp.rho)
 
     @lazy_property
     def gap_bs(self) -> float:

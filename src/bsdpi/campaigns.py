@@ -43,6 +43,7 @@ from .linalg import Spectrum, apply_fn, decompose, schatten_norm
 from .recovery import _petz, equality_residuals, pinching_fixed_pair
 from .sampling import (  # noqa: F401 - the samplers and trials are part of this module's interface
     COMMUTING,
+    CONDEXP_KINDS,
     CONSTRUCTED,
     OMEGA,
     PARTIAL_TRACE_SHAPES,
@@ -57,9 +58,7 @@ from .sampling import (  # noqa: F401 - the samplers and trials are part of this
     sample_equal_support_pair,
     sample_pair,
 )
-from .states import BlockPair, StatePair, ginibre, open_output, random_density
-
-CONDEXP_KINDS = ("pinching", "partial_trace")
+from .states import StatePair, ginibre, open_output, random_density
 
 CSV_HEADER = "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
 
@@ -110,27 +109,26 @@ BLOCK_TRIALS = 64
 
 # The spectra of an analysis pair (``inp`` or ``out``) that a check may
 # declare, by level: the states, then G (``ratio``) and the maximal-f core,
-# each built from one state's inverse square root: its dense one, or on a
-# BlockPair the compressed one that block_gamma forms itself.
+# each built by gamma from one state's inverse square root.  A state held
+# compressed by a subalgebra gives gamma its compressed root, so the dense
+# root primed for it serves only its other readers.
 SPECTRUM_LEVELS = (("s", "r"), ("ratio", "core"))
 BUILT_FROM = {"ratio": ("s", "rsqrt"), "core": ("r", "rsqrt")}
 
 
 def _priming_plan(checks) -> list:
-    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots, dense roots)
-    for every spectrum the checks read: the Spectrum.STACKED roots read off
-    it, and those together with the roots the next level of a dense pair is
-    built from."""
+    """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots) for every
+    spectrum the checks read: the Spectrum.STACKED roots read off it, and
+    those the next level is built from."""
     wanted: dict = {}
     for name in (name for check in checks for name in check.reads):
         pair, spec, *root = name.split(".")
-        wanted.setdefault((pair, spec), (set(), set()))[0].update(root)
+        wanted.setdefault((pair, spec), set()).update(root)
         if spec in BUILT_FROM:
             base, fn = BUILT_FROM[spec]
-            wanted.setdefault((pair, base), (set(), set()))[1].add(fn)
+            wanted.setdefault((pair, base), set()).add(fn)
     return [
-        [(pair, spec, read, read | build)
-         for (pair, spec), (read, build) in sorted(wanted.items()) if spec in level]
+        [(pair, spec, roots) for (pair, spec), roots in sorted(wanted.items()) if spec in level]
         for level in SPECTRUM_LEVELS
     ]
 
@@ -147,14 +145,13 @@ def _prime(analyses, plan) -> None:
     """
     for level in plan:
         found = []
-        for pair, spec, roots, dense_roots in level:
+        for pair, spec, roots in level:
             base = BUILT_FROM.get(spec, (spec,))[0]
             for a in analyses:
                 try:
                     states = getattr(a, pair)
                     if base == spec or "eig" in vars(getattr(states, base)):
-                        blocked = isinstance(states, BlockPair)
-                        found.append((getattr(states, spec), roots if blocked else dense_roots))
+                        found.append((getattr(states, spec), roots))
                 except NumericsError:
                     continue
         decompose(spectrum for spectrum, _ in found)
@@ -552,7 +549,8 @@ def _dpi(seed, counts, tol):
 def _condexp(seed, counts, tol):
     checks = []
     error = ""
-    for kind, trials in zip(CONDEXP_KINDS, counts):
+    # one count per kind: subalgebras are not drawn here yet (ROADMAP item 10)
+    for kind, trials in zip(("pinching", "partial_trace"), counts, strict=True):
         checks.append(BoundCheck(f"bs_{kind}", tol["slack_rel"]))
         error = _battery(seed, trials, kind, checks[-1:])
         if error:

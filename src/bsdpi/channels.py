@@ -19,7 +19,7 @@ from .errors import (
 )
 from .linalg import BlockSpectrum, Spectrum
 from .states import (
-    BlockPair,
+    StatePair,
     as_matrix,
     as_spectrum,
     entries_to_matrix,
@@ -118,6 +118,10 @@ class KrausChannel:
         if y.shape != (self.d_out, self.d_out):
             raise DimMismatch(f"expected shape {(self.d_out,) * 2}, got {y.shape}")
         return (self.kraus.conj().swapaxes(1, 2) @ y @ self.kraus).sum(axis=0)
+
+    def outputs(self, sigma, rho) -> StatePair:
+        """The pair (T(sigma), T(rho)) of full matrices."""
+        return StatePair(self.apply(sigma), self.apply(rho))
 
     def stinespring(self) -> StinespringIsometry:
         """V = sum_a K_a ⊗ e_a; the environment basis follows the Kraus order."""
@@ -274,9 +278,9 @@ class SubalgebraExpectation:
         """E itself: E is self-adjoint for the trace inner product tr[X* Y]."""
         return self.apply(y)
 
-    def outputs(self, sigma, rho) -> BlockPair:
+    def outputs(self, sigma, rho) -> StatePair:
         """The pair (E(sigma), E(rho)), each held as its compressed matrix."""
-        return BlockPair(*(BlockSpectrum(self.compress(x), self) for x in (sigma, rho)))
+        return StatePair(*(BlockSpectrum(self.compress(x), self) for x in (sigma, rho)))
 
     def as_kraus(self) -> KrausChannel:
         """The Kraus operators W_k (I_{n_k} ⊗ |i><j|) W_k* / sqrt(m_k), i, j < m_k,

@@ -112,7 +112,7 @@ def relative_entropy(pair: StatePair) -> float:
     Returns +inf when sigma has weight outside the support of rho: that is the
     distinguished value of the divergence, not an error.
     """
-    if support_leak(pair.r, pair.sigma) > SUPPORT_EQ_TOL:
+    if support_leak(pair.r, pair.s) > SUPPORT_EQ_TOL:
         return math.inf
     # sigma's weights in its own eigenbasis are its eigenvalues
     return pair.s.trace_fn(LOG_ON_SUPPORT, pair.s.eig.values) - pair.r.trace_fn(

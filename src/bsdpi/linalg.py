@@ -193,6 +193,9 @@ class Spectrum:
     # the lazy matrix functions that apply_fn forms for a stack of spectra
     STACKED = {"sqrt": SQRT, "rsqrt": RSQRT_ON_SUPPORT}
 
+    # the subalgebra whose compressed matrices a BlockSpectrum holds
+    algebra = None
+
     def __init__(self, a: np.ndarray):
         self.mat = np.asarray(a, dtype=complex)
 
@@ -200,6 +203,19 @@ class Spectrum:
     def eig(self) -> EigenSystem:
         """herm_eig of the matrix; its refusals are raised on this first read."""
         return herm_eig(self.mat)
+
+    @property
+    def held(self) -> np.ndarray:
+        """The matrix as this spectrum holds it, which gamma reads: the full one."""
+        return self.mat
+
+    def held_fn(self, name: str) -> np.ndarray:
+        """The lazy ``rsqrt`` or ``support_projector`` in held form: the cached one."""
+        return getattr(self, name)
+
+    def like(self, m: np.ndarray) -> Spectrum:
+        """The spectrum of ``m``, a matrix held in this spectrum's form."""
+        return Spectrum(m)
 
     @property
     def dim(self) -> int:
@@ -332,11 +348,14 @@ class BlockSpectrum(Spectrum):
 
     ``algebra`` is the SubalgebraExpectation that gives u, the blocks
     (n_k, m_k) and the maps between the compressed matrix and the full one.
-    The full matrix is formed only when ``mat`` is read.  ``eig`` decomposes
-    the blocks, one stacked herm_eig call per block size, and expands each
-    eigenpair with multiplicity m_k: ascending values and the vectors
-    u (⊕_k V_k ⊗ I_{m_k}), so every reader of a Spectrum reads it unchanged.
+    gamma reads the compressed matrix; the full one is formed only when
+    ``mat`` is read.  ``eig`` decomposes the blocks, one stacked herm_eig call
+    per block size, and expands each eigenpair with multiplicity m_k:
+    ascending values and the vectors u (⊕_k V_k ⊗ I_{m_k}), so every reader
+    of a Spectrum reads it unchanged.
     """
+
+    HELD_FNS = {"rsqrt": RSQRT_ON_SUPPORT, "support_projector": STEP_ON_SUPPORT}
 
     def __init__(self, comp: np.ndarray, algebra):
         self.comp = comp
@@ -345,6 +364,24 @@ class BlockSpectrum(Spectrum):
     @lazy_property
     def mat(self) -> np.ndarray:
         return self.algebra.lift(self.comp)
+
+    @property
+    def held(self) -> np.ndarray:
+        return self.comp
+
+    def held_fn(self, name: str) -> np.ndarray:
+        """The compressed matrix of the lazy ``rsqrt`` or ``support_projector``:
+        each block's function, with the values spectral_values gives the
+        expanded spectrum, from the eigenpairs that ``assemble`` keeps."""
+        values = spectral_values(self, self.HELD_FNS[name])
+        eig = self.compressed_eig
+        mapped = np.empty_like(eig.values)
+        mapped[self.algebra.index[self.order]] = values
+        out = (eig.vectors * mapped) @ eig.vectors.conj().T
+        return 0.5 * (out + out.conj().T)
+
+    def like(self, m: np.ndarray) -> BlockSpectrum:
+        return BlockSpectrum(m, self.algebra)
 
     @property
     def dim(self) -> int:
@@ -369,26 +406,10 @@ class BlockSpectrum(Spectrum):
         for (at, cells), eig in zip(algebra.groups, eigs):
             values[at] = eig.values
             vectors.put(cells, eig.vectors)
-        vars(self)["compressed_eig"] = EigenSystem(values=values, vectors=vectors)
+        self.compressed_eig = EigenSystem(values=values, vectors=vectors)
         full = values[algebra.index]
-        order = vars(self)["order"] = np.argsort(full, kind="stable")
+        order = self.order = np.argsort(full, kind="stable")
         return EigenSystem(values=full[order], vectors=algebra.u @ algebra.expand(vectors)[:, order])
-
-    @lazy_property
-    def compressed_eig(self) -> EigenSystem:
-        """The blocks' eigenpairs in compressed order: values (N,) and the
-        block-diagonal N x N vectors."""
-        self.eig
-        return vars(self)["compressed_eig"]
-
-    def compressed_fn(self, f: ScalarFunction) -> np.ndarray:
-        """The compressed matrix of matrix_fn(self, f): each block's f, with
-        the values spectral_values gives the expanded spectrum."""
-        eig = self.compressed_eig
-        mapped = np.empty_like(eig.values)
-        mapped[self.algebra.index[self.order]] = spectral_values(self, f)
-        out = (eig.vectors * mapped) @ eig.vectors.conj().T
-        return 0.5 * (out + out.conj().T)
 
 
 def decompose(spectra: Iterable[Spectrum]) -> None:

@@ -47,6 +47,8 @@ def derive_seed(*parts: int) -> int:
 (SIGMA, RHO, EQUAL_SUPPORT, PINCHING, NUM_KRAUS, ISOMETRY, OMEGA, SIDE_PAIR, COMMUTING,
  SUBALGEBRA) = range(10)
 CONSTRUCTED = 1000  # equality pair i is drawn from derive_seed(seed, CONSTRUCTED + i)
+# the conditional-expectation kinds, those that sample_condexp draws
+CONDEXP_KINDS = ("pinching", "partial_trace", "subalgebra")
 # argparse errors list this order
 CHANNEL_KINDS = ("pinching", "partial_trace", "random_cptp", "subalgebra")
 TARGET_ROLES = {"random_cptp": (NUM_KRAUS, ISOMETRY), "pinching": (PINCHING,), "partial_trace": (),

@@ -17,14 +17,7 @@ from .errors import (
     SingularState,
     SupportMismatch,
 )
-from .linalg import (
-    RSQRT_ON_SUPPORT,
-    STEP_ON_SUPPORT,
-    BlockSpectrum,
-    Spectrum,
-    lazy_property,
-    schatten_norm,
-)
+from .linalg import Spectrum, lazy_property, schatten_norm
 
 # Weight of rho outside the support of sigma tolerated by gamma().
 SUPPORT_LEAK_TOL = 1e-8
@@ -105,53 +98,46 @@ def numerical_rank(m) -> int:
     return as_spectrum(m).rank
 
 
-def support_leak(sigma, rho: np.ndarray) -> float:
-    """||(I - P) rho (I - P)||_inf with P the support projector of sigma.
+def held_alike(sigma, rho) -> tuple[Spectrum, Spectrum]:
+    """sigma and rho as spectra held alike: full, or compressed by one subalgebra."""
+    s, r = as_spectrum(sigma), as_spectrum(rho)
+    if s.held.shape != r.held.shape:
+        raise DimMismatch(f"shape mismatch {s.held.shape} vs {r.held.shape}")
+    if s.algebra is not r.algebra:
+        raise DimMismatch("sigma and rho are not held by one subalgebra")
+    return s, r
+
+
+def support_leak(sigma, rho) -> float:
+    """||(I - P) rho (I - P)||_inf with P the support projector of sigma, on
+    the matrices as they are held: the norm is the same on a subalgebra's
+    compressed ones, since ||⊕_k X_k ⊗ I_{m_k}||_inf = max_k ||X_k||_inf.
 
     A full-rank sigma has P = I up to rounding, so its leak is 0 without
     forming P.
     """
-    sigma = as_spectrum(sigma)
-    if sigma.full_rank:
+    s, r = held_alike(sigma, rho)
+    if s.full_rank:
         return 0.0
-    comp = np.eye(sigma.dim) - support_projector(sigma)
-    return schatten_norm(comp @ rho @ comp, np.inf)
+    comp = np.eye(len(s.held)) - s.held_fn("support_projector")
+    return schatten_norm(comp @ r.held @ comp, np.inf)
 
 
 def gamma(sigma, rho) -> Spectrum:
     """The spectrum of sigma^{-1/2} rho sigma^{-1/2}, with Moore-Penrose
-    inverses on singular sigma; its lam_max is ||G||_inf.
+    inverses on singular sigma; its lam_max is ||G||_inf.  G is formed and
+    held as the states are held, block by block for a subalgebra's outputs;
+    sigma's support cut is taken on its whole spectrum either way.
 
     Requires the support of rho to lie inside the support of sigma: the leaked
     weight ||(I - P) rho (I - P)||_inf must not exceed SUPPORT_LEAK_TOL.
     """
-    s = as_spectrum(sigma)
-    r = as_matrix(rho)
-    if s.mat.shape != r.shape:
-        raise DimMismatch(f"shape mismatch {s.mat.shape} vs {r.shape}")
+    s, r = held_alike(sigma, rho)
     leak = support_leak(s, r)
     if leak > SUPPORT_LEAK_TOL:
-        raise SupportMismatch(
-            f"rho has weight {leak:.3e} outside the support of sigma"
-        )
-    rs = s.rsqrt
-    g = rs @ r @ rs
-    return Spectrum(0.5 * (g + g.conj().T))
-
-
-def block_gamma(sigma: BlockSpectrum, rho: BlockSpectrum) -> BlockSpectrum:
-    """gamma of two outputs of one subalgebra, formed on their compressed
-    matrices: each block is sigma_k^{-1/2} rho_k sigma_k^{-1/2}, with sigma's
-    support cut on its whole expanded spectrum.  The leak is the same norm,
-    since ||⊕_k X_k ⊗ I_{m_k}||_inf = max_k ||X_k||_inf."""
-    rs = sigma.compressed_fn(RSQRT_ON_SUPPORT)
-    if not sigma.full_rank:
-        comp = np.eye(len(rs)) - sigma.compressed_fn(STEP_ON_SUPPORT)
-        leak = schatten_norm(comp @ rho.comp @ comp, np.inf)
-        if leak > SUPPORT_LEAK_TOL:
-            raise SupportMismatch(f"rho has weight {leak:.3e} outside the support of sigma")
-    g = rs @ rho.comp @ rs
-    return BlockSpectrum(hermitian_part(g), sigma.algebra)
+        raise SupportMismatch(f"rho has weight {leak:.3e} outside the support of sigma")
+    rs = s.held_fn("rsqrt")
+    return s.like(hermitian_part(rs @ r.held @ rs))
 
 
 class StatePair:
@@ -162,34 +148,31 @@ class StatePair:
     at most once, on first use, and sigma's weights in G's eigenbasis and
     rho's in the core's are kept, so every divergence of the pair is a
     weighted sum over a cached spectrum.  sigma and rho are each a Spectrum
-    or a plain, possibly unnormalized, PSD array.  The divergence evaluators
-    take a pair, so that several of them share its spectra.
+    or a plain, possibly unnormalized, PSD array, or both BlockSpectra of
+    one subalgebra.  The divergence evaluators take a pair, so that several
+    of them share its spectra.
     """
 
     def __init__(self, sigma, rho):
-        self._sigma, self._rho = sigma, rho
-        self.sigma = as_matrix(sigma)
-        self.rho = as_matrix(rho)
-        if self.sigma.shape != self.rho.shape:
-            raise DimMismatch(f"shape mismatch {self.sigma.shape} vs {self.rho.shape}")
+        self.s, self.r = held_alike(sigma, rho)
 
-    @lazy_property
-    def s(self) -> Spectrum:
-        return as_spectrum(self._sigma)
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.s.mat
 
-    @lazy_property
-    def r(self) -> Spectrum:
-        return as_spectrum(self._rho)
+    @property
+    def rho(self) -> np.ndarray:
+        return self.r.mat
 
     @lazy_property
     def ratio(self) -> Spectrum:
         """G = sigma^{-1/2} rho sigma^{-1/2}; raises SupportMismatch as gamma does."""
-        return gamma(self.s, self.rho)
+        return gamma(self.s, self.r)
 
     @lazy_property
     def core(self) -> Spectrum:
         """rho^{-1/2} sigma rho^{-1/2}, the argument of the maximal f-divergence."""
-        return gamma(self.r, self.sigma)
+        return gamma(self.r, self.s)
 
     @lazy_property
     def ratio_weights(self) -> np.ndarray:
@@ -221,32 +204,6 @@ class StatePair:
         for name, spec in (("sigma", self.s), ("rho", self.r)):
             if not spec.full_rank:
                 raise SingularState(f"{name} is rank deficient; use the regularized route")
-
-
-class BlockPair(StatePair):
-    """The outputs (sigma_T, rho_T) of a subalgebra expectation as two
-    BlockSpectra: G and the core are formed by block_gamma, so all four are
-    decomposed block by block, and the full matrices are formed only when
-    ``sigma`` or ``rho`` is read."""
-
-    def __init__(self, sigma: BlockSpectrum, rho: BlockSpectrum):
-        self._sigma, self._rho = sigma, rho
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self._sigma.mat
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self._rho.mat
-
-    @lazy_property
-    def ratio(self) -> BlockSpectrum:
-        return block_gamma(self.s, self.r)
-
-    @lazy_property
-    def core(self) -> BlockSpectrum:
-        return block_gamma(self.r, self.s)
 
 
 def matrix_to_entries(m: np.ndarray) -> list:

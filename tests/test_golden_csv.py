@@ -42,6 +42,14 @@ DRIFT_TOL gate.
 bounds_pinching_large_blocks.csv is what the command of
 bounds_pinching_large.csv writes on the block route; CI compares its bytes.
 
+bounds_subalgebra.csv is what `bounds --channel subalgebra --dims 4,6,9,12
+--trials 12 --seed 7 --include-standard-dpi` with the four families writes:
+72 rows, the `std_relent_petz` rows included, and 7 of its 12 subalgebras
+have a block of multiplicity m_k > 1.  It was written while the outputs of
+a subalgebra had their own pair class and their own formula for G and the
+core, before `gamma` formed G in the form each spectrum holds its matrix.
+Tier-1 gates it at DRIFT_TOL; CI also compares its bytes.
+
 The comparison also runs on its own:
 
     python tests/test_golden_csv.py NEW.csv GOLDEN.csv
@@ -86,18 +94,21 @@ def column_drift(text: str, golden: str, absolute=()) -> dict:
     return drift
 
 
-@pytest.mark.parametrize("kind, trials, dims, golden", [
-    pytest.param("random_cptp", "12", "2,3,4", "bounds_random_cptp.csv", id="random_cptp"),
-    pytest.param("pinching", "12", "2,3,4", "bounds_pinching.csv", id="pinching"),
-    pytest.param("pinching", "6", "16,24,32", "bounds_pinching_large.csv", id="pinching_large"),
-    pytest.param("random_cptp", "6", "8,12,16", "bounds_random_cptp_large.csv",
+@pytest.mark.parametrize("kind, trials, dims, golden, flags", [
+    pytest.param("random_cptp", "12", "2,3,4", "bounds_random_cptp.csv", (), id="random_cptp"),
+    pytest.param("pinching", "12", "2,3,4", "bounds_pinching.csv", (), id="pinching"),
+    pytest.param("pinching", "6", "16,24,32", "bounds_pinching_large.csv", (),
+                 id="pinching_large"),
+    pytest.param("random_cptp", "6", "8,12,16", "bounds_random_cptp_large.csv", (),
                  id="random_cptp_large"),
-    pytest.param("partial_trace", "12", None, "bounds_partial_trace.csv", id="partial_trace"),
+    pytest.param("partial_trace", "12", None, "bounds_partial_trace.csv", (), id="partial_trace"),
+    pytest.param("subalgebra", "12", "4,6,9,12", "bounds_subalgebra.csv",
+                 ("--include-standard-dpi",), id="subalgebra"),
 ])
-def test_bounds_csv_matches_golden(kind, trials, dims, golden, tmp_path, capsys):
+def test_bounds_csv_matches_golden(kind, trials, dims, golden, flags, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     argv = ["bounds", "--seed", "7", "--trials", trials, "--family", FAMILIES,
-            "--channel", kind, "--out", str(out)]
+            "--channel", kind, "--out", str(out), *flags]
     if dims is not None:
         argv += ["--dims", dims]
     assert main(argv) == 0

@@ -38,7 +38,7 @@ from bsdpi.campaigns import (
     sample_pair,
     write_csv,
 )
-from bsdpi.channels import KrausChannel, PartialTraceFactor, save_channel
+from bsdpi.channels import KrausChannel, PartialTraceFactor, SubalgebraExpectation, save_channel
 from bsdpi.cli import CampaignConfig, main
 from bsdpi.errors import ConfigError, Diverging, RejectionExhausted
 from bsdpi.recovery import pinching_fixed_pair
@@ -731,6 +731,26 @@ class TestBoundsCommand:
         assert code == 0
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["bs_subalgebra"] * 8 + ["xlogx"] * 8
+
+    def test_condexp_campaign_draws_subalgebras_as_bounds_does(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["bounds", "--seed", "4", "--trials", "8", "--dims", "2,4,6",
+                "--channel", "subalgebra", "--out", str(out)]
+        assert main(argv) == 0
+        expected = [row for row in out.read_text().splitlines()[1:] if ",bs_subalgebra," in row]
+        summary, rows = campaigns.run_condexp_bound_campaign(4, 8, (2, 4, 6), kind="subalgebra")
+        assert [row.render() for row in rows] == expected
+        assert summary.total == 8 and summary.ok
+
+    def test_condexp_kinds_are_those_sample_condexp_draws(self):
+        for kind in sampling.CHANNEL_KINDS:
+            if kind in campaigns.CONDEXP_KINDS:
+                assert isinstance(sample_condexp(4, kind, 1), SubalgebraExpectation)
+                continue
+            with pytest.raises(ConfigError, match="unknown conditional-expectation kind"):
+                sample_condexp(4, kind, 1)
+            with pytest.raises(ConfigError, match="unknown conditional-expectation kind"):
+                campaigns.run_condexp_bound_campaign(4, 1, (2,), kind=kind)
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

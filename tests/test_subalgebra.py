@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bsdpi import (
+    DimMismatch,
     DomainViolation,
     InstanceAnalysis,
     InvalidChannel,
@@ -20,17 +21,19 @@ from bsdpi import (
     StatePair,
     SupportMismatch,
     bs_entropy,
+    gamma,
     linalg,
     neg_power,
     random_cptp,
     random_density,
     random_pinching,
+    relative_entropy,
     xlogx,
 )
 from bsdpi.channels import SubalgebraExpectation, _haar_isometry, random_subalgebra
 from bsdpi.linalg import BlockSpectrum
 from bsdpi.sampling import sample_pair
-from bsdpi.states import ginibre
+from bsdpi.states import ginibre, support_leak
 
 FAMILIES = (xlogx(), neg_power(0.25), neg_power(0.5), neg_power(0.75))
 # Budget of the block route against the dense one, relative to max(1, |dense|):
@@ -158,6 +161,74 @@ class TestBlockRoute:
         bad[1, 2] += 1e-3
         with pytest.raises(NotHermitian):
             BlockSpectrum(bad, e).eig
+
+
+class TestSupportLeak:
+    """The leak of one output outside the other's support, read on the
+    compressed matrices, against the dense pair StatePair(E(sigma), E(rho))."""
+
+    # three blocks; sigma lives on the first two, rho on the first and last
+    BLOCKS = [[(1, 1), (2, 1), (2, 1)], [(1, 2), (2, 1), (1, 3)], [(2, 2), (1, 1), (1, 2)]]
+
+    @staticmethod
+    def pairs(sigma, rho, e):
+        return e.outputs(sigma, rho), StatePair(e.apply(sigma), e.apply(rho))
+
+    @staticmethod
+    def on_blocks(u, e, which, seed):
+        """A state on the columns of u that the blocks ``which`` of e span."""
+        starts = np.cumsum([0] + [n * m for n, m in e.blocks])
+        cols = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in which])
+        w = u[:, cols]
+        return w @ random_density(len(cols), len(cols), seed).mat @ w.conj().T
+
+    def singular_pair(self, blocks, seed, rho_blocks=(0, 2)):
+        d = sum(n * m for n, m in blocks)
+        u = haar_unitary(d, seed)
+        e = SubalgebraExpectation(u, blocks)
+        sigma = self.on_blocks(u, e, (0, 1), seed + 1)
+        return self.pairs(sigma, self.on_blocks(u, e, rho_blocks, seed + 2), e)
+
+    def test_spectra_held_apart_are_refused(self):
+        # a pinching's compressed matrix is d x d in u's basis: read against a
+        # full matrix, or against another subalgebra's, it would give a wrong G
+        e, f = (Pinching(haar_unitary(4, seed), [0, 2, 4]) for seed in (1, 2))
+        sigma, rho = sample_pair(4, 5)
+        block = e.outputs(sigma.mat, rho.mat)
+        for apart in ((block.s, rho), (rho, block.s), (block.s, f.outputs(sigma.mat, rho.mat).r)):
+            for read in (gamma, support_leak, StatePair):
+                with pytest.raises(DimMismatch, match="not held by one subalgebra"):
+                    read(*apart)
+
+    @pytest.mark.parametrize("d", [4, 6, 9])
+    def test_full_rank_outputs_leak_exactly_nothing(self, d):
+        for k, e in enumerate(expectations(d)):
+            sigma, rho = sample_pair(d, 900 + 10 * d + k)
+            for pair in self.pairs(sigma.mat, rho.mat, e):
+                assert support_leak(pair.s, pair.r) == 0.0
+                assert support_leak(pair.r, pair.s) == 0.0
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("rho_blocks", [(0, 1), (0, 2)])
+    def test_singular_outputs_leak_as_the_dense_pair(self, blocks, rho_blocks):
+        # rho on sigma's blocks leaks only rounding; on another block, a weight
+        block, dense = self.singular_pair(blocks, 70, rho_blocks)
+        assert not block.s.full_rank and not block.r.full_rank
+        for pick in (lambda p: (p.s, p.r), lambda p: (p.r, p.s)):
+            leak = support_leak(*pick(dense))
+            assert abs(support_leak(*pick(block)) - leak) <= 1e-12
+            assert (leak > 1e-3) == (rho_blocks == (0, 2))
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_leaking_outputs_refuse_as_the_dense_pair(self, blocks):
+        block, dense = self.singular_pair(blocks, 80)
+        assert relative_entropy(block) == relative_entropy(dense) == np.inf
+        messages = []
+        for pair in (block, dense):
+            with pytest.raises(SupportMismatch) as info:
+                pair.ratio
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestMultiplicities:
