@@ -79,11 +79,11 @@ class InstanceAnalysis:
     """The shared spectral analysis of one (sigma, rho, target) instance.
 
     ``target`` is a KrausChannel or a SubalgebraExpectation.  The input pair
-    and the output pair decompose sigma, rho, G and the maximal-f core at most
-    once each, and every quantity below is evaluated at most once, on first
-    use.  The DPI gap, both bound forms, the bound of every maximal-f family
-    and the equality residuals all read the same analysis, so a family costs
-    one scalar function on the cached core spectra.  An analysis belongs to
+    and the output pair decompose sigma, rho and G at most once each, and
+    every quantity below is evaluated at most once, on first use.  The DPI
+    gap, both bound forms, the bound of every maximal-f family and the
+    equality residuals all read the same analysis, so a family costs one
+    scalar function on the cached spectra of G.  An analysis belongs to
     one instance and is dropped with it.  sigma and rho are each a Spectrum
     or a plain, possibly unnormalized, PSD array.
 
@@ -103,7 +103,7 @@ class InstanceAnalysis:
     @lazy_property
     def out(self) -> StatePair:
         """The pair of outputs (sigma_T, rho_T) as the target holds them: a
-        conditional expectation's compressed, so G_T and the core go block by block."""
+        conditional expectation's compressed, so G_T goes block by block."""
         return self.target.outputs(self.inp.sigma, self.inp.rho)
 
     @lazy_property

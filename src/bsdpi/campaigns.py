@@ -58,7 +58,7 @@ from .sampling import (  # noqa: F401 - the samplers and trials are part of this
     sample_equal_support_pair,
     sample_pair,
 )
-from .states import StatePair, ginibre, open_output, random_density
+from .states import StatePair, gamma, ginibre, open_output, random_density
 
 CSV_HEADER = "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
 
@@ -108,12 +108,12 @@ def write_csv(path: str, rows: list[Row]) -> None:
 BLOCK_TRIALS = 64
 
 # The spectra of an analysis pair (``inp`` or ``out``) that a check may
-# declare, by level: the states, then G (``ratio``) and the maximal-f core,
-# each built by gamma from one state's inverse square root.  A state held
-# compressed by a subalgebra gives gamma its compressed root, so the dense
-# root primed for it serves only its other readers.
-SPECTRUM_LEVELS = (("s", "r"), ("ratio", "core"))
-BUILT_FROM = {"ratio": ("s", "rsqrt"), "core": ("r", "rsqrt")}
+# declare, by level: the states, then G (``ratio``), built by gamma from
+# sigma's inverse square root.  A state held compressed by a subalgebra gives
+# gamma its compressed root, so the dense root primed for it serves only its
+# other readers.
+SPECTRUM_LEVELS = (("s", "r"), ("ratio",))
+BUILT_FROM = {"ratio": ("s", "rsqrt")}
 
 
 def _priming_plan(checks) -> list:
@@ -311,7 +311,7 @@ class MaxfCheck(Check):
     precondition; ``pass_rates`` records how often each family did.
     """
 
-    reads = BOUND_READS + ("inp.core", "out.core")
+    reads = BOUND_READS
     families: tuple
     slack_abs: float
 
@@ -396,7 +396,7 @@ class EqualityCheck(Check):
 class OrderingCheck(Check):
     """Standard <= maximal, commuting reductions, and the degree-2 identity."""
 
-    reads = ("inp.s", "inp.r", "inp.ratio", "inp.core")
+    reads = ("inp.s", "inp.r", "inp.ratio")
     fams = (xlogx(), neg_power(0.5))
     square = square_family()
 
@@ -408,15 +408,19 @@ class OrderingCheck(Check):
             m_val = maximal_f(a.inp, fam)
             if s_val > m_val + 1e-9:
                 self.fail(sub, f"ordering fails for {fam.tag}: {s_val} > {m_val}")
-        # D <= D_BS, and D_BS from G against the maximal xlogx from the core:
-        # on both pairs of 200 trials at seeds 20190424, 7 and 20240801,
-        # |bs_entropy - maximal_f| <= 1.3e-11 and max(D - D_BS) = -5.1e-5
+        # D <= D_BS, and D_BS and the maximal xlogx, both read off G, against
+        # tr[rho f(core)] on the core rho^{-1/2} sigma rho^{-1/2}: on both pairs
+        # of 200 trials at seeds 20190424, 7 and 20240801 they were within
+        # 1.3e-11 and 1.6e-12 of it, and max(D - D_BS) = -5.1e-5
         d_rel, d_bs = relative_entropy(a.inp), bs_entropy(a.inp)
         d_max = maximal_f(a.inp, self.fams[0])
+        core = gamma(a.inp.r, a.inp.s)
+        d_core = core.trace_fn(self.fams[0].f, core.weights(a.inp.r))
         if d_rel > d_bs + 1e-9:
             self.fail(sub, f"relative entropy {d_rel} > D_BS {d_bs}")
-        if abs(d_bs - d_max) > 1e-9:
-            self.fail(sub, f"D_BS off maximal xlogx by {d_bs - d_max:.3e}")
+        for label, value in (("D_BS", d_bs), ("maximal xlogx", d_max)):
+            if abs(value - d_core) > 1e-9:
+                self.fail(sub, f"{label} off the core's xlogx by {value - d_core:.3e}")
         # degree-2 identity at the absolute tolerance needs bounded condition
         # numbers (the value tr[s^2 r^-1] is unbounded); unconditioned pairs
         # are still checked at machine-relative level
@@ -640,8 +644,9 @@ CRITERIA = (
     Criterion(1, "dpi campaign", (500,), (60,), {"dpi_abs": 1e-9}, 30.0, _dpi),
     Criterion(2, "condexp bounds", (500, 200), (60, 24), {"slack_rel": 1e-8}, 60.0, _condexp),
     # regularized_gap: the Richardson and common-support gaps agreed within
-    # 1.9e-12 over the 100 singular trials of seeds 20240801, 7 and 20190424;
-    # 1e-9 stands until ROADMAP item 4 ties each tolerance to an error budget
+    # 4.3e-12 over the 100 singular trials of seeds 20240801, 7 and 20190424
+    # (1.9e-12 through the core); 1e-9 stands until ROADMAP item 4 ties each
+    # tolerance to an error budget
     Criterion(3, "channel bounds", (500, 100), (60, 12),
               {"slack_rel": 1e-8, "increment": 1e-6, "regularized_gap": 1e-9}, 60.0, _channel),
     Criterion(4, "maxf bounds", (500, MAXF_FAMILIES), (60, ("xlogx", "neg_power:0.5")),

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadBeta, Diverging, NoConvergence
-from .linalg import LOG_ON_SUPPORT, ScalarFunction
+from .linalg import LOG_ON_SUPPORT, ScalarFunction, spectral_values
 from .states import SUPPORT_EQ_TOL, StatePair, as_matrix, as_spectrum, support_leak
 
 
@@ -123,12 +123,15 @@ def relative_entropy(pair: StatePair) -> float:
 def maximal_f(pair: StatePair, fam: FDivFamily) -> float:
     """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}] for full-rank pairs.
 
-    The trace is tr[rho f(core)], a sum of f over the core's eigenvalues
-    weighted by rho; a further family evaluates only ``fam.f`` anew, on the
-    pair's cached core spectrum.
+    By the transpose identity this is tr[sigma f~(G)] with f~ =
+    ``fam.f_transpose``, f~(x) = x f(1/x): a sum of f~ over G's refined
+    eigenvalues (``pair.ratio_values``) weighted by sigma, on the spectrum
+    the BS-entropy reads.  f~ maps every eigenvalue, with no support cut: the
+    pair is full rank, so G is positive definite.
     """
     pair.require_full_rank()
-    return pair.core.trace_fn(fam.f, pair.core_weights)
+    values = spectral_values(pair.ratio, fam.f_transpose, pair.ratio_values)
+    return float(values @ pair.ratio_weights)
 
 
 def bs_entropy(pair: StatePair) -> float:

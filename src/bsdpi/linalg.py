@@ -287,8 +287,14 @@ class Spectrum:
         return float(self.eig.values[self.dim - self.rank])
 
 
-def spectral_values(spec: Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
+def spectral_values(
+    spec: Spectrum, f: ScalarFunction | Callable, values: np.ndarray | None = None
+) -> np.ndarray:
     """f(lambda_i) for every eigenvalue of ``spec``, in its eigenvalue order.
+
+    ``values``, when given, are mapped in place of the eigenvalues: one per
+    eigenvector of ``spec``, in its order, and not necessarily ascending, such
+    as the refined eigenvalues of ``StatePair.ratio_values``.
 
     Eigenvalues in (-spec.noise_floor, 0) are clipped to 0 when ``f`` lives
     on the nonnegative axis.  With ``f.at_zero`` set, zero eigenvalues map to
@@ -302,10 +308,11 @@ def spectral_values(spec: Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
-    lam = spec.eig.values
+    lam = spec.eig.values if values is None else values
+    low, high = (lam[0], lam[-1]) if values is None else (lam.min(), lam.max())
     off = spec.dim - spec.rank if f.on_support else 0
     lo = f.lo if f.at_zero is None else max(f.lo, 0.0)
-    if off == 0 and lam[0] > lo and lam[-1] < f.hi:
+    if off == 0 and low > lo and high < f.hi:
         return np.array(f.fn(lam), dtype=float)
     lam = lam.copy()
     if f.lo >= 0.0:

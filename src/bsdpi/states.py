@@ -26,6 +26,11 @@ SUPPORT_EQ_TOL = 1e-8
 TRACE_TOL = 1e-12
 # regularization parameters of the epsilon-regularized divergences
 EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
+# Eigenvalues of G below this share of lambda_max(G) are refined to their
+# Rayleigh quotient; see StatePair.ratio_values.  eigh gives each eigenvalue
+# an absolute error of ~eps lambda_max, so one kept above the cut is off by
+# at most ~eps / REFINE_BELOW ~ 2.2e-12 relative.
+REFINE_BELOW = 1e-4
 
 
 def as_matrix(x) -> np.ndarray:
@@ -143,14 +148,15 @@ def gamma(sigma, rho) -> Spectrum:
 class StatePair:
     """A pair (sigma, rho) with the spectra its divergences share.
 
-    sigma, rho, the ratio operator G = gamma(sigma, rho) and the maximal-f
-    core rho^{-1/2} sigma rho^{-1/2} = gamma(rho, sigma) are each decomposed
-    at most once, on first use, and sigma's weights in G's eigenbasis and
-    rho's in the core's are kept, so every divergence of the pair is a
-    weighted sum over a cached spectrum.  sigma and rho are each a Spectrum
-    or a plain, possibly unnormalized, PSD array, or both BlockSpectra of
-    one subalgebra.  The divergence evaluators take a pair, so that several
-    of them share its spectra.
+    sigma, rho and the ratio operator G = gamma(sigma, rho) are each
+    decomposed at most once, on first use, and sigma's weights in G's
+    eigenbasis are kept, so every divergence of the pair is a weighted sum
+    over a cached spectrum: the maximal f-divergences too, through
+    tr[rho f(rho^{-1/2} sigma rho^{-1/2})] = tr[sigma f~(G)] with
+    f~(x) = x f(1/x).  sigma and rho are each a Spectrum or a plain,
+    possibly unnormalized, PSD array, or both BlockSpectra of one
+    subalgebra.  The divergence evaluators take a pair, so that several of
+    them share its spectra.
     """
 
     def __init__(self, sigma, rho):
@@ -170,19 +176,26 @@ class StatePair:
         return gamma(self.s, self.r)
 
     @lazy_property
-    def core(self) -> Spectrum:
-        """rho^{-1/2} sigma rho^{-1/2}, the argument of the maximal f-divergence."""
-        return gamma(self.r, self.s)
-
-    @lazy_property
     def ratio_weights(self) -> np.ndarray:
         """sigma in the eigenbasis of G: tr[sigma f(G)] = ratio.trace_fn(f, this)."""
         return self.ratio.weights(self.s)
 
     @lazy_property
-    def core_weights(self) -> np.ndarray:
-        """rho in the eigenbasis of the core: tr[rho f(core)] = core.trace_fn(f, this)."""
-        return self.core.weights(self.r)
+    def ratio_values(self) -> np.ndarray:
+        """G's eigenvalues, each below REFINE_BELOW * lambda_max(G) replaced by
+        its Rayleigh quotient ||rho^{1/2} sigma^{-1/2} u_i||^2, read as rho's
+        weights on sigma^{-1/2} u_i: a sum of nonnegative terms, off by
+        ~eps sqrt(kappa(G)) relative where eigh is off by ~eps kappa(G).
+        Above the cut it would gain nothing, and it loses on pairs with G ~ I,
+        where the factor sigma^{-1/2} amplifies rounding."""
+        lam = self.ratio.eig.values
+        n = int(np.searchsorted(lam, REFINE_BELOW * self.ratio.lam_max))
+        if n == 0:
+            return lam
+        y = self.s.rsqrt @ self.ratio.eig.vectors[:, :n]
+        lam = lam.copy()
+        lam[:n] = self.r.eig.values @ np.abs(self.r.eig.vectors.conj().T @ y) ** 2
+        return lam
 
     @lazy_property
     def regularized(self) -> tuple:

@@ -28,7 +28,7 @@ from bsdpi import (
 from bsdpi import divergences, linalg
 from bsdpi.campaigns import sample_equal_support_pair, sample_pair
 from bsdpi.linalg import LOG_ON_SUPPORT, Spectrum, matrix_fn
-from bsdpi.states import EPS_GRID, StatePair
+from bsdpi.states import EPS_GRID, StatePair, gamma
 
 # classical value for sigma=diag(1/2,1/2), rho=diag(1/4,3/4) under x log x
 KL_CANONICAL = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
@@ -244,8 +244,8 @@ class TestRegularizedDivergence:
             regularized_divergence(StatePair(sigma, rho), xlogx(), kind="other")
 
     def test_kinds_share_the_regularized_pairs_of_a_state_pair(self):
-        # sigma_eps, rho_eps and the maximal-f core: three decompositions per
-        # eps for both kinds together, and the values of separate calls
+        # sigma_eps, rho_eps and G_eps: three decompositions per eps for both
+        # kinds together, and the values of separate calls
         sigma, rho = sample_equal_support_pair(3, 2, 21)
         kinds = ("standard", "maximal")
         separate = [
@@ -384,9 +384,11 @@ class TestWeightedTraces:
     def test_full_rank_pairs(self, d):
         for seed in range(3):
             pair = StatePair(*sample_pair(d, 100 * d + seed))
-            r_half = pair.r.sqrt
+            u = pair.ratio.eig.vectors
             for fam in self.FAMILIES:
-                reference = np.trace(r_half @ matrix_fn(pair.core, fam.f) @ r_half).real
+                # tr[sigma f~(G)] with f~(G) reconstructed from G's refined eigenvalues
+                f_g = (u * fam.f_transpose(pair.ratio_values)) @ u.conj().T
+                reference = np.trace(pair.sigma @ f_g).real
                 self.assert_close(maximal_f(pair, fam), reference)
             reference = -np.trace(pair.sigma @ matrix_fn(pair.ratio, LOG_ON_SUPPORT)).real
             self.assert_close(bs_entropy(pair), reference)
@@ -404,7 +406,9 @@ class TestWeightedTraces:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_spectral_weights_match_the_direct_diagonal(self, d):
         pair = StatePair(*sample_pair(d, 900 + d))
-        u = pair.core.eig.vectors
+        core = gamma(pair.r, pair.s)
+        weights = core.weights(pair.r)
+        u = core.eig.vectors
         direct = np.diag(u.conj().T @ pair.rho @ u).real
-        assert np.allclose(pair.core_weights, direct, rtol=0.0, atol=1e-14)
-        assert np.all(pair.core_weights >= 0.0)
+        assert np.allclose(weights, direct, rtol=0.0, atol=1e-14)
+        assert np.all(weights >= 0.0)

@@ -42,6 +42,15 @@ DRIFT_TOL gate.
 bounds_pinching_large_blocks.csv is what the command of
 bounds_pinching_large.csv writes on the block route; CI compares its bytes.
 
+Every golden file above was written while the maximal f-divergences were
+read off the core rho^{-1/2} sigma rho^{-1/2}.  They are read off G now, by
+the transpose identity, which moves the maximal-f rows within the same
+DRIFT_TOL.  bounds_random_cptp_large_transpose.csv and
+bounds_subalgebra_transpose.csv are what the commands of
+bounds_random_cptp_large.csv and bounds_subalgebra.csv write on that route,
+and CI compares their bytes; bounds_seed_2_100.csv and
+bounds_pinching_large_blocks.csv, which only CI reads, were rewritten on it.
+
 bounds_subalgebra.csv is what `bounds --channel subalgebra --dims 4,6,9,12
 --trials 12 --seed 7 --include-standard-dpi` with the four families writes:
 72 rows, the `std_relent_petz` rows included, and 7 of its 12 subalgebras

@@ -246,7 +246,7 @@ class TestTrialCost:
             checks = [DpiCheck(1e-9), BoundCheck("bs_channel", 1e-8), MaxfCheck(MAXF_FAMILIES, 1e-8)]
             before = linalg.herm_eig_calls
             evaluate(7, 1, (d,), "random_cptp", checks)
-            assert linalg.herm_eig_calls - before == 8
+            assert linalg.herm_eig_calls - before == 6
             assert calls["matrix_fn"] <= 9, calls
             assert calls["svd"] == 0
             assert sum(len(c.rows) for c in checks) == 6
@@ -282,10 +282,10 @@ class TestTrialCost:
             assert self.eig_calls("random_cptp", (d,), StructuralCheck()) == 5
 
     def test_ordering_trial_shares_the_commuting_pair(self):
-        # sigma, rho, G and the core of the input pair, the conditioned pair's
-        # draws and core, and the commuting pair's sigma, rho and core:
-        # standard_f and maximal_f share each pair's spectra.  Validating the
-        # channel decomposes nothing; G is read by the D_BS cross-checks.
+        # sigma, rho and G of the input pair and the core that the D_BS
+        # cross-checks read against them, and the conditioned and commuting
+        # pairs' sigma, rho and G: standard_f and maximal_f share each pair's
+        # spectra.  Validating the channel decomposes nothing.
         counts = {d: self.eig_calls("random_cptp", (d,), OrderingCheck()) for d in (2, 3, 4)}
         assert counts == {2: 10, 3: 11, 4: 10}
 
@@ -606,17 +606,17 @@ class TestDivergenceCommand:
         assert "ParseError" in err and "line" in err
 
     def test_full_rank_request_decomposes_each_matrix_once(self, state_files, capsys):
-        # sigma, rho, G and the maximal-f core, shared by every value printed
+        # sigma, rho and G, shared by every value printed
         sp, rp, _ = state_files
         before = linalg.herm_eig_calls
         assert main(["divergence", sp, rp, "--family", "neg_power:0.5"]) == 0
-        assert linalg.herm_eig_calls - before <= 4
+        assert linalg.herm_eig_calls - before <= 3
 
     def test_rank_deficient_request_decomposes_each_regularized_pair_once(
         self, tmp_path, capsys
     ):
         # sigma, rho and G for the direct values, then sigma_eps, rho_eps and
-        # the maximal-f core per eps, shared by the standard and maximal routes
+        # G_eps per eps, shared by the standard and maximal routes
         sigma, rho = sample_equal_support_pair(3, 2, 31)
         sp, rp = tmp_path / "s.json", tmp_path / "r.json"
         save_state(str(sp), sigma.mat)
@@ -882,7 +882,7 @@ class TestBoundsCommand:
 
     def test_one_trial_decomposes_each_matrix_once(self, capsys):
         # sampling: sigma, rho and the Choi matrix; analysis: sigma_T, rho_T,
-        # G, G_T and the two maximal-f cores.  Families add no decomposition.
+        # G and G_T.  Families add no decomposition.
         calls = {}
         for families in ("xlogx", "xlogx,neg_power:0.25,neg_power:0.5,neg_power:0.75"):
             before = linalg.herm_eig_calls
