@@ -58,7 +58,7 @@ from .sampling import (  # noqa: F401 - the samplers and trials are part of this
     sample_equal_support_pair,
     sample_pair,
 )
-from .states import StatePair, gamma, ginibre, open_output, random_density
+from .states import OutputFile, StatePair, gamma, ginibre, random_density
 
 CSV_HEADER = "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
 
@@ -96,11 +96,15 @@ class Row:
         )
 
 
-def write_csv(path: str, rows: list[Row]) -> None:
-    with open_output(path) as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.render() + "\n")
+def write_csv(out, rows: list[Row]) -> None:
+    """The CSV of ``rows`` as the whole content of ``out``: a path, or an
+    OutputFile already open on one."""
+    text = CSV_HEADER + "\n" + "".join(row.render() + "\n" for row in rows)
+    if isinstance(out, str):
+        with OutputFile(out) as fh:
+            fh.write(text)
+    else:
+        out.write(text)
 
 
 # Consecutive trials that evaluate draws, decomposes together and then

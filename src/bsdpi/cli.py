@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -34,7 +35,7 @@ from .errors import ConfigError, NoConvergence, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
 from .sampling import CHANNEL_KINDS
-from .states import StatePair, load_state, open_output, read_input
+from .states import OutputFile, StatePair, load_state, read_input
 
 # the tolerances cmd_bounds reads; a config may override these and no other
 TOLERANCE_KEYS = ("dpi_abs", "slack_rel", "slack_abs")
@@ -72,6 +73,7 @@ class CampaignConfig:
         for d in self.dims:
             _integer("each of dims", d, 2)
         seen = {}
+        self.fams = []  # the parsed families, handed to MaxfCheck
         for tag in self.families:
             if not isinstance(tag, str):
                 raise ConfigError(f"families must be tag strings, got {tag!r}")
@@ -84,6 +86,7 @@ class CampaignConfig:
             if fam.tag in seen:
                 raise ConfigError(f"families {seen[fam.tag]!r} and {tag!r} are both {fam.tag}")
             seen[fam.tag] = tag
+            self.fams.append(fam)
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         for key, value in self.tolerances.items():
@@ -214,22 +217,25 @@ def cmd_bounds(args) -> int:
         ]
     maxf = None
     if config.families:
-        maxf = campaigns.MaxfCheck(config.families, config.tol("slack_abs"))
+        maxf = campaigns.MaxfCheck(tuple(config.fams), config.tol("slack_abs"))
         checks.append(maxf)
-    if config.output_path:
-        open_output(config.output_path).close()  # refuse it before the first trial
-    campaigns.evaluate(config.seed, config.trials, config.dims, kind, checks)
+    # opened before the first trial, so an unwritable path is refused there;
+    # nothing is cut until the CSV is written, or the run raises
+    path = config.output_path
+    with OutputFile(path) if path else contextlib.nullcontext() as out:
+        campaigns.evaluate(config.seed, config.trials, config.dims, kind, checks)
+        rows = [row for check in checks for row in check.rows]
+        if out is not None:
+            campaigns.write_csv(out, rows)
     if maxf is not None:
         for tag, rate in maxf.pass_rates.items():
             print(f"precondition pass-rate [{tag}]: {rate:.3f}")
 
-    rows = [row for check in checks for row in check.rows]
     violations = [v for check in checks for v in check.summary.violations]
     total = sum(check.summary.total for check in checks)
     min_slack = min(check.summary.min_slack for check in checks)
-    if config.output_path:
-        campaigns.write_csv(config.output_path, rows)
-        print(f"wrote {len(rows)} rows to {config.output_path}")
+    if path:
+        print(f"wrote {len(rows)} rows to {path}")
     print(f"total={total} violations={len(violations)} min_slack={min_slack!r}")
     for seed, message in violations[:20]:
         print(f"VIOLATION seed={seed}: {message}")
@@ -243,8 +249,8 @@ def cmd_certify(args) -> int:
     report = equality_residuals(InstanceAnalysis(sigma, rho, channel))
     text = report.to_json()
     if args.out:
-        with open_output(args.out) as fh:
-            fh.write(text)
+        with OutputFile(args.out) as out:
+            out.write(text)
     print(text)
     threshold = 1e-8 * (1.0 + report.gamma_sup)
     equal = (

@@ -4,6 +4,8 @@ and serialization."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -262,12 +264,52 @@ def read_input(path: str, what: str) -> str:
         raise InputError(f"{what} file {path!r} is not UTF-8 text") from exc
 
 
-def open_output(path: str):
-    """``path`` opened for writing; InputError when it cannot be."""
-    try:
-        return open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise InputError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
+class OutputFile:
+    """An output file, written in place.
+
+    Opening it cuts nothing, so a path that cannot be written is refused
+    (InputError, naming it) before any byte of an old file is lost.
+    ``write`` puts the whole text at offset 0 and then cuts a regular file
+    at its end, so no tail of a longer old file survives.  Leaving the
+    ``with`` block by an exception cuts the file to zero: a failed run
+    leaves it empty.  Truncating a just-written file to zero length makes
+    ext4 flush it to disk (its ``auto_da_alloc`` heuristic); cutting it at
+    the end of the new text does not.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            self.fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except OSError as exc:
+            raise self._error(exc) from exc
+        # a pipe or a device, such as /dev/stdout, cannot be cut
+        self.regular = stat.S_ISREG(os.fstat(self.fd).st_mode)
+
+    def _error(self, exc: OSError) -> InputError:
+        return InputError(f"cannot write output file {self.path!r}: {exc.strerror or exc}")
+
+    def write(self, text: str) -> None:
+        """Make ``text`` the whole content of the file; called once."""
+        data = memoryview(text.encode("utf-8"))
+        end = len(data)
+        try:
+            while data:
+                data = data[os.write(self.fd, data):]
+            if self.regular:
+                os.ftruncate(self.fd, end)
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def __enter__(self) -> "OutputFile":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is not None and self.regular:
+                os.ftruncate(self.fd, 0)
+        finally:
+            os.close(self.fd)
 
 
 def state_to_json(m) -> str:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -40,7 +41,8 @@ from bsdpi.campaigns import (
 )
 from bsdpi.channels import KrausChannel, PartialTraceFactor, SubalgebraExpectation, save_channel
 from bsdpi.cli import CampaignConfig, main
-from bsdpi.errors import ConfigError, Diverging, RejectionExhausted
+from bsdpi.divergences import family_from_tag
+from bsdpi.errors import ConfigError, Diverging, NoConvergence, RejectionExhausted
 from bsdpi.recovery import pinching_fixed_pair
 from bsdpi.states import StatePair
 
@@ -848,6 +850,42 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: InputError: ") and out in err
 
+    def test_out_over_a_longer_csv_keeps_exactly_the_new_bytes(self, tmp_path, capsys):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        argv = ["bounds", "--seed", "3", "--trials", "2", "--dims", "2"]
+        assert main(["bounds", "--seed", "3", "--trials", "12", "--dims", "2,3",
+                     "--out", str(reused)]) == 0
+        longer = reused.stat().st_size
+        assert main(argv + ["--out", str(fresh)]) == 0
+        assert main(argv + ["--out", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert reused.stat().st_size < longer
+
+    def test_a_run_that_raises_leaves_the_old_file_empty(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["bounds", "--trials", "3", "--dims", "2", "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+        def raises(*args):
+            raise NoConvergence("drawn to fail")
+
+        monkeypatch.setattr(campaigns, "evaluate", raises)
+        assert main(["bounds", "--trials", "3", "--dims", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: NoConvergence: drawn to fail")
+        assert out.read_bytes() == b""
+
+    def test_out_naming_a_directory_exits_2_before_the_first_trial(self, tmp_path, capsys):
+        out = str(tmp_path)
+        before = linalg.herm_eig_calls
+        assert main(["bounds", "--trials", "1", "--dims", "2", "--out", out]) == 2
+        assert linalg.herm_eig_calls == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError: ") and out in err
+
+    def test_out_that_is_not_a_regular_file(self, capsys):
+        # a device can be written, but not cut
+        assert main(["bounds", "--trials", "1", "--dims", "2", "--out", os.devnull]) == 0
+
     def test_partial_trace_refuses_dims(self, tmp_path, capsys):
         # the kind draws its own shapes, d = 4 and 6; a requested d is refused
         assert main(["bounds", "--channel", "partial_trace", "--dims", "8", "--trials", "3"]) == 2
@@ -873,6 +911,21 @@ class TestBoundsCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 2, "dims": [2], "families": families.split(",")}))
         assert main(["bounds", "--config", str(cfg)]) == 2
+
+    def test_each_family_tag_is_parsed_once(self, monkeypatch, capsys):
+        # the config parses the tags and hands MaxfCheck the families
+        parsed = []
+
+        def counting(tag):
+            parsed.append(tag)
+            return family_from_tag(tag)
+
+        monkeypatch.setattr(cli, "family_from_tag", counting)
+        monkeypatch.setattr(campaigns, "family_from_tag", counting)
+        assert main(["bounds", "--trials", "2", "--dims", "2",
+                     "--family", "xlogx,neg_power:0.5"]) == 0
+        assert parsed == ["xlogx", "neg_power:0.5"]
+        assert "precondition pass-rate [neg_power(0.5)]" in capsys.readouterr().out
 
     @pytest.mark.parametrize("family", ["square", "neg_log", "xlogx,square"])
     def test_family_without_measure_constants_is_refused(self, family, capsys):
@@ -935,6 +988,14 @@ class TestCertifyCommand:
         assert main(["certify", sigma, rho, chan, "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert "residual_eq2" in payload
+
+    def test_out_over_a_longer_file_holds_exactly_the_report(self, state_files, tmp_path, capsys):
+        sigma, rho, chan = state_files
+        out_path = tmp_path / "report.json"
+        out_path.write_text("x" * 10_000 + "\n")
+        assert main(["certify", sigma, rho, chan, "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert out_path.read_text() == printed
 
     def test_unwritable_out_exits_2_and_names_it(self, state_files, tmp_path, capsys):
         sigma, rho, chan = state_files
