@@ -9,6 +9,7 @@ InstanceAnalysis, the family and k_alpha / l_alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,10 @@ class BoundReport:
         return self.gap - self.rhs_l
 
 
+@functools.cache
 def k_alpha(alpha: float) -> float:
-    """Prefactor of the square-root-condition bound; (pi/4)^4 at alpha = 0."""
+    """Prefactor of the square-root-condition bound; (pi/4)^4 at alpha = 0.
+    Computed once per alpha: every trial's maxf_bound reads it twice per family."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     a = float(alpha)

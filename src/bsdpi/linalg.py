@@ -8,6 +8,7 @@ pure: no input is mutated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -119,24 +120,34 @@ def _herm_eig_stack(a: np.ndarray) -> EigenSystem:
     The stack compares squared Frobenius norms, summed over the real and
     imaginary parts of each matrix: a block route makes many small stacks,
     and axis-wise norm calls cost more than the solver on them.  The 2-D
-    path keeps its own checks, cheaper on a single matrix.
+    path keeps its own checks, cheaper on a single matrix.  Two sums over
+    the whole stack screen it first: a finite total square far below
+    overflow and a total squared skew below half of HERMITICITY_TOL**2
+    bound every matrix's own sums, so each passes its checks, and only a
+    stack that fails the screen is checked matrix by matrix.
     """
     global herm_eig_calls
     k, d = a.shape[:2]
     if a.shape[2] != d:
         raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     herm_eig_calls += k
-    parts = a.reshape(k, d * d).view(float)
-    skew_parts = (a - a.conj().transpose(0, 2, 1)).reshape(k, d * d).view(float)
-    squares = (parts * parts).sum(axis=1)
-    infinite = ~np.isfinite(squares)
-    skew = (skew_parts * skew_parts).sum(axis=1) > HERMITICITY_TOL**2 * np.maximum(1.0, squares)
-    refused = np.flatnonzero(infinite | skew)
-    if refused.size:
-        i = int(refused[0])
-        if infinite[i]:
-            raise DomainViolation(f"matrix {i} of the stack has a NaN or infinite entry")
-        raise NotHermitian(f"matrix {i} of the stack is not Hermitian within tolerance")
+    whole = a.reshape(k, d * d)
+    skew_whole = (a - a.conj().transpose(0, 2, 1)).reshape(k, d * d)
+    screened = (
+        np.vdot(whole, whole).real <= 1e300
+        and np.vdot(skew_whole, skew_whole).real <= 0.5 * HERMITICITY_TOL**2
+    )
+    if not screened:
+        parts, skew_parts = whole.view(float), skew_whole.view(float)
+        squares = (parts * parts).sum(axis=1)
+        infinite = ~np.isfinite(squares)
+        skew = (skew_parts * skew_parts).sum(axis=1) > HERMITICITY_TOL**2 * np.maximum(1.0, squares)
+        refused = np.flatnonzero(infinite | skew)
+        if refused.size:
+            i = int(refused[0])
+            if infinite[i]:
+                raise DomainViolation(f"matrix {i} of the stack has a NaN or infinite entry")
+            raise NotHermitian(f"matrix {i} of the stack is not Hermitian within tolerance")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -221,7 +232,7 @@ class Spectrum:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
+    @lazy_property
     def lam_max(self) -> float:
         """Largest eigenvalue clipped at 0; the sup norm of a PSD matrix."""
         return max(float(self.eig.values[-1]), 0.0)
@@ -243,9 +254,10 @@ class Spectrum:
     @lazy_property
     def support_projector(self) -> np.ndarray:
         """Projector onto the support; exactly the identity at full rank,
-        where U U* would differ from it by rounding."""
+        where U U* would differ from it by rounding: one read-only identity
+        per size, shared by every full-rank spectrum of that size."""
         if self.full_rank:
-            return np.eye(self.dim, dtype=complex)
+            return _identity(self.dim)
         return matrix_fn(self, STEP_ON_SUPPORT)
 
     def weights(self, x: Spectrum) -> np.ndarray:
@@ -270,7 +282,7 @@ class Spectrum:
         lam, cut = self.eig.values, RANK_TOL * self.lam_max
         return self.dim if lam[0] > cut else int(np.count_nonzero(lam > cut))
 
-    @property
+    @lazy_property
     def full_rank(self) -> bool:
         return self.rank == self.dim
 
@@ -285,6 +297,13 @@ class Spectrum:
         if self.rank == 0:
             raise SingularState("state has no positive spectrum")
         return float(self.eig.values[self.dim - self.rank])
+
+
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def spectral_values(
@@ -309,7 +328,7 @@ def spectral_values(
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
     lam = spec.eig.values if values is None else values
-    low, high = (lam[0], lam[-1]) if values is None else (lam.min(), lam.max())
+    low, high = (lam[0], lam[-1]) if lam is spec.eig.values else (lam.min(), lam.max())
     off = spec.dim - spec.rank if f.on_support else 0
     lo = f.lo if f.at_zero is None else max(f.lo, 0.0)
     if off == 0 and low > lo and high < f.hi:
@@ -444,7 +463,7 @@ def decompose(spectra: Iterable[Spectrum]) -> None:
             dense.setdefault(spec.mat.shape, {})[id(spec)] = spec
     for shape in {**dense, **stacks}:
         group, blocks = list(dense.get(shape, {}).values()), stacks.get(shape, [])
-        arrays = [np.stack([spec.mat for spec in group])] if group else []
+        arrays = [np.array([spec.mat for spec in group])] if group else []
         arrays += [stack for _, _, stack in blocks]
         try:
             eig = herm_eig(arrays[0] if len(arrays) == 1 else np.concatenate(arrays))
@@ -482,8 +501,8 @@ def apply_fn(spectra: Iterable[Spectrum], name: str) -> None:
         groups.setdefault(spec.dim, {})[id(spec)] = (spec, values)
     for group in groups.values():
         group = list(group.values())
-        vectors = np.stack([spec.eig.vectors for spec, _ in group])
-        values = np.stack([values for _, values in group])
+        vectors = np.array([spec.eig.vectors for spec, _ in group])
+        values = np.array([values for _, values in group])
         out = (vectors * values[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
         out = 0.5 * (out + out.conj().transpose(0, 2, 1))
         for (spec, _), m in zip(group, out):

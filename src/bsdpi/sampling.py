@@ -235,8 +235,7 @@ def _stacked(fn, groups: list) -> list:
         places.setdefault(a.shape, []).append(n)
     results = [None] * len(flat)
     for shaped in places.values():
-        stack = flat[shaped[0]][None] if len(shaped) == 1 else np.stack([flat[n] for n in shaped])
-        for n, result in zip(shaped, fn(stack)):
+        for n, result in zip(shaped, fn(np.array([flat[n] for n in shaped]))):
             results[n] = result
     out, n = [], 0
     for arrays in groups:

@@ -207,11 +207,12 @@ class StatePair:
     def require_equal_supports(self) -> None:
         """Raise SupportMismatch unless sigma and rho have equal supports.
 
-        Two full-rank states have the exact identity as support projector, so
-        their difference is exactly 0 and needs no singular values.
+        Two full-rank states of one size share one identity as support
+        projector (Spectrum.support_projector), so they pass on that alone,
+        with no difference formed and no singular values.
         """
-        diff = support_projector(self.s) - support_projector(self.r)
-        if diff.any() and schatten_norm(diff, np.inf) > SUPPORT_EQ_TOL:
+        ps, pr = support_projector(self.s), support_projector(self.r)
+        if ps is not pr and schatten_norm(ps - pr, np.inf) > SUPPORT_EQ_TOL:
             raise SupportMismatch("sigma and rho must have equal supports")
 
     def require_full_rank(self) -> None:
@@ -222,7 +223,8 @@ class StatePair:
 
 
 def matrix_to_entries(m: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m).ravel()]
+    """The [re, im] pair of every entry of ``m``, in row-major order."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:

@@ -146,6 +146,52 @@ class TestStackedEig:
         with pytest.raises(DimMismatch):
             herm_eig(np.zeros((2, 2, 3)))
 
+    @staticmethod
+    def skewed(a, size):
+        """``a`` with a skew-Hermitian part of Frobenius norm ``size``."""
+        b = a.astype(complex)
+        b[0, 1] += size / math.sqrt(2.0)
+        b[1, 0] -= size / math.sqrt(2.0)
+        return b
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scales, skews",
+        [
+            # each skew below its matrix's threshold, their total above the screen
+            ([1.0] * 6, [0.9e-10] * 6),
+            # a large matrix tolerates more skew than the stack screen passes
+            ([1e6, 1.0], [5e-5, 0.0]),
+            # a small matrix after it may not
+            ([1e6, 1.0], [5e-5, 1e-8]),
+            ([1.0, 1e6, 1.0], [0.0, 1e-2, 0.0]),
+            # entries whose squares overflow, after a clean matrix
+            ([1.0, 1e160, 1.0], [0.0, 0.0, 0.0]),
+            ([1.0, 1e150, 1e150], [0.0, 0.0, 0.0]),
+        ],
+        ids=["many_small_skews", "large_matrix_skew", "small_after_large",
+             "large_skew_too_big", "overflow", "total_overflow_only"],
+    )
+    def test_a_stack_refuses_what_its_matrices_refuse(self, scales, skews):
+        base = psd_stack(3, len(scales), 3)
+        stack = np.array([self.skewed(a * c, e) for a, c, e in zip(base, scales, skews)])
+        alone = []
+        for a in stack:
+            try:
+                herm_eig(a)
+                alone.append(None)
+            except (DomainViolation, NotHermitian) as exc:
+                alone.append(type(exc))
+        refused = [i for i, error in enumerate(alone) if error is not None]
+        if not refused:
+            e = herm_eig(stack)
+            for a, values in zip(stack, e.values):
+                assert np.array_equal(values, herm_eig(a).values)
+            return
+        i = refused[0]
+        with pytest.raises(alone[i], match=f"matrix {i} of the stack"):
+            herm_eig(stack)
+
 
 class TestDecompose:
     def test_slices_are_each_spectrum_own_decomposition(self):
@@ -401,6 +447,51 @@ class TestSpectralFastPath:
     def test_pinv_maps_with_that_function(self):
         spec = Spectrum(rand_psd(3, 5))
         assert np.array_equal(pinv(spec), matrix_fn(spec, functions_in_use()["pinv"]))
+
+
+class TestGivenValues:
+    """spectral_values(spec, f, values): the domain ends of a given array are
+    its min and max unless it is the spectrum's own ascending eigenvalues."""
+
+    @pytest.mark.parametrize(
+        "f, middle",
+        [(LOG, -0.3), (SQRT, -0.3), (ScalarFunction(np.log, lo=0.0, hi=1.0), 1.5)],
+        ids=["log_below", "sqrt_below", "log_above_hi"],
+    )
+    def test_out_of_domain_entry_in_the_middle_raises(self, f, middle):
+        spec = Spectrum(np.diag([0.1, 0.3, 0.6]))
+        refined = np.array([0.5, middle, 0.4])
+        with pytest.raises(DomainViolation):
+            spectral_values(spec, f, refined)
+        # a copy of the spectrum with one entry replaced, not the spectrum itself
+        copy = spec.eig.values.copy()
+        copy[1] = middle
+        with pytest.raises(DomainViolation):
+            spectral_values(spec, f, copy)
+
+    @pytest.mark.parametrize(
+        "diag, f",
+        [
+            ([-1e-14, 0.5, 0.5], SQRT),
+            ([0.0, 0.5, 0.5], SQRT),
+            ([1e-10, 0.5, 1.0], LOG_ON_SUPPORT),
+            ([0.2, 0.3, 0.5], LOG),
+        ],
+        ids=["clip", "at_zero", "on_support", "fast"],
+    )
+    def test_own_values_give_the_bits_of_none(self, diag, f):
+        spec = Spectrum(np.diag(diag))
+        given = spectral_values(spec, f, spec.eig.values)
+        assert np.array_equal(given, spectral_values(spec, f))
+        assert given is not spec.eig.values
+        assert np.array_equal(spec.eig.values, diag)
+
+    @pytest.mark.parametrize("diag", [[0.0, 0.5, 0.5], [-1e-14, 0.5, 0.5]], ids=["at_lo", "clipped_to_lo"])
+    def test_own_values_keep_the_refusals_of_none(self, diag):
+        spec = Spectrum(np.diag(diag))
+        for values in (None, spec.eig.values):
+            with pytest.raises(DomainViolation):
+                spectral_values(spec, LOG, values)
 
 
 class TestLazyProperty:

@@ -23,7 +23,7 @@ from bsdpi import (
 )
 from bsdpi.campaigns import sample_conditioned_pair, sample_equal_support_pair, sample_pair
 from bsdpi.linalg import SQRT, Spectrum
-from bsdpi.states import StatePair
+from bsdpi.states import StatePair, matrix_to_entries
 
 
 class TestRandomDensity:
@@ -208,6 +208,16 @@ class TestSupportProjector:
         with pytest.raises(SupportMismatch):
             StatePair(sigma, random_density(4, 4, 33)).require_equal_supports()
 
+    def test_full_rank_states_of_one_size_share_one_identity(self):
+        pair = StatePair(random_density(4, 4, 34), random_density(4, 4, 35))
+        pair.require_equal_supports()
+        p = support_projector(pair.s)
+        assert p is support_projector(pair.r)
+        assert np.array_equal(p, np.eye(4))
+        with pytest.raises(ValueError):
+            p[0, 0] = 2.0
+        assert support_projector(random_density(3, 3, 36)).shape == (3, 3)
+
     def test_rank_one(self):
         v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
         p_in = np.outer(v, v.conj())
@@ -220,6 +230,27 @@ class TestSupportProjector:
 
 
 class TestJson:
+    @staticmethod
+    def looped(m):
+        """The pairs one entry at a time, as matrix_to_entries once made them."""
+        return [[float(z.real), float(z.imag)] for z in np.asarray(m).ravel()]
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[-0.0, 0.5 - 0.0j], [complex(0.5, -0.0), complex(-0.0, -0.0)]]),
+            np.array([[0.25, -0.0], [1.5, 3.0]]),
+            (np.arange(12.0) + 1j * np.arange(12.0)[::-1]).reshape(3, 4).T,
+            random_density(4, 4, 36).mat.T,
+            random_density(3, 2, 37).mat[:, ::-1],
+        ],
+        ids=["negative_zero", "real_dtype", "transposed", "transposed_state", "reversed_columns"],
+    )
+    def test_entries_match_the_loop(self, m):
+        entries = matrix_to_entries(m)
+        assert json.dumps(entries) == json.dumps(self.looped(m))
+        assert all(type(x) is float for pair in entries for x in pair)
+
     def test_round_trip_exact(self):
         rho = random_density(4, 4, 31)
         back = state_from_json(state_to_json(rho))
