@@ -216,7 +216,6 @@ class TestSupportProjector:
         assert np.array_equal(p, np.eye(4))
         with pytest.raises(ValueError):
             p[0, 0] = 2.0
-        assert support_projector(random_density(3, 3, 36)).shape == (3, 3)
 
     def test_rank_one(self):
         v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
@@ -232,7 +231,7 @@ class TestSupportProjector:
 class TestJson:
     @staticmethod
     def looped(m):
-        """The pairs one entry at a time, as matrix_to_entries once made them."""
+        """The reference: the [re, im] pairs made one entry at a time."""
         return [[float(z.real), float(z.imag)] for z in np.asarray(m).ravel()]
 
     @pytest.mark.parametrize(
