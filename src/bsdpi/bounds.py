@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import ContractionMap, KrausChannel, SubalgebraExpectation
 from .divergences import FDivFamily, bs_entropy, maximal_f
-from .errors import BadBeta, MissingMeasureParams, SingularState
+from .errors import BadBeta, MissingMeasureParams
 # herm_eig stays bound here: bench/tests check that the tracer wraps this binding
 from .linalg import herm_eig, hs_inner, lazy_property, schatten_norm  # noqa: F401
 from .recovery import condexp_equality_residuals, stinespring_residual
@@ -192,10 +192,9 @@ def bs_bound_channel(a: InstanceAnalysis) -> BoundReport:
 
     The K form uses the Stinespring-isometry residual; the L form uses the
     recovery residual with ||sigma_T^-1||_inf.  Rank-deficient inputs need
-    equal supports; their gap is the BS-entropy on the common support, as for
-    every input, and their residuals use Moore-Penrose inverses.
+    equal supports, which gap_bs checks; their gap is the BS-entropy on the
+    common support, and their residuals use Moore-Penrose inverses.
     """
-    a.inp.require_equal_supports()
     return _bs_report(a)
 
 
@@ -248,8 +247,7 @@ def lemma_integrand_check(a: InstanceAnalysis, t: float):
         raise ValueError("t must be positive")
     if not a.is_condexp:
         raise TypeError("the integrand check needs a conditional expectation")
-    if not (a.inp.s.full_rank and a.inp.r.full_rank):
-        raise SingularState("the integrand check needs full-rank states")
+    a.inp.require_full_rank()
     contraction = a.contraction
     sn_half = a.out.s.sqrt
     eye = np.eye(a.inp.s.dim)

@@ -26,6 +26,7 @@ from .states import (
     ginibre,
     json_dim,
     matrix_to_entries,
+    parse_json,
     read_input,
 )
 
@@ -138,12 +139,7 @@ class KrausChannel:
 
     @classmethod
     def from_json(cls, text: str) -> "KrausChannel":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+        obj = parse_json(text, ParseError)
         for key in ("d_in", "d_out", "kraus"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ParseError(f"channel JSON must carry '{key}'")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 import time
@@ -27,7 +26,6 @@ from .divergences import (
     bs_entropy_quadrature,
     family_from_tag,
     maximal_f,
-    regularized_divergence,
     relative_entropy,
     standard_f,
 )
@@ -35,7 +33,7 @@ from .errors import ConfigError, NoConvergence, NumericsError, SingularState
 from .linalg import set_eig_corruption
 from .recovery import equality_residuals
 from .sampling import CHANNEL_KINDS
-from .states import OutputFile, StatePair, load_state, read_input
+from .states import OutputFile, StatePair, load_state, parse_json, read_input
 
 # the tolerances cmd_bounds reads; a config may override these and no other
 TOLERANCE_KEYS = ("dpi_abs", "slack_rel", "slack_abs")
@@ -98,10 +96,7 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
+        obj = parse_json(text, ConfigError)
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(obj) - {f.name for f in fields(cls)}
@@ -155,14 +150,10 @@ def cmd_divergence(args) -> int:
     pair = StatePair(sigma, rho)  # one decomposition per matrix for every value
     d = relative_entropy(pair)
     bs = bs_entropy(pair)
-    try:
-        s_f = standard_f(pair, fam)
-        m_f = maximal_f(pair, fam)
-        route = "direct"
-    except SingularState:
-        s_f = regularized_divergence(pair, fam, kind="standard").value
-        m_f = regularized_divergence(pair, fam, kind="maximal").value
-        route = "regularized"
+    s_f = standard_f(pair, fam)
+    m_f = maximal_f(pair, fam)
+    # an equal-support pair's values are the eps -> 0 limits, off its compressed pair
+    route = "direct" if pair.compressed is None else "regularized"
     print(f"relative_entropy      = {d!r}")
     print(f"bs_entropy            = {bs!r}")
     print(f"standard_f[{fam.tag}] = {s_f!r} ({route})")

@@ -11,7 +11,10 @@ import numpy as np
 
 from .errors import BadBeta, Diverging, NoConvergence
 from .linalg import LOG_ON_SUPPORT, ScalarFunction, spectral_values
-from .states import SUPPORT_EQ_TOL, StatePair, as_matrix, as_spectrum, support_leak
+from .states import SUPPORT_EQ_TOL, StatePair, as_matrix, as_spectrum, regularize, support_leak
+
+# regularization parameters of the epsilon-regularized divergences
+EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,10 @@ def family_from_tag(tag: str) -> FDivFamily:
 def standard_f(pair: StatePair, fam: FDivFamily) -> float:
     """Double eigenpair sum  sum_ij mu_j f(lambda_i / mu_j) |<u_i, v_j>|^2.
 
-    Both states must be full rank; rank-deficient pairs go through
-    ``regularized_divergence``.
+    A rank-deficient pair with equal supports is read off its compressed
+    pair (``StatePair.compressed``); any other raises SingularState.
     """
+    pair = pair.compressed or pair
     pair.require_full_rank()
     es = pair.s.eig
     er = pair.r.eig
@@ -121,14 +125,15 @@ def relative_entropy(pair: StatePair) -> float:
 
 
 def maximal_f(pair: StatePair, fam: FDivFamily) -> float:
-    """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}] for full-rank pairs.
+    """tr[rho^{1/2} f(rho^{-1/2} sigma rho^{-1/2}) rho^{1/2}], on the pair that
+    standard_f reads: a rank-deficient one's compressed pair.
 
     By the transpose identity this is tr[sigma f~(G)] with f~ =
     ``fam.f_transpose``, f~(x) = x f(1/x): a sum of f~ over G's refined
-    eigenvalues (``pair.ratio_values``) weighted by sigma, on the spectrum
-    the BS-entropy reads.  f~ maps every eigenvalue, with no support cut: the
-    pair is full rank, so G is positive definite.
+    eigenvalues (``pair.ratio_values``) weighted by sigma.  f~ maps every
+    eigenvalue, with no support cut: G of a full-rank pair is positive definite.
     """
+    pair = pair.compressed or pair
     pair.require_full_rank()
     values = spectral_values(pair.ratio, fam.f_transpose, pair.ratio_values)
     return float(values @ pair.ratio_weights)
@@ -162,13 +167,15 @@ def regularized_divergence(pair: StatePair, fam: FDivFamily, kind: str = "maxima
     extrapolates the last three values (first order in eps, then second), and
     reports the extrapolated value together with the increment of the
     extrapolated sequence.  Raises Diverging when the raw increments fail to
-    shrink, which signals a support-mismatched (infinite) limit.  Both kinds
-    share the pair's regularized pairs.
+    shrink, which signals a support-mismatched (infinite) limit.  The value
+    path reads these limits off StatePair.compressed; this route is criterion
+    3's independent oracle and a test reference.
     """
     evaluate = {"maximal": maximal_f, "standard": standard_f}.get(kind)
     if evaluate is None:
         raise ValueError("kind must be 'standard' or 'maximal'")
-    values = [evaluate(reg, fam) for reg in pair.regularized]
+    values = [evaluate(StatePair(regularize(pair.sigma, e), regularize(pair.rho, e)), fam)
+              for e in EPS_GRID]
     d_prev = abs(values[2] - values[1])
     d_last = abs(values[3] - values[2])
     # analytic-in-eps values shrink ~10x per decade; anything slower than 2x

@@ -139,8 +139,7 @@ def condexp_equality_residuals(a: InstanceAnalysis) -> tuple[float, float]:
     with N the analysis' conditional expectation.
     """
     inp = a.inp
-    if not (inp.s.full_rank and inp.r.full_rank):
-        raise SingularState("conditional-expectation residuals need full rank")
+    inp.require_full_rank()
     out = a.out
     r_recovery = schatten_norm(inp.rho - inp.sigma @ out.s.pinv @ out.rho, 2)
     r_strange = schatten_norm(

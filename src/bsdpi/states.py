@@ -26,8 +26,6 @@ SUPPORT_LEAK_TOL = 1e-8
 # Largest sup-norm distance of two support projectors that counts as equal.
 SUPPORT_EQ_TOL = 1e-8
 TRACE_TOL = 1e-12
-# regularization parameters of the epsilon-regularized divergences
-EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
 # Eigenvalues of G below this share of lambda_max(G) are refined to their
 # Rayleigh quotient; see StatePair.ratio_values.  eigh gives each eigenvalue
 # an absolute error of ~eps lambda_max, so one kept above the cut is off by
@@ -200,26 +198,31 @@ class StatePair:
         return lam
 
     @lazy_property
-    def regularized(self) -> tuple:
-        """The pair with both states regularized at each eps of EPS_GRID."""
-        return tuple(StatePair(regularize(self.sigma, e), regularize(self.rho, e)) for e in EPS_GRID)
+    def equal_supports(self) -> bool:
+        """Whether sigma and rho have equal supports; two full-rank states share
+        one identity as support projector and pass with no difference formed."""
+        ps, pr = support_projector(self.s), support_projector(self.r)
+        return ps is pr or schatten_norm(ps - pr, np.inf) <= SUPPORT_EQ_TOL
+
+    @lazy_property
+    def compressed(self) -> StatePair | None:
+        """(v* sigma v, v* rho v), with v sigma's eigenvectors on its support,
+        when sigma is rank deficient and the supports are equal; else None."""
+        if self.s.full_rank or not self.equal_supports:
+            return None
+        v = self.s.eig.vectors[:, self.s.dim - self.s.rank:]
+        return StatePair(*(hermitian_part(v.conj().T @ m @ v) for m in (self.sigma, self.rho)))
 
     def require_equal_supports(self) -> None:
-        """Raise SupportMismatch unless sigma and rho have equal supports.
-
-        Two full-rank states of one size share one identity as support
-        projector (Spectrum.support_projector), so they pass on that alone,
-        with no difference formed and no singular values.
-        """
-        ps, pr = support_projector(self.s), support_projector(self.r)
-        if ps is not pr and schatten_norm(ps - pr, np.inf) > SUPPORT_EQ_TOL:
+        """Raise SupportMismatch unless sigma and rho have equal supports."""
+        if not self.equal_supports:
             raise SupportMismatch("sigma and rho must have equal supports")
 
     def require_full_rank(self) -> None:
         """Raise SingularState unless both states are full rank."""
         for name, spec in (("sigma", self.s), ("rho", self.r)):
             if not spec.full_rank:
-                raise SingularState(f"{name} is rank deficient; use the regularized route")
+                raise SingularState(f"{name} is rank deficient")
 
 
 def matrix_to_entries(m: np.ndarray) -> list:
@@ -319,13 +322,18 @@ def state_to_json(m) -> str:
     return json.dumps({"dim": m.shape[0], "entries": matrix_to_entries(m)})
 
 
-def state_from_json(text: str) -> np.ndarray:
+def parse_json(text: str, error: type[NumericsError]):
+    """The value of a JSON text; ``error`` if it is not JSON or nests too deeply."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise error(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error("JSON nested too deeply to parse") from exc
+
+
+def state_from_json(text: str) -> np.ndarray:
+    obj = parse_json(text, ParseError)
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ParseError("state JSON must be an object with 'dim' and 'entries'")
     dim = json_dim(obj, "dim")

@@ -30,6 +30,7 @@ from bsdpi import (
 )
 from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import sample_equal_support_pair, sample_pair
+from bsdpi import states
 from bsdpi.errors import BadBeta
 from bsdpi.states import StatePair
 
@@ -169,6 +170,20 @@ class TestChannelBound:
             bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             calls.append(linalg.herm_eig_calls - before)
         assert calls == [6, 6]
+
+    def test_rank_deficient_input_forms_one_projector_difference(self, monkeypatch):
+        # gap_bs decides the input supports, once per pair; the bound itself
+        # does not decide them again
+        sigma, rho = sample_equal_support_pair(4, 3, 4000)
+        a = InstanceAnalysis(sigma, rho, random_cptp(4, 4, 2, seed=5000))
+        projected = []
+        support_projector = states.support_projector
+        monkeypatch.setattr(
+            states, "support_projector", lambda x: projected.append(x) or support_projector(x)
+        )
+        bs_bound_channel(a)
+        assert sum(x is a.inp.s for x in projected) == 1
+        assert sum(x is a.inp.r for x in projected) == 1
 
     def test_support_mismatch(self):
         sigma = np.diag([1.0, 0.0]).astype(complex)

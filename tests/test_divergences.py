@@ -26,9 +26,9 @@ from bsdpi import (
     xlogx,
 )
 from bsdpi import divergences, linalg
-from bsdpi.campaigns import sample_equal_support_pair, sample_pair
+from bsdpi.campaigns import MAXF_FAMILIES, sample_equal_support_pair, sample_pair
 from bsdpi.linalg import LOG_ON_SUPPORT, Spectrum, matrix_fn
-from bsdpi.states import EPS_GRID, StatePair, gamma
+from bsdpi.states import StatePair, gamma
 
 # classical value for sigma=diag(1/2,1/2), rho=diag(1/4,3/4) under x log x
 KL_CANONICAL = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
@@ -212,6 +212,70 @@ class TestOrdering:
             assert standard_f(pair, fam) <= maximal_f(pair, fam) + 1e-9
 
 
+def commuting_rank_deficient_pair(d: int, rank: int, seed: int):
+    """sigma = U diag(q, 0) U* and rho = U diag(p, 0) U* with q and p of
+    ``rank`` entries each, log-uniform over a spread of exactly 1e3 from rank 2."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    spectra = []
+    for _ in range(2):
+        exponents = np.r_[0.0, 3.0, rng.uniform(0.0, 3.0, max(rank - 2, 0))][:rank]
+        x = 10.0 ** rng.permutation(exponents)
+        spectra.append(x / x.sum())
+    q, p = spectra
+    pad = np.zeros(d - rank)
+    sigma, rho = ((u * np.r_[x, pad]) @ u.conj().T for x in (q, p))
+    return 0.5 * (sigma + sigma.conj().T), 0.5 * (rho + rho.conj().T), q, p
+
+
+class TestCompressedPair:
+    """Rank-deficient pairs with equal supports are read off their compressed pair."""
+
+    FAMILIES = [*MAXF_FAMILIES, "square", "neg_log"]
+
+    @pytest.mark.parametrize("tag", FAMILIES)
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    @pytest.mark.parametrize("deficiency", [1, 2])
+    def test_commuting_pairs_match_the_classical_sum(self, tag, d, deficiency):
+        # both kinds are sum_i p_i f(q_i / p_i) over the common support; a
+        # rank-1 pair is f(1), which is 0 for xlogx and neg_log
+        fam = family_from_tag(tag)
+        for seed in range(3):
+            sigma, rho, q, p = commuting_rank_deficient_pair(d, d - deficiency, 100 * d + seed)
+            exact = math.fsum(float(pi * fam.f(np.array(qi / pi))) for qi, pi in zip(q, p))
+            pair = StatePair(sigma, rho)
+            assert pair.compressed is not None
+            for value in (standard_f(pair, fam), maximal_f(pair, fam)):
+                assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampled_pairs_match_the_regularized_limit(self, d, seed):
+        sigma, rho = sample_equal_support_pair(d, d - 1, seed)
+        for fam in (xlogx(), neg_power(0.25), neg_power(0.5)):
+            for kind, evaluate in (("standard", standard_f), ("maximal", maximal_f)):
+                reg = regularized_divergence(StatePair(sigma, rho), fam, kind=kind)
+                value = evaluate(StatePair(sigma, rho), fam)
+                assert abs(value - reg.value) <= 10.0 * reg.increment
+
+    @pytest.mark.parametrize("ranks", [(4, 3), (3, 2), (3, 4), (2, 3)],
+                             ids=["rho_in_full_sigma", "rho_in_sigma", "sigma_in_full_rho",
+                                  "sigma_in_rho"])
+    def test_nested_supports_raise(self, ranks):
+        # supports of ranks r_sigma and r_rho spanned by the first basis vectors
+        sigma, rho = (np.diag(np.r_[np.full(r, 1.0 / r), np.zeros(4 - r)]).astype(complex)
+                      for r in ranks)
+        pair = StatePair(sigma, rho)
+        for evaluate in (standard_f, maximal_f):
+            with pytest.raises(SingularState):
+                evaluate(pair, xlogx())
+        assert pair.compressed is None
+
+    def test_full_rank_pair_has_nothing_to_compress(self):
+        sigma, rho = sample_pair(3, 7)
+        assert StatePair(sigma, rho).compressed is None
+
+
 class TestRegularizedDivergence:
     def test_full_rank_matches_direct(self):
         sigma, rho = sample_pair(3, 13)
@@ -243,19 +307,16 @@ class TestRegularizedDivergence:
         with pytest.raises(ValueError):
             regularized_divergence(StatePair(sigma, rho), xlogx(), kind="other")
 
-    def test_kinds_share_the_regularized_pairs_of_a_state_pair(self):
-        # sigma_eps, rho_eps and G_eps: three decompositions per eps for both
-        # kinds together, and the values of separate calls
+    def test_one_call_makes_three_decompositions_per_eps(self):
+        # sigma_eps, rho_eps and G_eps for each eps, and the value of a call
+        # on a fresh pair
         sigma, rho = sample_equal_support_pair(3, 2, 21)
-        kinds = ("standard", "maximal")
-        separate = [
-            regularized_divergence(StatePair(sigma, rho), neg_power(0.5), kind=k) for k in kinds
-        ]
+        fresh = regularized_divergence(StatePair(sigma, rho), neg_power(0.5), kind="maximal")
         pair = StatePair(sigma, rho)
         before = linalg.herm_eig_calls
-        shared = [regularized_divergence(pair, neg_power(0.5), kind=k) for k in kinds]
-        assert linalg.herm_eig_calls - before == 3 * len(EPS_GRID)
-        assert shared == separate
+        value = regularized_divergence(pair, neg_power(0.5), kind="maximal")
+        assert linalg.herm_eig_calls - before == 3 * len(divergences.EPS_GRID)
+        assert value == fresh
 
 
 class TestQuadratureOracle:

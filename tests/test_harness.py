@@ -614,18 +614,16 @@ class TestDivergenceCommand:
         assert main(["divergence", sp, rp, "--family", "neg_power:0.5"]) == 0
         assert linalg.herm_eig_calls - before <= 3
 
-    def test_rank_deficient_request_decomposes_each_regularized_pair_once(
-        self, tmp_path, capsys
-    ):
-        # sigma, rho and G for the direct values, then sigma_eps, rho_eps and
-        # G_eps per eps, shared by the standard and maximal routes
+    def test_rank_deficient_request_decomposes_each_matrix_once(self, tmp_path, capsys):
+        # sigma, rho and G, then the compressed sigma, rho and G, which the
+        # standard and maximal values share
         sigma, rho = sample_equal_support_pair(3, 2, 31)
         sp, rp = tmp_path / "s.json", tmp_path / "r.json"
         save_state(str(sp), sigma.mat)
         save_state(str(rp), rho.mat)
         before = linalg.herm_eig_calls
         assert main(["divergence", str(sp), str(rp), "--family", "neg_power:0.5"]) == 0
-        assert linalg.herm_eig_calls - before <= 15
+        assert linalg.herm_eig_calls - before == 6
         assert "(regularized)" in capsys.readouterr().out
 
 
@@ -1171,6 +1169,22 @@ class TestBadInputFiles:
         assert capsys.readouterr().err == (
             "error: Diverging: regularized increments fail to shrink\n"
         )
+
+    @pytest.mark.parametrize("role", ["sigma", "channel", "config"])
+    def test_deeply_nested_file(self, role, state_files, tmp_path, capsys):
+        # json raises RecursionError, not JSONDecodeError, on 100,000 arrays
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        sp, rp, cp = state_files
+        argv = {"sigma": ["divergence", str(deep), rp],
+                "channel": ["certify", sp, rp, str(deep)],
+                "config": ["bounds", "--config", str(deep)]}[role]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        error = "ConfigError" if role == "config" else "ParseError"
+        assert err.startswith(f"error: {error}: JSON nested too deeply") and err.count("\n") == 1
+        if role != "config":
+            assert repr(str(deep)) in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "none.json")]) == 2
