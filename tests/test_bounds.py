@@ -26,11 +26,11 @@ from bsdpi import (
     random_pinching,
     regularized_divergence,
     square_family,
+    states,
     xlogx,
 )
 from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import sample_equal_support_pair, sample_pair
-from bsdpi import states
 from bsdpi.errors import BadBeta
 from bsdpi.states import StatePair
 

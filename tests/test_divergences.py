@@ -224,7 +224,7 @@ def commuting_rank_deficient_pair(d: int, rank: int, seed: int):
         spectra.append(x / x.sum())
     q, p = spectra
     pad = np.zeros(d - rank)
-    sigma, rho = ((u * np.r_[x, pad]) @ u.conj().T for x in (q, p))
+    sigma, rho = ((u * np.r_[w, pad]) @ u.conj().T for w in (q, p))
     return 0.5 * (sigma + sigma.conj().T), 0.5 * (rho + rho.conj().T), q, p
 
 
