@@ -39,15 +39,9 @@ class BoundReport:
 
     @property
     def slack(self) -> float:
+        """gap - rhs: the smaller slack of the two forms, since rounded
+        subtraction is monotone in what it subtracts."""
         return self.gap - self.rhs
-
-    @property
-    def slack_k(self) -> float:
-        return self.gap - self.rhs_k
-
-    @property
-    def slack_l(self) -> float:
-        return self.gap - self.rhs_l
 
 
 @functools.cache

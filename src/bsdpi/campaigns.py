@@ -40,7 +40,7 @@ from .divergences import (
 )
 from .errors import ConfigError, NumericsError
 from .linalg import Spectrum, apply_fn, decompose, schatten_norm
-from .recovery import _petz, equality_residuals, pinching_fixed_pair
+from .recovery import equality_residuals, petz_recovery, pinching_fixed_pair
 from .sampling import (  # noqa: F401 - the samplers and trials are part of this module's interface
     COMMUTING,
     CONDEXP_KINDS,
@@ -96,15 +96,9 @@ class Row:
         )
 
 
-def write_csv(out, rows: list[Row]) -> None:
-    """The CSV of ``rows`` as the whole content of ``out``: a path, or an
-    OutputFile already open on one."""
-    text = CSV_HEADER + "\n" + "".join(row.render() + "\n" for row in rows)
-    if isinstance(out, str):
-        with OutputFile(out) as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+def write_csv(out: OutputFile, rows: list[Row]) -> None:
+    """The CSV of ``rows`` as the whole content of the open ``out``."""
+    out.write(CSV_HEADER + "\n" + "".join(row.render() + "\n" for row in rows))
 
 
 # Consecutive trials that evaluate draws, decomposes together and then
@@ -260,17 +254,17 @@ class BoundCheck(Check):
         report = bs_bound_condexp(a) if a.is_condexp else bs_bound_channel(a)
         family = self.family + ("_singular" if trial.deficient else "")
         norm = 1.0 + max(report.gap, 0.0)
-        slack_min = min(report.slack_k, report.slack_l)
+        slack = report.slack
         self.summary.total += 1
         self.rows.append(
             Row(trial.seed, trial.d, family, report.gap, report.rhs_k, report.rhs_l,
-                report.precondition_ok, report.slack)
+                report.precondition_ok, slack)
         )
         if report.precondition_ok:
-            self.summary.record_slack(slack_min / norm)
-            if slack_min < -self.slack_rel * norm:
+            self.summary.record_slack(slack / norm)
+            if slack < -self.slack_rel * norm:
                 self.fail(trial.seed,
-                          f"{family} slack {slack_min:.3e} below -{self.slack_rel:.0e}*(1+gap)")
+                          f"{family} slack {slack:.3e} below -{self.slack_rel:.0e}*(1+gap)")
         if self.include_standard_row:
             self.rows.append(_standard_dpi_row(trial, a))
 
@@ -328,18 +322,18 @@ class MaxfCheck(Check):
         self.trials += 1
         for fam in self.fams:
             report = maxf_bound(a, fam)
+            slack = report.slack
             self.summary.total += 1
             self.rows.append(
                 Row(trial.seed, trial.d, fam.tag, report.gap, report.rhs_k, report.rhs_l,
-                    report.precondition_ok, report.slack)
+                    report.precondition_ok, slack)
             )
             if report.precondition_ok:
                 self.passed[fam.tag] += 1
-                slack_min = min(report.slack_k, report.slack_l)
-                self.summary.record_slack(slack_min)
-                if slack_min < -self.slack_abs:
+                self.summary.record_slack(slack)
+                if slack < -self.slack_abs:
                     self.fail(trial.seed,
-                              f"{fam.tag} slack {slack_min:.3e} below -{self.slack_abs:.0e}")
+                              f"{fam.tag} slack {slack:.3e} below -{self.slack_abs:.0e}")
 
     @property
     def pass_rates(self) -> dict:
@@ -522,7 +516,7 @@ def _standard_dpi_row(trial: Trial, a: InstanceAnalysis) -> Row:
     """Informational row: relative-entropy gap vs the trace-norm Petz bound,
     read off the trial's analysis."""
     gap = relative_entropy(a.inp) - relative_entropy(a.out)
-    recovered = _petz(a.target, a.inp.s, a.out.s, a.out.rho)
+    recovered = petz_recovery(a.target, a.inp.s, a.out.s, a.out.rho)
     residual = schatten_norm(recovered - a.inp.rho, 1)
     rho_sup = a.inp.r.lam_max
     sigma_inv_sup = 1.0 / a.inp.s.min_positive

@@ -184,13 +184,12 @@ def cmd_bounds(args) -> int:
         config = CampaignConfig(**{CAMPAIGN_FLAGS[flag]: value for flag, value in given.items()})
     if args.out:
         config.output_path = args.out
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         config.tolerances["slack_rel"] = _tolerance("slack_rel", args.tol)
 
     kind = config.channel_kind
-    include_standard_dpi = getattr(args, "include_standard_dpi", False)
     if kind == "random_cptp":
-        if include_standard_dpi:
+        if args.include_standard_dpi:
             raise ConfigError(
                 "--include-standard-dpi compares against conditional expectations; "
                 "use it with --channel pinching, partial_trace or subalgebra"
@@ -203,7 +202,7 @@ def cmd_bounds(args) -> int:
         checks = [
             campaigns.BoundCheck(
                 f"bs_{kind}", config.tol("slack_rel"),
-                include_standard_row=include_standard_dpi,
+                include_standard_row=args.include_standard_dpi,
             )
         ]
     maxf = None

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BadBeta, Diverging, NoConvergence
 from .linalg import LOG_ON_SUPPORT, ScalarFunction, spectral_values
-from .states import SUPPORT_EQ_TOL, StatePair, as_matrix, as_spectrum, regularize, support_leak
+from .states import SUPPORT_LEAK_TOL, StatePair, as_matrix, as_spectrum, regularize, support_leak
 
 # regularization parameters of the epsilon-regularized divergences
 EPS_GRID = (1e-4, 1e-5, 1e-6, 1e-7)
@@ -116,7 +116,7 @@ def relative_entropy(pair: StatePair) -> float:
     Returns +inf when sigma has weight outside the support of rho: that is the
     distinguished value of the divergence, not an error.
     """
-    if support_leak(pair.r, pair.s) > SUPPORT_EQ_TOL:
+    if support_leak(pair.r, pair.s) > SUPPORT_LEAK_TOL:
         return math.inf
     # sigma's weights in its own eigenbasis are its eigenvalues
     return pair.s.trace_fn(LOG_ON_SUPPORT, pair.s.eig.values) - pair.r.trace_fn(

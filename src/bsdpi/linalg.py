@@ -9,7 +9,6 @@ pure: no input is mutated.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -87,67 +86,52 @@ def herm_eig(a: np.ndarray) -> EigenSystem:
     Raises DomainViolation when ``a`` has a NaN or infinite entry,
     NotHermitian when ``a`` deviates from its adjoint by more than
     ``HERMITICITY_TOL * max(1, ||a||_2)`` in Frobenius norm, and NoConvergence
-    if the underlying solver fails.  A stack is checked matrix by matrix and
-    raises the error of its first refused matrix; it is decomposed by one
-    call of the solver, which gives each matrix the values and vectors bit
-    for bit that a call on that matrix alone gives.
+    if the underlying solver fails.  A matrix is decomposed as a stack of
+    one.  A stack is checked matrix by matrix and raises the error of its
+    first refused matrix; it is decomposed by one call of the solver, which
+    gives each matrix the values and vectors bit for bit that a call on that
+    matrix alone gives.  herm_eig_calls counts the matrices decomposed.
+
+    The checks compare squared Frobenius norms, summed over the real and
+    imaginary parts of each matrix: a block route makes many small stacks,
+    and axis-wise norm calls cost more than the solver on them.  Two sums
+    over the whole stack screen it first: a finite total square far below
+    overflow and a total squared skew below half of HERMITICITY_TOL**2 bound
+    every matrix's own sums, so each passes its checks.  The skew is formed
+    only once the total square has passed, and a stack that fails the screen
+    is checked matrix by matrix with floating-point warnings off, so a NaN or
+    infinite entry raises its error and nothing else.
     """
     global herm_eig_calls
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 3:
-        return _herm_eig_stack(a)
-    herm_eig_calls += 1
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    single = a.ndim == 2 and a.shape[0] == a.shape[1]
+    if single:
+        a = a[None]
+    elif a.ndim != 3:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
-        raise DomainViolation("matrix has a NaN or infinite entry")
-    scale = max(1.0, norm)
-    if float(np.linalg.norm(a - a.conj().T)) > HERMITICITY_TOL * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    if _EIG_CORRUPTION:
-        values = values + _EIG_CORRUPTION * max(1.0, float(np.abs(values).max()))
-    return EigenSystem(values=values, vectors=vectors)
-
-
-def _herm_eig_stack(a: np.ndarray) -> EigenSystem:
-    """herm_eig of a (k, d, d) stack; herm_eig_calls counts its k matrices.
-
-    The stack compares squared Frobenius norms, summed over the real and
-    imaginary parts of each matrix: a block route makes many small stacks,
-    and axis-wise norm calls cost more than the solver on them.  The 2-D
-    path keeps its own checks, cheaper on a single matrix.  Two sums over
-    the whole stack screen it first: a finite total square far below
-    overflow and a total squared skew below half of HERMITICITY_TOL**2
-    bound every matrix's own sums, so each passes its checks, and only a
-    stack that fails the screen is checked matrix by matrix.
-    """
-    global herm_eig_calls
     k, d = a.shape[:2]
     if a.shape[2] != d:
         raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     herm_eig_calls += k
     whole = a.reshape(k, d * d)
-    skew_whole = (a - a.conj().transpose(0, 2, 1)).reshape(k, d * d)
-    screened = (
-        np.vdot(whole, whole).real <= 1e300
-        and np.vdot(skew_whole, skew_whole).real <= 0.5 * HERMITICITY_TOL**2
-    )
+    screened = np.vdot(whole, whole).real <= 1e300
+    if screened:
+        skew_whole = (a - a.conj().transpose(0, 2, 1)).reshape(k, d * d)
+        screened = np.vdot(skew_whole, skew_whole).real <= 0.5 * HERMITICITY_TOL**2
     if not screened:
-        parts, skew_parts = whole.view(float), skew_whole.view(float)
-        squares = (parts * parts).sum(axis=1)
-        infinite = ~np.isfinite(squares)
-        skew = (skew_parts * skew_parts).sum(axis=1) > HERMITICITY_TOL**2 * np.maximum(1.0, squares)
+        with np.errstate(all="ignore"):
+            parts = whole.view(float)
+            skew_parts = (a - a.conj().transpose(0, 2, 1)).reshape(k, d * d).view(float)
+            squares = (parts * parts).sum(axis=1)
+            infinite = ~np.isfinite(squares)
+            skew = (skew_parts * skew_parts).sum(axis=1) > HERMITICITY_TOL**2 * np.maximum(1.0, squares)
         refused = np.flatnonzero(infinite | skew)
         if refused.size:
             i = int(refused[0])
+            what = "matrix" if single else f"matrix {i} of the stack"
             if infinite[i]:
-                raise DomainViolation(f"matrix {i} of the stack has a NaN or infinite entry")
-            raise NotHermitian(f"matrix {i} of the stack is not Hermitian within tolerance")
+                raise DomainViolation(f"{what} has a NaN or infinite entry")
+            raise NotHermitian(f"{what} is not Hermitian within tolerance")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -155,6 +139,8 @@ def _herm_eig_stack(a: np.ndarray) -> EigenSystem:
     if _EIG_CORRUPTION:
         shift = _EIG_CORRUPTION * np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
         values = values + shift[:, None]
+    if single:
+        return EigenSystem(values=values[0], vectors=vectors[0])
     return EigenSystem(values=values, vectors=vectors)
 
 

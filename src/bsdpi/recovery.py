@@ -14,7 +14,7 @@ from .channels import KrausChannel, SubalgebraExpectation, random_blocks
 from .divergences import renyi2_trace
 from .errors import SingularState
 from .linalg import Spectrum, schatten_norm
-from .states import as_matrix, as_spectrum, state_to_json
+from .states import as_matrix, state_to_json
 
 if TYPE_CHECKING:  # bounds imports this module
     from .bounds import InstanceAnalysis
@@ -57,15 +57,14 @@ def _nonvanishing(out: Spectrum) -> Spectrum:
     return out
 
 
-def _petz(channel: KrausChannel | SubalgebraExpectation, s: Spectrum, sigma_t: Spectrum, x):
+def petz_recovery(
+    channel: KrausChannel | SubalgebraExpectation, s: Spectrum, sigma_t: Spectrum, x
+) -> np.ndarray:
+    """sigma^{1/2} T*(sigma_T^{-1/2} X sigma_T^{-1/2}) sigma^{1/2}, from the
+    spectra ``s`` of sigma and ``sigma_t`` of sigma_T = T(sigma) and their
+    cached roots."""
     st_rsqrt = sigma_t.rsqrt
     return s.sqrt @ channel.adjoint_apply(st_rsqrt @ np.asarray(x) @ st_rsqrt) @ s.sqrt
-
-
-def petz_recovery(channel: KrausChannel, sigma, x: np.ndarray) -> np.ndarray:
-    """sigma^{1/2} T*(sigma_T^{-1/2} X sigma_T^{-1/2}) sigma^{1/2}."""
-    s = as_spectrum(sigma)
-    return _petz(channel, s, _nonvanishing(Spectrum(channel.apply(s.mat))), x)
 
 
 def bs_recovery(channel: KrausChannel, sigma, x: np.ndarray) -> np.ndarray:
@@ -110,7 +109,7 @@ def equality_residuals(a: InstanceAnalysis) -> RecoveryReport:
     residual_eq2 = schatten_norm(a.pulled_back - a.inp.s.pinv @ r, 2)
     residual_bs = a.residual_l
     residual_eq3 = a.residual_k
-    residual_petz = schatten_norm(s - _petz(a.target, a.inp.r, a.out.r, a.out.sigma), 1)
+    residual_petz = schatten_norm(s - petz_recovery(a.target, a.inp.r, a.out.r, a.out.sigma), 1)
     renyi_gap = renyi2_trace(s, a.inp.r) - renyi2_trace(a.out.sigma, a.out.r)
 
     hashes = {

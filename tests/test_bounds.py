@@ -116,8 +116,7 @@ class TestCondexpBound:
             pinching = random_pinching(d, seed=1000 + seed)
             report = bs_bound_condexp(InstanceAnalysis(sigma, rho, pinching))
             tol = 1e-8 * (1.0 + report.gap)
-            assert report.slack_k >= -tol
-            assert report.slack_l >= -tol
+            assert report.slack >= -tol
 
 
 class TestChannelBound:
@@ -140,8 +139,7 @@ class TestChannelBound:
             channel = random_cptp(d, d, 2 + seed % 2, seed=3000 + seed)
             report = bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             tol = 1e-8 * (1.0 + report.gap)
-            assert report.slack_k >= -tol
-            assert report.slack_l >= -tol
+            assert report.slack >= -tol
 
     def test_rank_deficient_regularized_route(self):
         # the bound reads the common-support gap; the regularized route agrees
@@ -150,8 +148,7 @@ class TestChannelBound:
             channel = random_cptp(4, 4, 2, seed=5000 + seed)
             report = bs_bound_channel(InstanceAnalysis(sigma, rho, channel))
             tol = 1e-8 * (1.0 + report.gap)
-            assert report.slack_k >= -tol
-            assert report.slack_l >= -tol
+            assert report.slack >= -tol
             top = regularized_divergence(StatePair(sigma, rho), xlogx(), kind="maximal")
             bottom = regularized_divergence(
                 StatePair(channel.apply(sigma), channel.apply(rho)), xlogx(), kind="maximal"
@@ -215,7 +212,7 @@ class TestMaxfBound:
             report = maxf_bound(InstanceAnalysis(sigma, rho, pinching), neg_power(0.5))
             if report.precondition_ok:
                 asserted += 1
-                assert min(report.slack_k, report.slack_l) >= -1e-8
+                assert report.slack >= -1e-8
         assert asserted > 0
 
     def test_channel_target(self):
@@ -223,7 +220,7 @@ class TestMaxfBound:
         channel = random_cptp(3, 3, 2, seed=9)
         report = maxf_bound(InstanceAnalysis(sigma, rho, channel), xlogx())
         if report.precondition_ok:
-            assert min(report.slack_k, report.slack_l) >= -1e-8
+            assert report.slack >= -1e-8
 
     def test_xlogx_recovery_form_below_dedicated_bs_form(self):
         # the generic machinery at alpha=0 is weaker than the dedicated bound

@@ -73,6 +73,7 @@ import pytest
 
 from bsdpi.campaigns import DEFAULT_TOLERANCES, BoundCheck, evaluate, write_csv
 from bsdpi.cli import main
+from bsdpi.states import OutputFile
 
 GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = "xlogx,neg_power:0.25,neg_power:0.5,neg_power:0.75"
@@ -131,7 +132,8 @@ def test_singular_channel_rows_match_golden(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     check = BoundCheck("bs_channel", DEFAULT_TOLERANCES["slack_rel"])
     evaluate(7, 0, (2, 3, 4), "random_cptp", [check], n_rank_deficient=24)
-    write_csv(str(out), check.rows)
+    with OutputFile(str(out)) as fh:
+        write_csv(fh, check.rows)
     golden = (GOLDEN / "bounds_channel_singular.csv").read_text()
     drift = column_drift(out.read_text(), golden, absolute=("gap", "slack"))
     with capsys.disabled():

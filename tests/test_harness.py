@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from bsdpi.cli import CampaignConfig, main
 from bsdpi.divergences import family_from_tag
 from bsdpi.errors import ConfigError, Diverging, NoConvergence, RejectionExhausted
 from bsdpi.recovery import pinching_fixed_pair
-from bsdpi.states import StatePair
+from bsdpi.states import OutputFile, StatePair
 
 
 def shift_rhs_k(monkeypatch, name, by):
@@ -346,7 +347,8 @@ def per_trial_loop(seed, trials, dims, kind, checks, n_rank_deficient=0):
 
 
 def csv_text(path, checks) -> str:
-    write_csv(str(path), [row for check in checks for row in check.rows])
+    with OutputFile(str(path)) as out:
+        write_csv(out, [row for check in checks for row in check.rows])
     return path.read_text()
 
 
@@ -551,7 +553,8 @@ class TestSummaries:
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(str(path), [Row(1, 2, "bs", 0.5, 0.25, 0.125, False, 0.25)])
+        with OutputFile(str(path)) as out:
+            write_csv(out, [Row(1, 2, "bs", 0.5, 0.25, 0.125, False, 0.25)])
         text = path.read_text()
         assert text.splitlines()[0] == "seed,d,family,gap,rhs_k,rhs_l,precondition_ok,slack"
         assert ",false," in text
@@ -1185,6 +1188,33 @@ class TestBadInputFiles:
         assert err.startswith(f"error: {error}: JSON nested too deeply") and err.count("\n") == 1
         if role != "config":
             assert repr(str(deep)) in err
+
+    @pytest.mark.parametrize(
+        "command, role",
+        [("divergence", "sigma"), ("divergence", "rho"),
+         ("certify", "sigma"), ("certify", "rho"), ("certify", "channel")],
+    )
+    @pytest.mark.parametrize("value", ["NaN", "1e400", "-1e400"])
+    def test_non_finite_entry_gives_one_error_line(
+        self, command, role, value, state_files, tmp_path, capsys
+    ):
+        # json reads NaN as nan and 1e400 as inf; the refusal is one error
+        # line with no RuntimeWarning, which pytest's capture would hide
+        # from capsys, so warnings are raised here
+        files = dict(zip(("sigma", "rho", "channel"), state_files))
+        obj = json.loads(Path(files[role]).read_text())
+        # a diagonal entry of a state, where inf - inf would be formed in a - a*
+        entries = obj["kraus"][0] if role == "channel" else obj["entries"]
+        entries[0] = ["entry", 0.0]
+        bad = tmp_path / f"bad_{role}.json"
+        bad.write_text(json.dumps(obj).replace('"entry"', value))
+        files[role] = str(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self.argv(command, *files.values())) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: DomainViolation: ")
+        assert repr(str(bad)) in lines[0]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "none.json")]) == 2

@@ -59,12 +59,27 @@ def expm_series(a, terms=60):
 
 
 class TestHermEig:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_raises(self, bad):
-        a = np.eye(3, dtype=complex)
-        a[1, 1] = bad
-        with pytest.raises(DomainViolation):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2)], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("at", [(1, 1), (1, 0)], ids=["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_and_warns_nothing(self, bad, at, shape):
+        # the refusal is the DomainViolation alone: no RuntimeWarning from
+        # the sums that find the entry, such as inf - inf in a - a*
+        a = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+        a[(...,) + at] = bad
+        with pytest.raises(DomainViolation, match="NaN or infinite entry"):
             herm_eig(a)
+
+    def test_a_matrix_is_a_stack_of_one(self):
+        a = rand_psd(4, 5)
+        before = linalg.herm_eig_calls
+        e = herm_eig(a)
+        assert linalg.herm_eig_calls - before == 1
+        stacked = herm_eig(a[None])
+        assert e.values.shape == (4,) and e.vectors.shape == (4, 4)
+        assert np.array_equal(e.values, stacked.values[0])
+        assert np.array_equal(e.vectors, stacked.vectors[0])
 
     def test_already_diagonal(self):
         e = herm_eig(np.diag([1.0, 2.0]))
@@ -154,7 +169,7 @@ class TestStackedEig:
         b[1, 0] -= size / math.sqrt(2.0)
         return b
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "scales, skews",
         [

@@ -20,7 +20,7 @@ from bsdpi import (
 )
 from bsdpi.bounds import InstanceAnalysis
 from bsdpi.campaigns import sample_pair
-from bsdpi.linalg import schatten_norm
+from bsdpi.linalg import Spectrum, schatten_norm
 from bsdpi.recovery import petz_recovery
 
 
@@ -75,24 +75,29 @@ class TestTargetType:
             evaluator(InstanceAnalysis(sigma, rho, random_pinching(3, seed=2)))
 
 
+def petz(channel, sigma, x):
+    """The Petz map of ``channel`` at ``sigma``, from the spectra of sigma and T(sigma)."""
+    return petz_recovery(channel, sigma, Spectrum(channel.apply(sigma.mat)), x)
+
+
 class TestPetzRecovery:
     def test_recovers_channel_output_of_sigma(self):
         sigma = random_density(3, 3, 1)
         channel = random_cptp(3, 3, 2, seed=2)
-        out = petz_recovery(channel, sigma, channel.apply(sigma))
+        out = petz(channel, sigma, channel.apply(sigma))
         assert np.linalg.norm(out - sigma.mat) <= 1e-10
 
     def test_identity_channel(self):
         sigma = random_density(3, 3, 3)
         x = random_density(3, 3, 4).mat
-        assert np.linalg.norm(petz_recovery(identity_channel(3), sigma, x) - x) <= 1e-10
+        assert np.linalg.norm(petz(identity_channel(3), sigma, x) - x) <= 1e-10
 
     def test_trace_preserving(self):
         for seed in range(10):
             sigma = random_density(3, 3, 10 + seed)
             channel = random_cptp(3, 3, 2, seed=20 + seed)
             state = random_density(3, 3, 30 + seed).mat
-            out = petz_recovery(channel, sigma, state)
+            out = petz(channel, sigma, state)
             assert abs(np.trace(out).real - 1.0) <= 1e-10
 
 
