@@ -9,6 +9,7 @@ is the acceptance battery that the tests and ``bsdpi selftest`` run.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,10 +37,11 @@ from .divergences import (
     relative_entropy,
     square_family,
     standard_f,
+    transpose_traces,
     xlogx,
 )
 from .errors import ConfigError, NumericsError
-from .linalg import Spectrum, apply_fn, decompose, schatten_norm
+from .linalg import Spectrum, decompose, eigen_weights, schatten_norm
 from .recovery import equality_residuals, petz_recovery, pinching_fixed_pair
 from .sampling import (  # noqa: F401 - the samplers and trials are part of this module's interface
     COMMUTING,
@@ -114,47 +116,131 @@ SPECTRUM_LEVELS = (("s", "r"), ("ratio",))
 BUILT_FROM = {"ratio": ("s", "rsqrt")}
 
 
-def _priming_plan(checks) -> list:
+@functools.cache
+def _priming_plan(reads: frozenset) -> tuple:
     """Per level of SPECTRUM_LEVELS, (pair, spectrum, roots) for every
-    spectrum the checks read: the Spectrum.STACKED roots read off it, and
-    those the next level is built from."""
+    spectrum named in ``reads``: the Spectrum.STACKED roots read off it, and
+    those the next level is built from.  Made once per set of reads, and
+    shared, so it is immutable."""
     wanted: dict = {}
-    for name in (name for check in checks for name in check.reads):
+    for name in reads:
         pair, spec, *root = name.split(".")
         wanted.setdefault((pair, spec), set()).update(root)
         if spec in BUILT_FROM:
             base, fn = BUILT_FROM[spec]
             wanted.setdefault((pair, base), set()).add(fn)
-    return [
-        [(pair, spec, roots) for (pair, spec), roots in sorted(wanted.items()) if spec in level]
+    return tuple(
+        tuple((pair, spec, frozenset(roots)) for (pair, spec), roots in sorted(wanted.items())
+              if spec in level)
         for level in SPECTRUM_LEVELS
-    ]
+    )
 
 
-def _prime(analyses, plan) -> None:
+def _pairs(analyses, name: str) -> list:
+    """The ``name`` pair (inp or out) of every analysis that forms it."""
+    pairs = []
+    for a in analyses:
+        try:
+            pairs.append(getattr(a, name))
+        except NumericsError:
+            continue
+    return pairs
+
+
+def _by_dim(items, dim) -> list:
+    """``items`` in groups of one ``dim(item)``, each in its first-seen order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(dim(item), []).append(item)
+    return list(groups.values())
+
+
+def _build_ratios(pairs) -> None:
+    """Build G of every pair whose sigma is decomposed.  One stacked gamma
+    call per dimension builds those of dense, full-rank sigma whose rsqrt is
+    primed, where gamma cannot refuse; the others, a subalgebra's compressed
+    outputs and singular sigma, take their own lazy read, and one that it
+    refuses stays unbuilt."""
+    stacked = []
+    for pair in pairs:
+        s = pair.s
+        if "ratio" in vars(pair) or "eig" not in vars(s):
+            continue
+        if s.algebra is None and "rsqrt" in vars(s) and s.full_rank:
+            stacked.append(pair)
+            continue
+        try:
+            pair.ratio
+        except NumericsError:
+            continue
+    for group in _by_dim(stacked, lambda pair: pair.s.dim):
+        for pair, g in zip(group, gamma([p.s for p in group], [p.r for p in group])):
+            vars(pair)["ratio"] = g
+
+
+def _prime(analyses, plan, traces=()) -> None:
     """Decompose the analyses' spectra that ``plan`` names, level by level,
-    by one stacked herm_eig call per matrix or block size, and form their
-    roots by one batched product per root and dimension.
+    by one stacked herm_eig call per matrix or block size, and form what the
+    checks read off them, each by one array call per dimension over the
+    block's pairs of that dimension: the Spectrum.STACKED roots that ``plan``
+    names, G by gamma, sigma's weights in G's eigenbasis by eigen_weights,
+    and tr[sigma f~(G)] of each (pair, f~) of ``traces`` by transpose_traces.
+    Each is, bit for bit, what the trial's own read computes.
 
     No numerics error leaves here: a spectrum that cannot be built,
-    decomposed or rooted is left lazy, for the trial's own read to raise.  A
-    spectrum is not built on an undecomposed base, which only the trial's
-    read decomposes.
+    decomposed or rooted, and a group whose roots or traces a function
+    refuses, are left lazy, for the trial's own read to raise.  A spectrum
+    is not built on an undecomposed base, which only the trial's read
+    decomposes, and a trace is formed only on a full-rank pair.
     """
+    pairs = {name: _pairs(analyses, name) for name in {name for level in plan for name, _, _ in level}}
     for level in plan:
-        found = []
-        for pair, spec, roots in level:
-            base = BUILT_FROM.get(spec, (spec,))[0]
-            for a in analyses:
-                try:
-                    states = getattr(a, pair)
-                    if base == spec or "eig" in vars(getattr(states, base)):
-                        found.append((getattr(states, spec), roots))
-                except NumericsError:
-                    continue
-        decompose(spectrum for spectrum, _ in found)
-        for name in Spectrum.STACKED:
-            apply_fn((spectrum for spectrum, roots in found if name in roots), name)
+        _build_ratios([pair for name, spec, _ in level if spec in BUILT_FROM for pair in pairs[name]])
+        found: dict = {}  # id -> (spectrum, roots)
+        for name, spec, roots in level:
+            if spec in BUILT_FROM:
+                spectra = [vars(pair)[spec] for pair in pairs[name] if spec in vars(pair)]
+            else:
+                spectra = [getattr(pair, spec) for pair in pairs[name]]
+            for spectrum in spectra:
+                found[id(spectrum)] = (spectrum, roots)
+        decompose(spectrum for spectrum, _ in found.values())
+        ready: dict = {}  # (root, dimension) -> the decomposed spectra that lack it
+        for spectrum, roots in found.values():
+            kept = vars(spectrum)
+            if "eig" in kept:
+                for root in roots:
+                    if root not in kept:
+                        ready.setdefault((root, spectrum.dim), []).append(spectrum)
+        for (root, _), group in ready.items():
+            try:
+                matrices = Spectrum.STACKED[root](group)
+            except NumericsError:
+                continue
+            for spectrum, m in zip(group, matrices):
+                vars(spectrum)[root] = m
+    weighed = [
+        pair for name, spec, _ in plan[-1] if spec == "ratio" for pair in pairs[name]
+        if "ratio" in vars(pair) and "eig" in vars(pair.ratio) and "ratio_weights" not in vars(pair)
+    ]
+    for group in _by_dim(weighed, lambda pair: pair.s.dim):
+        weights = eigen_weights([pair.ratio for pair in group], [pair.s for pair in group])
+        for pair, w in zip(group, weights):
+            vars(pair)["ratio_weights"] = w
+    wanted: dict = {}  # name -> the f~ traced on its pairs
+    for name, f in traces:
+        wanted.setdefault(name, []).append(f)
+    groups: dict = {}  # (dimension, f~s) -> the full-rank pairs of those traces
+    for name, fs in wanted.items():
+        for pair in pairs.get(name, ()):
+            if ("ratio_weights" in vars(pair) and pair.s.full_rank
+                    and "eig" in vars(pair.r) and pair.r.full_rank):
+                groups.setdefault((pair.s.dim, tuple(fs)), []).append(pair)
+    for (_, fs), group in groups.items():
+        try:
+            transpose_traces(group, fs)
+        except NumericsError:
+            continue
 
 
 def evaluate(
@@ -164,19 +250,23 @@ def evaluate(
     deficient, analyse each once and hand that analysis to every check.
 
     Trials come in blocks of up to BLOCK_TRIALS, each drawn by draw_block.
-    Before any check runs on a block, the spectra its checks declare in
-    ``reads`` are decomposed for the whole block by ``_prime``, to the
-    values each trial alone computes, bit for bit.  Then the checks run trial by trial.  An analysis lives for one
-    block; the checks keep only rows and summaries.  A numerics error from
-    drawing or checking a trial leaves with ``trial_seed`` set to that
-    trial's seed, after the checks of every earlier trial ran.
+    Before any check runs on a block, ``_prime`` forms for the whole block
+    what its checks declare: the spectra in ``reads`` and their roots, G and
+    sigma's weights in G's eigenbasis, and the maximal f-divergence traces in
+    ``traces``, by one array call per dimension each, to the values each
+    trial alone computes, bit for bit.  Then the checks run trial by trial.
+    An analysis lives for one block; the checks keep only rows and
+    summaries.  A numerics error from drawing or checking a trial leaves
+    with ``trial_seed`` set to that trial's seed, after the checks of every
+    earlier trial ran.
     """
-    plan = _priming_plan(checks)
+    plan = _priming_plan(frozenset(name for check in checks for name in check.reads))
+    traces = list(dict.fromkeys(read for check in checks for read in check.traces()))
     total = trials + n_rank_deficient
     for start in range(0, total, BLOCK_TRIALS):
         drawn, error = draw_block(seed, start, min(start + BLOCK_TRIALS, total), dims, kind, trials)
         block = [(trial, InstanceAnalysis(trial.sigma, trial.rho, trial.target)) for trial in drawn]
-        _prime([analysis for _, analysis in block], plan)
+        _prime([analysis for _, analysis in block], plan, traces)
         for trial, analysis in block:
             try:
                 for check in checks:
@@ -195,14 +285,21 @@ class Check:
     ``reads`` names the spectra of the trial's analysis that ``add`` reads
     on every trial: ``pair.spectrum``, with pair ``inp`` or ``out`` and the
     spectrum from SPECTRUM_LEVELS, or ``pair.spectrum.root`` for a
-    Spectrum.STACKED root of it.  evaluate decomposes them for a block of
-    trials at once; a spectrum no check declares is decomposed on its first
-    read, if it has one.
+    Spectrum.STACKED root of it.  ``traces`` names the maximal f-divergence
+    traces that ``add`` reads.  evaluate forms them for a block of trials at
+    once; a spectrum no check declares is decomposed on its first read, if
+    it has one.
     """
 
     reads = ()
     summary: CampaignSummary = field(default_factory=CampaignSummary, init=False)
     rows: list[Row] = field(default_factory=list, init=False)
+
+    def traces(self) -> tuple:
+        """(pair, f~) of each tr[sigma f~(G)] that ``add`` reads through
+        maximal_f on every trial, with f~ a family's ``f_transpose``;
+        evaluate forms them for a block of trials at once."""
+        return ()
 
     def add(self, trial: Trial, a: InstanceAnalysis) -> None:
         raise NotImplementedError
@@ -213,8 +310,8 @@ class Check:
 
 
 # what the BS gap, both bound forms and their residuals read
-BOUND_READS = ("inp.r", "out.r", "inp.s.sqrt", "out.s.sqrt", "out.s.rsqrt", "inp.ratio.sqrt",
-               "out.ratio.sqrt")
+BOUND_READS = ("inp.r", "out.r", "inp.s.sqrt", "out.s.sqrt", "out.s.rsqrt", "out.s.pinv",
+               "inp.ratio.sqrt", "out.ratio.sqrt")
 
 
 @dataclass
@@ -318,6 +415,9 @@ class MaxfCheck(Check):
         self.passed = {fam.tag: 0 for fam in self.fams}
         self.trials = 0
 
+    def traces(self):
+        return tuple((pair, fam.f_transpose) for fam in self.fams for pair in ("inp", "out"))
+
     def add(self, trial, a):
         self.trials += 1
         for fam in self.fams:
@@ -352,7 +452,7 @@ class EqualityCheck(Check):
     gap and BS-recovery residual are both positive.
     """
 
-    reads = BOUND_READS + ("inp.r.sqrt", "out.r.rsqrt")
+    reads = BOUND_READS + ("inp.s.pinv", "inp.r.sqrt", "inp.r.pinv", "out.r.rsqrt", "out.r.pinv")
     seed: int
     constructed: int
     gap_tol: float
@@ -397,6 +497,9 @@ class OrderingCheck(Check):
     reads = ("inp.s", "inp.r", "inp.ratio")
     fams = (xlogx(), neg_power(0.5))
     square = square_family()
+
+    def traces(self):
+        return tuple(("inp", fam.f_transpose) for fam in (*self.fams, self.square))
 
     def add(self, trial, a):
         sub, d = trial.seed, trial.d

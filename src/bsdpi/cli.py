@@ -67,7 +67,7 @@ class CampaignConfig:
         if self.dims is None:
             self.dims = DEFAULT_DIMS
         if not self.dims:
-            raise ConfigError("dims must all be >= 2")
+            raise ConfigError("dims is empty; give at least one dimension >= 2")
         for d in self.dims:
             _integer("each of dims", d, 2)
         seen = {}

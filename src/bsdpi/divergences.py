@@ -132,11 +132,33 @@ def maximal_f(pair: StatePair, fam: FDivFamily) -> float:
     ``fam.f_transpose``, f~(x) = x f(1/x): a sum of f~ over G's refined
     eigenvalues (``pair.ratio_values``) weighted by sigma.  f~ maps every
     eigenvalue, with no support cut: G of a full-rank pair is positive definite.
+    The sum is kept in the pair's ``maximal_traces``, which a block's priming
+    may have filled by ``transpose_traces``.
     """
     pair = pair.compressed or pair
     pair.require_full_rank()
-    values = spectral_values(pair.ratio, fam.f_transpose, pair.ratio_values)
-    return float(values @ pair.ratio_weights)
+    f = fam.f_transpose
+    if f not in pair.maximal_traces:
+        transpose_traces(pair, [f])
+    return pair.maximal_traces[f]
+
+
+def transpose_traces(pairs: StatePair | list, fs: list) -> None:
+    """Keep tr[sigma f(G)] for each f of ``fs`` in the ``maximal_traces`` of
+    a full-rank pair, or of each of a list of them of one dimension: f maps
+    the refined G eigenvalues (``ratio_values``), of a list in one call of
+    spectral_values, and one dot, batched for a list, weights them by
+    sigma, each trace bit for bit as the pair's alone."""
+    if isinstance(pairs, list):
+        ratios, values = [p.ratio for p in pairs], [p.ratio_values for p in pairs]
+        weights = np.array([p.ratio_weights for p in pairs])
+    else:
+        ratios, values, weights = pairs.ratio, pairs.ratio_values, pairs.ratio_weights
+        pairs = [pairs]
+    for f in fs:
+        traces = spectral_values(ratios, f, values)[..., None, :] @ weights[..., :, None]
+        for pair, trace in zip(pairs, traces.ravel().tolist()):
+            pair.maximal_traces[f] = trace
 
 
 def bs_entropy(pair: StatePair) -> float:

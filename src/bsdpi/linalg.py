@@ -144,14 +144,16 @@ def herm_eig(a: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarFunction:
     """A real scalar function together with its admissible open domain.
 
     ``at_zero`` declares a finite limit at 0+, making (clipped) zero
     eigenvalues admissible.  ``on_support`` (with ``at_zero``) instead maps
     every eigenvalue off the support (Spectrum.rank) to ``at_zero``: the
-    Moore-Penrose-style restriction of the function to the support.
+    Moore-Penrose-style restriction of the function to the support.  Each
+    is equal only to itself, and hashed as such: a pair's maximal traces are
+    kept by their function.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -187,8 +189,15 @@ class Spectrum:
     first use and kept for the life of the object.
     """
 
-    # the lazy matrix functions that apply_fn forms for a stack of spectra
-    STACKED = {"sqrt": SQRT, "rsqrt": RSQRT_ON_SUPPORT}
+    # the lazy roots, each formed by matrix_fn or pinv, which take one
+    # spectrum or a list of them: the lazy read forms one spectrum's, a
+    # block's priming a stack's at once.  Both names are looked up at each
+    # call, so a rebinding of them, such as the benchmark's tracer, sees it.
+    STACKED = {
+        "sqrt": lambda spectra: matrix_fn(spectra, SQRT),
+        "rsqrt": lambda spectra: matrix_fn(spectra, RSQRT_ON_SUPPORT),
+        "pinv": lambda spectra: pinv(spectra),
+    }
 
     # the subalgebra whose compressed matrices a BlockSpectrum holds
     algebra = None
@@ -214,7 +223,7 @@ class Spectrum:
         """The spectrum of ``m``, a matrix held in this spectrum's form."""
         return Spectrum(m)
 
-    @property
+    @lazy_property
     def dim(self) -> int:
         return self.mat.shape[0]
 
@@ -225,17 +234,17 @@ class Spectrum:
 
     @lazy_property
     def sqrt(self) -> np.ndarray:
-        return matrix_fn(self, SQRT)
+        return self.STACKED["sqrt"](self)
 
     @lazy_property
     def rsqrt(self) -> np.ndarray:
         """Inverse square root on the support, 0 off it."""
-        return matrix_fn(self, RSQRT_ON_SUPPORT)
+        return self.STACKED["rsqrt"](self)
 
     @lazy_property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse, from the module-level pinv."""
-        return pinv(self)
+        return self.STACKED["pinv"](self)
 
     @lazy_property
     def support_projector(self) -> np.ndarray:
@@ -252,9 +261,9 @@ class Spectrum:
 
         For PSD X the terms are nonnegative, so a small weight keeps its
         relative accuracy, which the product <u_i, X u_i> loses to
-        cancellation at ~eps ||X||.
+        cancellation at ~eps ||X||.  eigen_weights forms it.
         """
-        return x.eig.values @ np.abs(x.eig.vectors.conj().T @ self.eig.vectors) ** 2
+        return eigen_weights(self, x)
 
     def trace_fn(self, f: ScalarFunction | Callable, weights: np.ndarray) -> float:
         """tr[X f(A)] = sum_i f(lambda_i) <u_i, X u_i> for Hermitian X, given
@@ -293,13 +302,17 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def spectral_values(
-    spec: Spectrum, f: ScalarFunction | Callable, values: np.ndarray | None = None
+    spec: Spectrum | Sequence[Spectrum],
+    f: ScalarFunction | Callable,
+    values: np.ndarray | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """f(lambda_i) for every eigenvalue of ``spec``, in its eigenvalue order.
+    """f(lambda_i) for every eigenvalue of ``spec``, in its eigenvalue order;
+    for a sequence of spectra of one dimension, the (k, d) stack of theirs.
 
     ``values``, when given, are mapped in place of the eigenvalues: one per
     eigenvector of ``spec``, in its order, and not necessarily ascending, such
-    as the refined eigenvalues of ``StatePair.ratio_values``.
+    as the refined eigenvalues of ``StatePair.ratio_values``; one such array
+    per spectrum of a sequence.
 
     Eigenvalues in (-spec.noise_floor, 0) are clipped to 0 when ``f`` lives
     on the nonnegative axis.  With ``f.at_zero`` set, zero eigenvalues map to
@@ -309,16 +322,34 @@ def spectral_values(
 
     A spectrum wholly inside the open domain, with nothing off the support or
     at 0 to map to ``at_zero``, has nothing to clip or mask: ``f`` maps it as
-    is, the same values the general route computes.
+    is, the same values the general route computes.  When every spectrum of a
+    sequence is such, one call of ``f`` maps their stack, each row bit for
+    bit as alone.
     """
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(f)
-    lam = spec.eig.values if values is None else values
+    if isinstance(spec, Spectrum):
+        lam = spec.eig.values if values is None else values
+        if _inside(spec, f, lam):
+            return np.array(f.fn(lam), dtype=float)
+        return _mapped(spec, f, lam)
+    lams = [s.eig.values for s in spec] if values is None else values
+    if all(_inside(s, f, lam) for s, lam in zip(spec, lams)):
+        return np.array(f.fn(np.array(lams)), dtype=float)
+    return np.array([_mapped(s, f, lam) for s, lam in zip(spec, lams)])
+
+
+def _inside(spec: Spectrum, f: ScalarFunction, lam: np.ndarray) -> bool:
+    """Whether ``f`` maps ``lam``, values of ``spec``, as they are: nothing
+    off the support or at 0 to mask, and nothing to clip or refuse."""
     low, high = (lam[0], lam[-1]) if lam is spec.eig.values else (lam.min(), lam.max())
-    off = spec.dim - spec.rank if f.on_support else 0
     lo = f.lo if f.at_zero is None else max(f.lo, 0.0)
-    if off == 0 and low > lo and high < f.hi:
-        return np.array(f.fn(lam), dtype=float)
+    return low > lo and high < f.hi and not (f.on_support and spec.rank < spec.dim)
+
+
+def _mapped(spec: Spectrum, f: ScalarFunction, lam: np.ndarray) -> np.ndarray:
+    """spectral_values of one spectrum's ``lam`` on the general route."""
+    off = spec.dim - spec.rank if f.on_support else 0
     lam = lam.copy()
     if f.lo >= 0.0:
         lam[(lam < 0.0) & (lam > -spec.noise_floor)] = 0.0
@@ -341,17 +372,47 @@ def spectral_values(
     return vals
 
 
-def matrix_fn(a: np.ndarray | Spectrum, f: ScalarFunction | Callable) -> np.ndarray:
+def is_stack(a) -> bool:
+    """Whether ``a`` is a list of spectra, which the stacked forms take,
+    rather than one matrix or spectrum.  Their array expressions read a
+    stack or one array alike, through ``...`` and the last two axes, and
+    give each array of a stack, bit for bit, what they give it alone."""
+    return isinstance(a, list) and bool(a) and isinstance(a[0], Spectrum)
+
+
+def matrix_fn(
+    a: np.ndarray | Spectrum | Sequence[Spectrum], f: ScalarFunction | Callable
+) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Returns ``U diag(f(lambda_i)) U*``, with the eigenvalues mapped by
     spectral_values; the output is hermitized.  ``a`` may be a Spectrum,
-    whose decomposition is then reused.
+    whose decomposition is then reused, or a list of spectra of one
+    dimension, whose (k, d, d) stack of functions is formed by one batched
+    product, each matrix bit for bit as alone.
     """
-    spec = a if isinstance(a, Spectrum) else Spectrum(a)
-    vectors = spec.eig.vectors
-    out = (vectors * spectral_values(spec, f)) @ vectors.conj().T
-    return 0.5 * (out + out.conj().T)
+    if is_stack(a):
+        vectors = np.array([spec.eig.vectors for spec in a])
+    else:
+        a = a if isinstance(a, Spectrum) else Spectrum(a)
+        vectors = a.eig.vectors
+    out = (vectors * spectral_values(a, f)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
+def eigen_weights(base: Spectrum | list, x: Spectrum | list) -> np.ndarray:
+    """Spectrum.weights of X = ``x`` in the eigenbasis of ``base``, or, for
+    lists of spectra of one dimension, the (k, d) stack of each X's in the
+    eigenbasis at its place, sum_j mu_j |<v_j, u_i>|^2, by one batched
+    product, each row bit for bit as alone."""
+    if is_stack(base):
+        values = np.array([s.eig.values for s in x])
+        vectors = np.array([s.eig.vectors for s in x])
+        basis = np.array([b.eig.vectors for b in base])
+    else:
+        values, vectors, basis = x.eig.values, x.eig.vectors, base.eig.vectors
+    overlap = np.abs(vectors.conj().swapaxes(-1, -2) @ basis) ** 2
+    return (values[..., None, :] @ overlap)[..., 0, :]
 
 
 class BlockSpectrum(Spectrum):
@@ -467,36 +528,9 @@ def decompose(spectra: Iterable[Spectrum]) -> None:
             vars(spec)["eig"] = spec.assemble(eigs)
 
 
-def apply_fn(spectra: Iterable[Spectrum], name: str) -> None:
-    """Store the matrix function ``name`` of Spectrum.STACKED (``sqrt`` or
-    ``rsqrt``) on every decomposed spectrum of ``spectra`` that lacks it, by
-    one batched product per dimension: the matrix matrix_fn would give.
-
-    A spectrum whose eigenvalues the function refuses is left without it, to
-    raise that refusal on its own first read.
-    """
-    f = Spectrum.STACKED[name]
-    groups: dict = {}
-    for spec in spectra:
-        if name in vars(spec) or "eig" not in vars(spec):
-            continue
-        try:
-            values = spectral_values(spec, f)
-        except NumericsError:
-            continue
-        groups.setdefault(spec.dim, {})[id(spec)] = (spec, values)
-    for group in groups.values():
-        group = list(group.values())
-        vectors = np.array([spec.eig.vectors for spec, _ in group])
-        values = np.array([values for _, values in group])
-        out = (vectors * values[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
-        out = 0.5 * (out + out.conj().transpose(0, 2, 1))
-        for (spec, _), m in zip(group, out):
-            vars(spec)[name] = m
-
-
-def pinv(a: np.ndarray | Spectrum) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix (or of its Spectrum).
+def pinv(a: np.ndarray | Spectrum | Sequence[Spectrum]) -> np.ndarray:
+    """Moore-Penrose inverse of a Hermitian PSD matrix (or of its Spectrum),
+    or the stack of those of a list of spectra, as matrix_fn forms it.
 
     Eigenvalues off the support (see Spectrum.rank) map to 0, the rest to
     their reciprocal.  The zero matrix maps to itself.

@@ -19,7 +19,7 @@ from .errors import (
     SingularState,
     SupportMismatch,
 )
-from .linalg import Spectrum, lazy_property, schatten_norm
+from .linalg import Spectrum, is_stack, lazy_property, schatten_norm
 
 # Weight of rho outside the support of sigma tolerated by gamma().
 SUPPORT_LEAK_TOL = 1e-8
@@ -128,21 +128,33 @@ def support_leak(sigma, rho) -> float:
     return schatten_norm(comp @ r.held @ comp, np.inf)
 
 
-def gamma(sigma, rho) -> Spectrum:
+def gamma(sigma, rho) -> Spectrum | list:
     """The spectrum of sigma^{-1/2} rho sigma^{-1/2}, with Moore-Penrose
     inverses on singular sigma; its lam_max is ||G||_inf.  G is formed and
     held as the states are held, block by block for a subalgebra's outputs;
     sigma's support cut is taken on its whole spectrum either way.
 
+    sigma and rho may also be lists of spectra, all held in one shape: then
+    the list of the pairs' G, formed by one batched product, each bit for bit
+    as alone.
+
     Requires the support of rho to lie inside the support of sigma: the leaked
     weight ||(I - P) rho (I - P)||_inf must not exceed SUPPORT_LEAK_TOL.
     """
-    s, r = held_alike(sigma, rho)
-    leak = support_leak(s, r)
-    if leak > SUPPORT_LEAK_TOL:
-        raise SupportMismatch(f"rho has weight {leak:.3e} outside the support of sigma")
-    rs = s.held_fn("rsqrt")
-    return s.like(hermitian_part(rs @ r.held @ rs))
+    stack = is_stack(sigma)
+    pairs = [held_alike(s, r) for s, r in zip(sigma, rho)] if stack else [held_alike(sigma, rho)]
+    for s, r in pairs:
+        # a full-rank sigma leaks nothing, as support_leak reads it
+        if not s.full_rank and (leak := support_leak(s, r)) > SUPPORT_LEAK_TOL:
+            raise SupportMismatch(f"rho has weight {leak:.3e} outside the support of sigma")
+    if stack:
+        rs = np.array([s.held_fn("rsqrt") for s, _ in pairs])
+        held = np.array([r.held for _, r in pairs])
+    else:
+        s, r = pairs[0]
+        rs, held = s.held_fn("rsqrt"), r.held
+    g = hermitian_part(rs @ held @ rs)
+    return [s.like(m) for (s, _), m in zip(pairs, g)] if stack else s.like(g)
 
 
 class StatePair:
@@ -156,11 +168,12 @@ class StatePair:
     f~(x) = x f(1/x).  sigma and rho are each a Spectrum or a plain,
     possibly unnormalized, PSD array, or both BlockSpectra of one
     subalgebra.  The divergence evaluators take a pair, so that several of
-    them share its spectra.
+    them share its spectra; ``maximal_traces`` keeps tr[sigma f~(G)] by f~.
     """
 
     def __init__(self, sigma, rho):
         self.s, self.r = held_alike(sigma, rho)
+        self.maximal_traces: dict = {}
 
     @property
     def sigma(self) -> np.ndarray:

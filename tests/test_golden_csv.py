@@ -51,6 +51,12 @@ bounds_random_cptp_large.csv and bounds_subalgebra.csv write on that route,
 and CI compares their bytes; bounds_seed_2_100.csv and
 bounds_pinching_large_blocks.csv, which only CI reads, were rewritten on it.
 
+bounds_partial_trace_blocks.csv is what the command of
+bounds_partial_trace.csv writes with --include-standard-dpi on the block
+route, its `std_relent_petz` rows included; only CI reads it, and compares
+its bytes.  selftest_seed_7.txt is not a CSV: it holds the lines of `bsdpi
+selftest --seed 7` with their times cut, which CI compares byte for byte.
+
 bounds_subalgebra.csv is what `bounds --channel subalgebra --dims 4,6,9,12
 --trials 12 --seed 7 --include-standard-dpi` with the four families writes:
 72 rows, the `std_relent_petz` rows included, and 7 of its 12 subalgebras

@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig(channel_kind="teleport")
 
+    def test_empty_dims_are_named_empty(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "dims": []}))
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: ConfigError: dims is empty; give at least one dimension >= 2"
+        ]
+
     def test_from_json(self):
         config = CampaignConfig.from_json(
             json.dumps({"seed": 3, "trials": 4, "dims": [2, 3], "channel_kind": "pinching"})

@@ -235,27 +235,23 @@ class TestDecompose:
             bad.eig
         assert np.array_equal(good[0].eig.values, herm_eig(good[0].mat).values)
 
-    @pytest.mark.parametrize("name", ["sqrt", "rsqrt"])
+    @pytest.mark.parametrize("name", ["sqrt", "rsqrt", "pinv"])
     def test_stacked_roots_equal_each_spectrum_own(self, name):
-        mats = [rand_psd(d, seed) for seed, d in enumerate((3, 3, 2, 3))]
-        mats[1][2, :] = mats[1][:, 2] = 0.0  # rank deficient: rsqrt takes the general route
+        mats = [rand_psd(3, seed) for seed in range(4)]
+        mats[1][2, :] = mats[1][:, 2] = 0.0  # rank deficient: rsqrt and pinv take the general route
         spectra = [Spectrum(m) for m in mats]
         linalg.decompose(spectra)
-        linalg.apply_fn(spectra, name)
-        for m, spec in zip(mats, spectra):
-            assert name in vars(spec)
-            assert np.array_equal(getattr(spec, name), getattr(Spectrum(m), name))
+        stack = Spectrum.STACKED[name](spectra)
+        assert stack.shape == (4, 3, 3)
+        for m, root in zip(mats, stack):
+            assert root.tobytes() == getattr(Spectrum(m), name).tobytes()
 
-    def test_root_refused_by_its_function_stays_lazy(self):
-        # sqrt refuses a clearly negative eigenvalue
-        spectra = [Spectrum(np.diag([1.0, -0.5])), Spectrum(np.diag([1.0, 0.5]))]
-        undecomposed = Spectrum(np.eye(2))
-        linalg.decompose(spectra)
-        linalg.apply_fn(spectra + [undecomposed], "sqrt")
-        assert "sqrt" not in vars(spectra[0]) and "sqrt" in vars(spectra[1])
-        assert vars(undecomposed).keys().isdisjoint({"eig", "sqrt"})
+    def test_a_stack_raises_the_refusal_of_its_function(self):
+        # sqrt refuses a clearly negative eigenvalue, of any spectrum of the stack
+        spectra = [Spectrum(np.diag([1.0, 0.5])), Spectrum(np.diag([1.0, -0.5]))]
         with pytest.raises(DomainViolation):
-            spectra[0].sqrt
+            matrix_fn(spectra, SQRT)
+        assert matrix_fn(spectra[:1], SQRT).tobytes() == spectra[0].sqrt.tobytes()
 
 
 class TestMatrixFn:
