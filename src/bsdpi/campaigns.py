@@ -232,10 +232,11 @@ def _prime(analyses, plan, traces=()) -> None:
         wanted.setdefault(name, []).append(f)
     groups: dict = {}  # (dimension, f~s) -> the full-rank pairs of those traces
     for name, fs in wanted.items():
+        fs = tuple(fs)
         for pair in pairs.get(name, ()):
             if ("ratio_weights" in vars(pair) and pair.s.full_rank
                     and "eig" in vars(pair.r) and pair.r.full_rank):
-                groups.setdefault((pair.s.dim, tuple(fs)), []).append(pair)
+                groups.setdefault((pair.s.dim, fs), []).append(pair)
     for (_, fs), group in groups.items():
         try:
             transpose_traces(group, fs)

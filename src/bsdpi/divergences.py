@@ -155,8 +155,9 @@ def transpose_traces(pairs: StatePair | list, fs: list) -> None:
     else:
         ratios, values, weights = pairs.ratio, pairs.ratio_values, pairs.ratio_weights
         pairs = [pairs]
+    weights = weights[..., :, None]
     for f in fs:
-        traces = spectral_values(ratios, f, values)[..., None, :] @ weights[..., :, None]
+        traces = spectral_values(ratios, f, values)[..., None, :] @ weights
         for pair, trace in zip(pairs, traces.ravel().tolist()):
             pair.maximal_traces[f] = trace
 
