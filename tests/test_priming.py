@@ -193,7 +193,7 @@ def test_a_refined_pair_is_primed_as_alone(monkeypatch):
         assert pair.ratio_values is not pair.ratio.eig.values
 
 
-def test_a_refused_trial_in_mid_block_raises_after_the_earlier_checks(monkeypatch, tmp_path):
+def test_a_refused_trial_in_mid_block_raises_after_the_earlier_checks(monkeypatch):
     # trial 5's rho has a NaN entry: herm_eig refuses the stack it is in, so
     # that dimension's spectra stay lazy, and trial 5 raises on its own read
     draw = campaigns.draw_block
